@@ -15,7 +15,6 @@ ignores x), then d dimensions per remaining fast slot.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
@@ -151,7 +150,6 @@ class TensorField:
                                 mu=parent.mu, theta=parent.theta,
                                 lipschitz=self.lipschitz_estimate(),
                                 depends_on_x=parent.depends_on_x,
-                                smooth_last=parent.smooth_last,
                                 digest_override=digest)
 
 
@@ -223,7 +221,7 @@ def _slower_axes(field: CoefficientField, level: int, x_resolution: int,
 
 def descend(field: CoefficientField, *, resolution: int | None = None,
             tol: float = 1e-10, x_resolution: int | None = None,
-            slot_resolution: int | None = None, cache=None, jobs: int = 1,
+            slot_resolution: int | None = None, cache=None,
             retain_correctors: bool = False):
     """Integrate out the fastest slot of the field.
 
@@ -252,7 +250,7 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
             if entry is not None:
                 chi, tensor, sidecar = entry
                 return (tensor, tuple(sidecar["spectrum"]), chi.values,
-                        sum(sidecar["iterations"]), True)
+                        sum(sidecar["iterations"]))
 
         def sampler(y, frozen=frozen):
             lead = y.shape[:-1]
@@ -268,17 +266,9 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
         if cache is not None and digest is not None:
             cache.store(digest, level, correctors, eff)
         return (eff.tensor, eff.spectrum, correctors.chi.values,
-                sum(correctors.iterations), False)
+                sum(correctors.iterations))
 
     indices = list(np.ndindex(*dims))
-    hits0 = getattr(cache, "hits", 0)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(solve_at, indices))
-    else:
-        results = [solve_at(i) for i in indices]
-    hits = (getattr(cache, "hits", 0) - hits0) if cache is not None else 0
-
     values = np.empty(dims + (d, d))
     spectrum_lo, spectrum_hi = np.inf, -np.inf
     iterations = 0
@@ -286,13 +276,16 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
     cell_grid = Grid.torus(d, resolution)
     if retain_correctors:
         chi_table = np.empty(dims + cell_grid.node_shape + (d,))
-    for index, (tensor, spectrum, chi, iters, _) in zip(indices, results):
+    hits0 = getattr(cache, "hits", 0)
+    for index in indices:
+        tensor, spectrum, chi, iters = solve_at(index)
         values[index] = tensor
         spectrum_lo = min(spectrum_lo, spectrum[0])
         spectrum_hi = max(spectrum_hi, spectrum[1])
         iterations += iters
         if retain_correctors:
             chi_table[index] = chi
+    hits = (getattr(cache, "hits", 0) - hits0) if cache is not None else 0
 
     table = TensorField(d=d, n_slots=level - 1, axes=axes, values=values)
     child_digest = _descended_digest(digest, level, resolution, tol, dims)
@@ -349,8 +342,7 @@ class CascadeResult:
 def homogenize_all(field: CoefficientField, ladder: ScaleLadder | None = None, *,
                    resolution: int | None = None, tol: float = 1e-10,
                    x_resolution: int | None = None, slot_resolution: int | None = None,
-                   cache=None, jobs: int = 1,
-                   retain_correctors: bool = False) -> CascadeResult:
+                   cache=None, retain_correctors: bool = False) -> CascadeResult:
     """Run the full descent from the finest slot down to none."""
     if ladder is not None and field.n_scales not in (0, ladder.n):
         raise ValueError(f"field has {field.n_scales} fast slots but the ladder has {ladder.n}")
@@ -362,7 +354,7 @@ def homogenize_all(field: CoefficientField, ladder: ScaleLadder | None = None, *
         keep = retain_correctors and current.n_scales == finest
         current, record, table = descend(
             current, resolution=resolution, tol=tol, x_resolution=x_resolution,
-            slot_resolution=slot_resolution, cache=cache, jobs=jobs,
+            slot_resolution=slot_resolution, cache=cache,
             retain_correctors=keep)
         levels.append(record)
         if keep:

@@ -1,13 +1,12 @@
 """Command line runner for homogenization experiments.
 
-``reiterate <subcommand> --config <path> [--out <dir>] [--cache <dir>]
-[--jobs <k>]`` executes one pipeline stage and persists its artifacts:
-CSV tables (RFC 4180, ``.`` decimal separator, 17 significant digits),
-serialized node fields, and a JSON run manifest written atomically at the
-end.  Every entry that can differ between identical runs lives under the
-manifest's ``timing`` block, so re-running a config reproduces every
-other byte.  Exit status: 0 on success, 2 on validation failure, 3 on
-solver failure.
+``reiterate <subcommand> --config <path> [--out <dir>] [--cache <dir>]``
+executes one pipeline stage and persists its artifacts: CSV tables (RFC
+4180, ``.`` decimal separator, 17 significant digits), serialized node
+fields, and a JSON run manifest written atomically at the end.  Every
+entry that can differ between identical runs lives under the manifest's
+``timing`` block, so re-running a config reproduces every other byte.
+Exit status: 0 on success, 2 on validation failure, 3 on solver failure.
 """
 
 from __future__ import annotations
@@ -98,19 +97,6 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _pointwise(cfg: ExperimentConfig, source: str):
-    from .expr import compile_expression
-
-    names = [f"x{i + 1}" for i in range(cfg.d)]
-    fn = compile_expression(source, names)
-
-    def pointwise(pts):
-        out = fn(**{names[i]: pts[..., i] for i in range(cfg.d)})
-        return np.broadcast_to(out, pts.shape[:-1]).copy()
-
-    return pointwise
-
-
 def _tensor_text(tensor: np.ndarray) -> str:
     rows = np.atleast_2d(tensor)
     return "; ".join(" ".join("%.6f" % v for v in row) for row in rows)
@@ -162,7 +148,7 @@ def cmd_cascade(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
                 "separation check")
     with manifest.stage("cascade"):
         result = homogenize_all(cfg.field, ladder, resolution=cfg.cell_resolution,
-                                tol=cfg.cell_tol, cache=cache, jobs=cfg.jobs)
+                                tol=cfg.cell_tol, cache=cache)
     summary = result.summary()
     hits = sum(lv["cache_hits"] for lv in summary["levels"])
     total = hits + sum(lv["cache_misses"] for lv in summary["levels"])
@@ -221,10 +207,10 @@ def cmd_rate(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> Non
     with manifest.stage("rate"):
         sweep = probes.rate_sweep(
             cfg.field, eps_values, ladder_for,
-            rhs=_pointwise(cfg, cfg.rhs_source),
-            boundary=_pointwise(cfg, cfg.boundary_source),
+            rhs=cfg.pointwise(cfg.rhs_source),
+            boundary=cfg.pointwise(cfg.boundary_source),
             cells_per_scale=cfg.cells_per_scale, tol=cfg.solver_tol,
-            cache=cache, jobs=cfg.jobs)
+            cache=cache)
     write_csv(out / "rate.csv",
               ("eps", "eps_rate_expr", "l2_error", "slope_so_far"),
               [(r.eps, r.rate_expr, r.l2_error, r.slope_so_far)
@@ -275,8 +261,7 @@ def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
             with manifest.stage("calibrate"):
                 result = homogenize_all(cfg.field, ladder,
                                         resolution=cfg.cell_resolution,
-                                        tol=cfg.cell_tol, cache=cache,
-                                        jobs=cfg.jobs)
+                                        tol=cfg.cell_tol, cache=cache)
                 u0 = solve_homogenized(bvp, result.effective, tol=cfg.solver_tol)
                 lift = type(bvp)(
                     grid=grid,
@@ -313,8 +298,8 @@ def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
 def cmd_approx(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> None:
     eps_values, ladder_for = _ladder_map(cfg)
     kwargs = dict(r=cfg.probe_radius(), rho=cfg.probe.rho,
-                  rhs=_pointwise(cfg, cfg.rhs_source),
-                  boundary=_pointwise(cfg, cfg.boundary_source),
+                  rhs=cfg.pointwise(cfg.rhs_source),
+                  boundary=cfg.pointwise(cfg.boundary_source),
                   cells_per_scale=cfg.cells_per_scale, tol=cfg.solver_tol,
                   cache=cache)
     with manifest.stage("approx"):
@@ -376,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", help="output directory (default from config)")
         p.add_argument("--cache", help="cache directory (beats REITERATE_CACHE)")
-        p.add_argument("--jobs", type=int, help="worker threads for cell solves")
     return parser
 
 
@@ -384,7 +368,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        cfg = cfg.with_overrides(out=args.out, jobs=args.jobs)
+        cfg = cfg.with_overrides(out=args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

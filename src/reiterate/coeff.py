@@ -162,7 +162,6 @@ class CoefficientField:
     theta: float = 1.0
     lipschitz: float = 0.0
     depends_on_x: bool = False
-    smooth_last: bool = True
     spec: CoefficientSpec | None = None
     digest_override: str | None = dc_field(default=None, repr=False)
 

@@ -107,7 +107,6 @@ KNOWN_KEYS = {
     "out": "output directory path",
     "cache": "cache directory path",
     "seed": "integer",
-    "jobs": "integer >= 1",
 }
 
 _T_CANDIDATES = (1 / 16, 1 / 32, 1 / 64)
@@ -134,7 +133,6 @@ class ExperimentConfig:
     out: str
     cache_dir: str | None
     seed: int
-    jobs: int
     feasibility: tuple[Feasibility, ...]
     items: tuple[tuple[str, str], ...]  # normalized pairs, hashed for the manifest
 
@@ -155,19 +153,21 @@ class ExperimentConfig:
         n = self.resolution_for(ladder)
         return Grid.box((lo,) * self.d, (hi,) * self.d, n)
 
-    def bvp_for(self, grid: Grid) -> BVP:
+    def pointwise(self, source: str):
+        """Compile an expression in x1..xd into a function of node points."""
         names = [f"x{i + 1}" for i in range(self.d)]
-        rhs = compile_expression(self.rhs_source, names)
-        bnd = compile_expression(self.boundary_source, names)
+        fn = compile_expression(source, names)
 
-        def as_pointwise(fn):
-            def pointwise(pts):
-                # constant expressions come back 0-d; broadcast to the nodes
-                out = fn(**{names[i]: pts[..., i] for i in range(self.d)})
-                return np.broadcast_to(out, pts.shape[:-1]).copy()
-            return pointwise
+        def pointwise(pts):
+            # constant expressions come back 0-d; broadcast to the nodes
+            out = fn(**{names[i]: pts[..., i] for i in range(self.d)})
+            return np.broadcast_to(out, pts.shape[:-1]).copy()
 
-        return BVP.on(grid, rhs=as_pointwise(rhs), boundary=as_pointwise(bnd))
+        return pointwise
+
+    def bvp_for(self, grid: Grid) -> BVP:
+        return BVP.on(grid, rhs=self.pointwise(self.rhs_source),
+                      boundary=self.pointwise(self.boundary_source))
 
     def probe_center(self) -> tuple:
         if self.probe.center is not None:
@@ -184,14 +184,12 @@ class ExperimentConfig:
         payload = "\n".join(f"{k} = {v}" for k, v in self.items)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    def with_overrides(self, out=None, cache=None, jobs=None) -> "ExperimentConfig":
+    def with_overrides(self, out=None, cache=None) -> "ExperimentConfig":
         cfg = self
         if out is not None:
             cfg = replace(cfg, out=str(out))
         if cache is not None:
             cfg = replace(cfg, cache_dir=str(cache))
-        if jobs is not None:
-            cfg = replace(cfg, jobs=int(jobs))
         return cfg
 
     def resolved_cache_dir(self) -> str:
@@ -381,10 +379,6 @@ def parse_config(path: str) -> ExperimentConfig:
         t_shrink = None
 
     seed = _take(pairs, "seed", parse_int, errors, default=0)
-    jobs = _take(pairs, "jobs", parse_int, errors, default=1)
-    if jobs is not None and jobs < 1:
-        errors.append(f"key 'jobs': got {jobs}; expected {KNOWN_KEYS['jobs']}")
-        jobs = 1
     out = pairs.get("out", "runs")
     cache_dir = pairs.get("cache")
 
@@ -433,4 +427,4 @@ def parse_config(path: str) -> ExperimentConfig:
         probe=ProbeParams(p=probe_p, theta=theta, alpha=alpha, center=center,
                           radius=radius, rho=rho, t=t_shrink),
         solver_tol=solver_tol, out=out, cache_dir=cache_dir, seed=seed,
-        jobs=jobs, feasibility=tuple(feasibility), items=items)
+        feasibility=tuple(feasibility), items=items)

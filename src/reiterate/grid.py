@@ -164,9 +164,6 @@ class GridFunction:
         axes = tuple(range(self.grid.d, self.values.ndim))
         return np.sqrt(np.sum(self.values**2, axis=axes))
 
-    def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.grid, values)
-
     def _binary(self, other, op):
         if isinstance(other, GridFunction):
             if other.grid != self.grid:

@@ -1,68 +1,27 @@
-"""Hot stencil kernels: numba-jitted loops with pure-numpy twins.
+"""Hot stencil kernels for the flux-form operator on uniform grids.
 
 The operator is the flux form of ``-div(a grad u)`` on a uniform grid:
 face-harmonic averages of the diagonal coefficient entries, centered
-differences for the mixed (off-diagonal) terms.  Both implementations of
-each kernel are importable (the benchmark compares them); the aliases at
-the bottom pick the jitted path unless ``REITERATE_NUMBA=0`` or numba is
-missing.
+differences for the mixed (off-diagonal) terms.  One numpy kernel per
+topology and dimension.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-
 import numpy as np
-
-logger = logging.getLogger(__name__)
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrapper(func):
-            return func
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrapper
-
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("REITERATE_NUMBA", "1") != "0"
-if not HAS_NUMBA:
-    logger.warning("numba unavailable, falling back to pure numpy kernels")
-
-_EMPTY = np.empty((0, 0))
 
 
 # ---------------------------------------------------------------------------
 # periodic topology
 
 
-def matvec_periodic_1d_numpy(fa, u, h):
+def matvec_periodic_1d(fa, u, h):
     # fa[i] sits on the face between nodes i and i+1 (mod N)
     flux = fa * (np.roll(u, -1) - u) / h
     return -(flux - np.roll(flux, 1)) / h
 
 
-@njit(cache=True, nogil=True)
-def matvec_periodic_1d_loops(fa, u, h):
-    n = u.shape[0]
-    out = np.empty_like(u)
-    inv_h2 = 1.0 / (h * h)
-    for i in range(n):
-        ip = i + 1 if i + 1 < n else 0
-        im = i - 1 if i > 0 else n - 1
-        out[i] = -(fa[i] * (u[ip] - u[i]) - fa[im] * (u[i] - u[im])) * inv_h2
-    return out
-
-
-def matvec_periodic_2d_numpy(fx, fy, axy, u, h1, h2):
+def matvec_periodic_2d(fx, fy, axy, u, h1, h2):
     flux_x = fx * (np.roll(u, -1, 0) - u) / h1
     flux_y = fy * (np.roll(u, -1, 1) - u) / h2
     out = -(flux_x - np.roll(flux_x, 1, 0)) / h1
@@ -75,52 +34,19 @@ def matvec_periodic_2d_numpy(fx, fy, axy, u, h1, h2):
     return out
 
 
-@njit(cache=True, nogil=True)
-def matvec_periodic_2d_loops(fx, fy, axy, u, h1, h2):
-    n1, n2 = u.shape
-    out = np.empty_like(u)
-    inv_h1sq = 1.0 / (h1 * h1)
-    inv_h2sq = 1.0 / (h2 * h2)
-    inv_x = 1.0 / (4.0 * h1 * h2)
-    mixed = axy.shape[0] == n1
-    for i in range(n1):
-        ip = i + 1 if i + 1 < n1 else 0
-        im = i - 1 if i > 0 else n1 - 1
-        for j in range(n2):
-            jp = j + 1 if j + 1 < n2 else 0
-            jm = j - 1 if j > 0 else n2 - 1
-            v = -(fx[i, j] * (u[ip, j] - u[i, j]) - fx[im, j] * (u[i, j] - u[im, j])) * inv_h1sq
-            v -= (fy[i, j] * (u[i, jp] - u[i, j]) - fy[i, jm] * (u[i, j] - u[i, jm])) * inv_h2sq
-            if mixed:
-                v -= (axy[ip, j] * (u[ip, jp] - u[ip, jm]) - axy[im, j] * (u[im, jp] - u[im, jm])) * inv_x
-                v -= (axy[i, jp] * (u[ip, jp] - u[im, jp]) - axy[i, jm] * (u[ip, jm] - u[im, jm])) * inv_x
-            out[i, j] = v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # box topology (Dirichlet): output is zero on the boundary ring; neighbor
 # reads include boundary values so the caller can lift inhomogeneous data.
 
 
-def matvec_box_1d_numpy(fa, u, h):
+def matvec_box_1d(fa, u, h):
     out = np.zeros_like(u)
     flux = fa * (u[1:] - u[:-1]) / h
     out[1:-1] = -(flux[1:] - flux[:-1]) / h
     return out
 
 
-@njit(cache=True, nogil=True)
-def matvec_box_1d_loops(fa, u, h):
-    n = u.shape[0]
-    out = np.zeros_like(u)
-    inv_h2 = 1.0 / (h * h)
-    for i in range(1, n - 1):
-        out[i] = -(fa[i] * (u[i + 1] - u[i]) - fa[i - 1] * (u[i] - u[i - 1])) * inv_h2
-    return out
-
-
-def matvec_box_2d_numpy(fx, fy, axy, u, h1, h2):
+def matvec_box_2d(fx, fy, axy, u, h1, h2):
     out = np.zeros_like(u)
     flux_x = fx * (u[1:, :] - u[:-1, :]) / h1
     flux_y = fy * (u[:, 1:] - u[:, :-1]) / h2
@@ -133,43 +59,3 @@ def matvec_box_2d_numpy(fx, fy, axy, u, h1, h2):
         interior -= (my[:, 2:] - my[:, :-2]) / (2.0 * h2)
     out[1:-1, 1:-1] = interior
     return out
-
-
-@njit(cache=True, nogil=True)
-def matvec_box_2d_loops(fx, fy, axy, u, h1, h2):
-    n1, n2 = u.shape
-    out = np.zeros_like(u)
-    inv_h1sq = 1.0 / (h1 * h1)
-    inv_h2sq = 1.0 / (h2 * h2)
-    inv_x = 1.0 / (4.0 * h1 * h2)
-    mixed = axy.shape[0] == n1
-    for i in range(1, n1 - 1):
-        for j in range(1, n2 - 1):
-            v = -(fx[i, j] * (u[i + 1, j] - u[i, j]) - fx[i - 1, j] * (u[i, j] - u[i - 1, j])) * inv_h1sq
-            v -= (fy[i, j] * (u[i, j + 1] - u[i, j]) - fy[i, j - 1] * (u[i, j] - u[i, j - 1])) * inv_h2sq
-            if mixed:
-                v -= (axy[i + 1, j] * (u[i + 1, j + 1] - u[i + 1, j - 1])
-                      - axy[i - 1, j] * (u[i - 1, j + 1] - u[i - 1, j - 1])) * inv_x
-                v -= (axy[i, j + 1] * (u[i + 1, j + 1] - u[i - 1, j + 1])
-                      - axy[i, j - 1] * (u[i + 1, j - 1] - u[i - 1, j - 1])) * inv_x
-            out[i, j] = v
-    return out
-
-
-def _with_empty_mixed(impl):
-    def matvec(fx, fy, axy, u, h1, h2):
-        return impl(fx, fy, _EMPTY if axy is None else axy, u, h1, h2)
-
-    return matvec
-
-
-if USE_NUMBA:
-    matvec_periodic_1d = matvec_periodic_1d_loops
-    matvec_periodic_2d = _with_empty_mixed(matvec_periodic_2d_loops)
-    matvec_box_1d = matvec_box_1d_loops
-    matvec_box_2d = _with_empty_mixed(matvec_box_2d_loops)
-else:
-    matvec_periodic_1d = matvec_periodic_1d_numpy
-    matvec_periodic_2d = matvec_periodic_2d_numpy
-    matvec_box_1d = matvec_box_1d_numpy
-    matvec_box_2d = matvec_box_2d_numpy

@@ -85,7 +85,7 @@ def separation_error_scale(ladder: ScaleLadder) -> float:
 def rate_sweep(field: CoefficientField, eps_values, ladder_for, *,
                rhs=1.0, boundary=0.0, cells_per_scale: int = 16,
                max_resolution: int | None = None, tol: float = 1e-10,
-               cache=None, jobs: int = 1) -> RateSweep:
+               cache=None) -> RateSweep:
     """L2 distance between the oscillating and homogenized solves per eps.
 
     ladder_for maps a bare eps to its ScaleLadder.  Scales whose required
@@ -110,7 +110,7 @@ def rate_sweep(field: CoefficientField, eps_values, ladder_for, *,
             continue
         if effective is None:
             result = homogenize_all(field, ladder, tol=min(tol, 1e-11),
-                                    cache=cache, jobs=jobs)
+                                    cache=cache)
             effective = result.effective.tensor
         grid = Grid.box((0.0,) * d, (1.0,) * d, needed)
         bvp = BVP.on(grid, rhs=rhs, boundary=boundary)
@@ -362,16 +362,13 @@ def excess_rows(u: GridFunction, center, radii, *, theta: float = 1.0,
 # Lipschitz certificates
 
 
-def lipschitz_certificate(u: GridFunction, center, top_radius: float, *,
-                          eps_floor: float = 0.0,
-                          forcing: GridFunction | None = None,
-                          p: float | None = None) -> dict:
-    """max over dyadic r of the gradient ball rms against its top-radius bound.
+def _gradient_certificate(u: GridFunction, center, top_radius: float,
+                          eps_floor: float, forcing: GridFunction | None,
+                          face_term: float, p: float | None) -> dict:
+    """Ball gradient rms over dyadic radii against its top-radius bound.
 
-    The numerator is (ball rms of |grad u|) at radius r; the denominator
-    adds the forcing p-mean at the top radius, scaled by it.  Radii run
-    dyadically from top_radius down to max(eps_floor, 8h).  Affine data
-    with no forcing certifies to 1; zero slope certifies to 0.
+    The denominator is the top-radius level plus face_term plus the
+    forcing p-mean at the top radius, scaled by it.
     """
     grid = u.grid
     if p is None:
@@ -383,12 +380,27 @@ def lipschitz_certificate(u: GridFunction, center, top_radius: float, *,
     noise = 1e-12 * (ball_average(u, center, top_radius, p=2.0) / top_radius + 1.0)
     levels = {r: _denoise(ball_average(grad, center, r, p=2.0), noise)
               for r in radii}
-    denom = levels[radii[0]]
+    denom = levels[radii[0]] + face_term
     if forcing is not None:
         denom += top_radius * ball_average(forcing, center, top_radius, p=p)
     cert = max(_safe_ratio(levels[r], denom) for r in radii)
     return {"certificate": cert, "radii": radii, "levels": levels,
             "denominator": denom}
+
+
+def lipschitz_certificate(u: GridFunction, center, top_radius: float, *,
+                          eps_floor: float = 0.0,
+                          forcing: GridFunction | None = None,
+                          p: float | None = None) -> dict:
+    """max over dyadic r of the gradient ball rms against its top-radius bound.
+
+    The numerator is (ball rms of |grad u|) at radius r; the denominator
+    adds the forcing p-mean at the top radius, scaled by it.  Radii run
+    dyadically from top_radius down to max(eps_floor, 8h).  Affine data
+    with no forcing certifies to 1; zero slope certifies to 0.
+    """
+    return _gradient_certificate(u, center, top_radius, eps_floor, forcing,
+                                 0.0, p)
 
 
 def boundary_lipschitz_flat(u: GridFunction, top_radius: float, *,
@@ -404,24 +416,12 @@ def boundary_lipschitz_flat(u: GridFunction, top_radius: float, *,
     certifies to 0 by convention.
     """
     grid = u.grid
-    if p is None:
-        p = grid.d + 1.0
     if center is None:
         mid = [(lo + hi) / 2 for lo, hi in zip(grid.lo, grid.hi)]
         mid[-1] = grid.lo[-1]
         center = tuple(mid)
-    floor = max(eps_floor, 8.0 * max(grid.spacing))
-    radii = dyadic_radii(top_radius, floor)
-    grad = gradient(u)
-    noise = 1e-12 * (ball_average(u, center, top_radius, p=2.0) / top_radius + 1.0)
-    levels = {r: _denoise(ball_average(grad, center, r, p=2.0), noise)
-              for r in radii}
-    denom = levels[radii[0]] + face_data_norm / top_radius
-    if forcing is not None:
-        denom += top_radius * ball_average(forcing, center, top_radius, p=p)
-    cert = max(_safe_ratio(levels[r], denom) for r in radii)
-    return {"certificate": cert, "radii": radii, "levels": levels,
-            "denominator": denom}
+    return _gradient_certificate(u, center, top_radius, eps_floor, forcing,
+                                 face_data_norm / top_radius, p)
 
 
 def face_data_norm_c1alpha(g, tangent_span, r: float, alpha: float,

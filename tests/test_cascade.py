@@ -153,15 +153,6 @@ def test_slow_modulated_cascade_tabulates_x_dependence():
     assert mid_err < 1.05 * SQRT3 * (2 * np.pi) ** 2 / 8 / 64**2
 
 
-def test_jobs_do_not_change_the_result():
-    field = builtin_family(PRODUCT, 1)
-    serial = homogenize_all(field, LADDER2, resolution=64)
-    threaded = homogenize_all(field, LADDER2, resolution=64, jobs=4)
-    assert np.array_equal(serial.levels[0].tensor_field.values,
-                          threaded.levels[0].tensor_field.values)
-    assert np.array_equal(serial.effective.tensor, threaded.effective.tensor)
-
-
 def test_holder_check_passes_for_product_field():
     field = builtin_family(PRODUCT, 1)
     result = homogenize_all(field, LADDER2, resolution=128)

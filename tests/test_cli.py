@@ -202,3 +202,10 @@ def test_module_entrypoint_lists_subcommands():
     assert proc.returncode == 0
     for name in ("cascade", "certify", "clean-cache"):
         assert name in proc.stdout
+
+
+def test_import_writes_nothing_to_stderr():
+    proc = subprocess.run([sys.executable, "-c", "import reiterate.cli"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -63,9 +63,13 @@ eps = 1/4
     assert cfg.field_source == "constant(2)"
 
 
-def test_unknown_key_named(tmp_path):
-    with pytest.raises(ConfigError, match="key 'fild': unknown"):
-        parse_config(write(tmp_path, MINIMAL + "fild = constant(1)\n"))
+@pytest.mark.parametrize("line, key", [
+    pytest.param("fild = constant(1)", "fild", id="fild"),
+    pytest.param("jobs = 2", "jobs", id="jobs"),
+])
+def test_unknown_key_named(tmp_path, line, key):
+    with pytest.raises(ConfigError, match=f"key '{key}': unknown"):
+        parse_config(write(tmp_path, MINIMAL + line + "\n"))
 
 
 def test_all_violations_collected(tmp_path):
@@ -200,11 +204,10 @@ def test_cache_resolution_order(tmp_path, monkeypatch):
     assert bare.resolved_cache_dir() == ".reiterate-cache"
 
 
-def test_overrides_replace_out_and_jobs(tmp_path):
+def test_overrides_replace_out(tmp_path):
     cfg = parse_config(write(tmp_path, MINIMAL))
-    cfg2 = cfg.with_overrides(out="elsewhere", jobs=4)
+    cfg2 = cfg.with_overrides(out="elsewhere")
     assert cfg2.out == "elsewhere"
-    assert cfg2.jobs == 4
     assert cfg.out == "runs"  # original untouched
 
 

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -15,12 +11,79 @@ def random_coeff(shape):
     return 0.5 + RNG.random(shape)
 
 
+# ---------------------------------------------------------------------------
+# node-by-node reference stencils: the flux form written out per node,
+# independent of the array shifts the kernels use
+
+
+def periodic_1d_reference(fa, u, h):
+    n = u.shape[0]
+    out = np.empty_like(u)
+    inv_h2 = 1.0 / (h * h)
+    for i in range(n):
+        ip = i + 1 if i + 1 < n else 0
+        im = i - 1 if i > 0 else n - 1
+        out[i] = -(fa[i] * (u[ip] - u[i]) - fa[im] * (u[i] - u[im])) * inv_h2
+    return out
+
+
+def periodic_2d_reference(fx, fy, axy, u, h1, h2):
+    n1, n2 = u.shape
+    out = np.empty_like(u)
+    inv_h1sq = 1.0 / (h1 * h1)
+    inv_h2sq = 1.0 / (h2 * h2)
+    inv_x = 1.0 / (4.0 * h1 * h2)
+    mixed = axy is not None
+    for i in range(n1):
+        ip = i + 1 if i + 1 < n1 else 0
+        im = i - 1 if i > 0 else n1 - 1
+        for j in range(n2):
+            jp = j + 1 if j + 1 < n2 else 0
+            jm = j - 1 if j > 0 else n2 - 1
+            v = -(fx[i, j] * (u[ip, j] - u[i, j]) - fx[im, j] * (u[i, j] - u[im, j])) * inv_h1sq
+            v -= (fy[i, j] * (u[i, jp] - u[i, j]) - fy[i, jm] * (u[i, j] - u[i, jm])) * inv_h2sq
+            if mixed:
+                v -= (axy[ip, j] * (u[ip, jp] - u[ip, jm]) - axy[im, j] * (u[im, jp] - u[im, jm])) * inv_x
+                v -= (axy[i, jp] * (u[ip, jp] - u[im, jp]) - axy[i, jm] * (u[ip, jm] - u[im, jm])) * inv_x
+            out[i, j] = v
+    return out
+
+
+def box_1d_reference(fa, u, h):
+    n = u.shape[0]
+    out = np.zeros_like(u)
+    inv_h2 = 1.0 / (h * h)
+    for i in range(1, n - 1):
+        out[i] = -(fa[i] * (u[i + 1] - u[i]) - fa[i - 1] * (u[i] - u[i - 1])) * inv_h2
+    return out
+
+
+def box_2d_reference(fx, fy, axy, u, h1, h2):
+    n1, n2 = u.shape
+    out = np.zeros_like(u)
+    inv_h1sq = 1.0 / (h1 * h1)
+    inv_h2sq = 1.0 / (h2 * h2)
+    inv_x = 1.0 / (4.0 * h1 * h2)
+    mixed = axy is not None
+    for i in range(1, n1 - 1):
+        for j in range(1, n2 - 1):
+            v = -(fx[i, j] * (u[i + 1, j] - u[i, j]) - fx[i - 1, j] * (u[i, j] - u[i - 1, j])) * inv_h1sq
+            v -= (fy[i, j] * (u[i, j + 1] - u[i, j]) - fy[i, j - 1] * (u[i, j] - u[i, j - 1])) * inv_h2sq
+            if mixed:
+                v -= (axy[i + 1, j] * (u[i + 1, j + 1] - u[i + 1, j - 1])
+                      - axy[i - 1, j] * (u[i - 1, j + 1] - u[i - 1, j - 1])) * inv_x
+                v -= (axy[i, j + 1] * (u[i + 1, j + 1] - u[i - 1, j + 1])
+                      - axy[i, j - 1] * (u[i + 1, j - 1] - u[i - 1, j - 1])) * inv_x
+            out[i, j] = v
+    return out
+
+
 def test_periodic_1d_paths_agree():
     n = 257
     fa = random_coeff(n)
     u = RNG.normal(size=n)
-    a = kernels.matvec_periodic_1d_numpy(fa, u, 1.0 / n)
-    b = kernels.matvec_periodic_1d_loops(fa, u, 1.0 / n)
+    a = kernels.matvec_periodic_1d(fa, u, 1.0 / n)
+    b = periodic_1d_reference(fa, u, 1.0 / n)
     np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-9)
 
 
@@ -30,9 +93,8 @@ def test_periodic_2d_paths_agree(mixed):
     fx, fy = random_coeff((n1, n2)), random_coeff((n1, n2))
     axy = 0.2 * RNG.normal(size=(n1, n2)) if mixed else None
     u = RNG.normal(size=(n1, n2))
-    a = kernels.matvec_periodic_2d_numpy(fx, fy, axy, u, 1.0 / n1, 1.0 / n2)
-    b = kernels.matvec_periodic_2d_loops(
-        fx, fy, kernels._EMPTY if axy is None else axy, u, 1.0 / n1, 1.0 / n2)
+    a = kernels.matvec_periodic_2d(fx, fy, axy, u, 1.0 / n1, 1.0 / n2)
+    b = periodic_2d_reference(fx, fy, axy, u, 1.0 / n1, 1.0 / n2)
     np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-9)
 
 
@@ -40,8 +102,8 @@ def test_box_1d_paths_agree_and_pin_boundary():
     n = 129
     fa = random_coeff(n - 1)
     u = RNG.normal(size=n)
-    a = kernels.matvec_box_1d_numpy(fa, u, 1.0 / (n - 1))
-    b = kernels.matvec_box_1d_loops(fa, u, 1.0 / (n - 1))
+    a = kernels.matvec_box_1d(fa, u, 1.0 / (n - 1))
+    b = box_1d_reference(fa, u, 1.0 / (n - 1))
     np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-9)
     assert a[0] == a[-1] == 0.0
     assert b[0] == b[-1] == 0.0
@@ -53,10 +115,8 @@ def test_box_2d_paths_agree(mixed):
     fx, fy = random_coeff((n1 - 1, n2)), random_coeff((n1, n2 - 1))
     axy = 0.2 * RNG.normal(size=(n1, n2)) if mixed else None
     u = RNG.normal(size=(n1, n2))
-    a = kernels.matvec_box_2d_numpy(fx, fy, axy, u, 1.0 / (n1 - 1), 1.0 / (n2 - 1))
-    b = kernels.matvec_box_2d_loops(
-        fx, fy, kernels._EMPTY if axy is None else axy, u,
-        1.0 / (n1 - 1), 1.0 / (n2 - 1))
+    a = kernels.matvec_box_2d(fx, fy, axy, u, 1.0 / (n1 - 1), 1.0 / (n2 - 1))
+    b = box_2d_reference(fx, fy, axy, u, 1.0 / (n1 - 1), 1.0 / (n2 - 1))
     np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-9)
     assert np.all(a[0, :] == 0.0) and np.all(a[:, -1] == 0.0)
 
@@ -70,18 +130,3 @@ def test_box_affine_in_constant_medium_is_flux_free():
     out = kernels.matvec_box_1d(np.full(n - 1, 2.5), u, h)
     assert np.max(np.abs(out)) < 1e-10
 
-
-def test_env_flag_selects_numpy_twins():
-    code = ("import reiterate.kernels as k; "
-            "assert not k.USE_NUMBA; "
-            "assert k.matvec_box_1d is k.matvec_box_1d_numpy; "
-            "assert k.matvec_periodic_1d is k.matvec_periodic_1d_numpy")
-    env = dict(os.environ, REITERATE_NUMBA="0")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
-def test_default_prefers_jitted_path_when_available():
-    code = ("import reiterate.kernels as k; "
-            "assert k.USE_NUMBA == k.HAS_NUMBA")
-    env = {k: v for k, v in os.environ.items() if k != "REITERATE_NUMBA"}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
