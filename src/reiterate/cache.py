@@ -3,7 +3,8 @@
 Entries are keyed by the coefficient field digest, the cascade level, the
 frozen slow arguments, the cell resolution, and the solver tolerance, so a
 repeated run replays tensors and correctors instead of solving again.
-Writes go through a temporary stem and os.replace; a reader either sees a
+Each file of an entry lands whole through a temporary file and
+os.replace, and the JSON sidecar lands last, so a reader either sees a
 complete entry or none.  Corrupt or truncated entries are evicted on
 lookup and count as misses.
 """
@@ -44,11 +45,6 @@ class CorrectorCache:
         self.stores = 0
         self._lock = threading.Lock()
 
-    @property
-    def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "stores": self.stores,
-                "root": str(self.root)}
-
     def _stem(self, field_digest: str, level: int, key: str) -> Path:
         return self.root / field_digest / f"L{level}" / key
 
@@ -74,11 +70,8 @@ class CorrectorCache:
                          problem.grid.d)
         stem = self._stem(field_digest, level, key)
         stem.parent.mkdir(parents=True, exist_ok=True)
-        tmp = stem.parent / f".tmp-{os.getpid()}-{threading.get_ident()}-{key}"
-        save_correctors(correctors, tensor, tmp)
-        # the sidecar lands last: its presence marks the entry complete
-        os.replace(f"{tmp}.bin", f"{stem}.bin")
-        os.replace(f"{tmp}.json", f"{stem}.json")
+        # save_correctors writes the sidecar last: it marks the entry complete
+        save_correctors(correctors, tensor, stem)
         with self._lock:
             self.stores += 1
         return stem

@@ -219,6 +219,22 @@ def _slower_axes(field: CoefficientField, level: int, x_resolution: int,
     return tuple(axes)
 
 
+def frozen_sampler(field: CoefficientField, frozen: tuple):
+    """y -> A(x, y_1, ..., y_{n-1}, y) with the slower arguments frozen.
+
+    frozen lists x and then every slower fast slot, d numbers each.
+    """
+    d = field.d
+    slower = [np.array(frozen[k * d:(k + 1) * d]) for k in range(field.n_scales)]
+
+    def sampler(y):
+        lead = y.shape[:-1]
+        args = [np.broadcast_to(v, lead + (d,)) for v in slower]
+        return field(args[0], args[1:] + [y])
+
+    return sampler
+
+
 def descend(field: CoefficientField, *, resolution: int | None = None,
             tol: float = 1e-10, x_resolution: int | None = None,
             slot_resolution: int | None = None, cache=None,
@@ -251,16 +267,9 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
                 chi, tensor, sidecar = entry
                 return (tensor, tuple(sidecar["spectrum"]), chi.values,
                         sum(sidecar["iterations"]))
-
-        def sampler(y, frozen=frozen):
-            lead = y.shape[:-1]
-            x = np.broadcast_to(np.array(frozen[:d]), lead + (d,))
-            ys = [np.broadcast_to(np.array(frozen[d + k * d: d + (k + 1) * d]),
-                                  lead + (d,)) for k in range(level - 1)]
-            return field(x, ys + [y])
-
-        problem = CellProblem.from_sampler(sampler, d=d, resolution=resolution,
-                                           frozen=frozen, tol=tol)
+        problem = CellProblem.from_sampler(frozen_sampler(field, frozen), d=d,
+                                           resolution=resolution, frozen=frozen,
+                                           tol=tol)
         correctors = solve_corrector(problem)
         eff = effective_tensor(problem, correctors, mu=field.mu)
         if cache is not None and digest is not None:

@@ -25,6 +25,8 @@ from .grid import (
     FluxStencil,
     Grid,
     GridFunction,
+    _axis_derivative,
+    atomic_bytes,
     load_gridfunction,
     mean,
     pcg,
@@ -95,9 +97,6 @@ class FluxData:
     phi: np.ndarray  # (d, d, d, *nodes), phi[k, i, j]
     residuals: dict = field(compare=False)
 
-    def phi_component(self, k: int, i: int, j: int, grid: Grid) -> GridFunction:
-        return GridFunction(grid, self.phi[k, i, j])
-
 
 def solve_corrector(problem: CellProblem) -> CorrectorSet:
     """Solve the d corrector problems of one cell."""
@@ -156,7 +155,6 @@ def flux_correctors(B: GridFunction, tol: float = 1e-10) -> FluxData:
     """Potentials and skew flux correctors for a mean-free flux matrix."""
     grid = B.grid
     d = grid.d
-    h = grid.spacing
     means = mean(B)
     worst = float(np.max(np.abs(means)))
     if worst > max(tol, 1e-8):
@@ -170,19 +168,17 @@ def flux_correctors(B: GridFunction, tol: float = 1e-10) -> FluxData:
             f = solve_periodic_elliptic(eye, rhs, tol=tol)  # -lap f = -b  =>  lap f = b
             potentials[i, j] = f.values
 
-    def dc(arr, axis):
-        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2 * h[axis])
-
     phi = np.zeros((d, d, d) + grid.node_shape)
     for k in range(d):
         for i in range(d):
             for j in range(d):
-                phi[k, i, j] = dc(potentials[i, j], k) - dc(potentials[k, j], i)
+                phi[k, i, j] = (_axis_derivative(grid, potentials[i, j], k)
+                                - _axis_derivative(grid, potentials[k, j], i))
 
     recon = np.zeros((d, d))
     for i in range(d):
         for j in range(d):
-            s = sum(dc(phi[k, i, j], k) for k in range(d))
+            s = sum(_axis_derivative(grid, phi[k, i, j], k) for k in range(d))
             recon[i, j] = np.sqrt(np.mean((s - B.values[..., i, j]) ** 2))
     residuals = {
         "mean_abs_B": worst,
@@ -196,13 +192,11 @@ def flux_correctors(B: GridFunction, tol: float = 1e-10) -> FluxData:
 def row_divergence_residual(B: GridFunction) -> float:
     """l2 size of sum_i d_i b_ij with the centered nodal divergence (order h^2)."""
     grid = B.grid
-    h = grid.spacing
     worst = 0.0
     for j in range(grid.d):
         s = np.zeros(grid.node_shape)
         for i in range(grid.d):
-            arr = B.values[..., i, j]
-            s += (np.roll(arr, -1, axis=i) - np.roll(arr, 1, axis=i)) / (2 * h[i])
+            s += _axis_derivative(grid, B.values[..., i, j], i)
         worst = max(worst, float(np.sqrt(np.mean(s**2))))
     return worst
 
@@ -212,6 +206,7 @@ def row_divergence_residual(B: GridFunction) -> float:
 
 
 def save_correctors(correctors: CorrectorSet, tensor: EffectiveTensor, stem) -> None:
+    """Write stem.bin, then the stem.json sidecar; each lands atomically."""
     save_gridfunction(correctors.chi, f"{stem}.bin")
     sidecar = {
         "frozen": [float(v) for v in correctors.problem.frozen],
@@ -222,11 +217,11 @@ def save_correctors(correctors: CorrectorSet, tensor: EffectiveTensor, stem) -> 
         "tensor": tensor.tensor.tolist(),
         "spectrum": list(tensor.spectrum),
     }
-    with open(f"{stem}.json", "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=1)
+    atomic_bytes(f"{stem}.json",
+                 json.dumps(sidecar, sort_keys=True, indent=1).encode())
 
 
-def load_correctors(stem, coefficient: GridFunction | None = None):
+def load_correctors(stem):
     chi = load_gridfunction(f"{stem}.bin")
     with open(f"{stem}.json") as fh:
         sidecar = json.load(fh)

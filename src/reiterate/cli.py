@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -26,13 +25,15 @@ import numpy as np
 
 from . import __version__, probes
 from .cache import CorrectorCache
-from .cascade import homogenize_all
+from .cascade import frozen_sampler
 from .cell import CellProblem, effective_tensor, save_correctors, solve_corrector
 from .coeff import ScaleLadder, check_separation
 from .config import ExperimentConfig, parse_config
 from .dirichlet import solve_homogenized, solve_multiscale
 from .errors import ConfigError, ResolutionError, SolverFailure
+# perfbench/tracer.py times artifact writes under the name _atomic_bytes
 from .grid import GridFunction, gradient, l2_norm, save_gridfunction
+from .grid import atomic_bytes as _atomic_bytes
 
 SUBCOMMANDS = ("cell", "cascade", "solve", "rate", "excess", "certify",
                "approx", "clean-cache")
@@ -40,12 +41,6 @@ SUBCOMMANDS = ("cell", "cascade", "solve", "rate", "excess", "certify",
 
 def _fmt(value) -> str:
     return "%.17g" % float(value)
-
-
-def _atomic_bytes(path: Path, payload: bytes) -> None:
-    tmp = path.parent / f".tmp-{os.getpid()}-{path.name}"
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
 
 
 def write_csv(path: Path, header, rows) -> None:
@@ -111,19 +106,11 @@ def cmd_cell(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> Non
     level = field.n_scales
     if level < 1:
         raise ConfigError("field has no fast slots; nothing to solve")
-    d = field.d
-
-    def sampler(y):
-        lead = y.shape[:-1]
-        x = np.broadcast_to(np.zeros(d), lead + (d,))
-        ys = [np.broadcast_to(np.zeros(d), lead + (d,))
-              for _ in range(level - 1)]
-        return field(x, ys + [y])
-
+    frozen = (0.0,) * (field.d * level)
     with manifest.stage("cell"):
         problem = CellProblem.from_sampler(
-            sampler, d=d, resolution=cfg.cell_resolution,
-            frozen=(0.0,) * (d + (level - 1) * d), tol=cfg.cell_tol)
+            frozen_sampler(field, frozen), d=field.d,
+            resolution=cfg.cell_resolution, frozen=frozen, tol=cfg.cell_tol)
         correctors = solve_corrector(problem)
         eff = effective_tensor(problem, correctors, mu=field.mu)
     stem = out / f"cell-L{level}"
@@ -136,9 +123,8 @@ def cmd_cell(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> Non
 
 
 def cmd_cascade(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> None:
-    ladders = cfg.ladders()
-    ladder = ladders[0] if ladders else None
-    if ladder is not None and cfg.separation_n is not None and ladder.n > 1:
+    ladder = cfg.ladders()[0]
+    if cfg.separation_n is not None and ladder.n > 1:
         report = check_separation(ladder)
         manifest.data["results"]["separation"] = {
             "satisfied": report.satisfied, "slack": list(report.slack)}
@@ -147,8 +133,7 @@ def cmd_cascade(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
                 f"scales {list(ladder.scales)} fail the order-{report.N} "
                 "separation check")
     with manifest.stage("cascade"):
-        result = homogenize_all(cfg.field, ladder, resolution=cfg.cell_resolution,
-                                tol=cfg.cell_tol, cache=cache)
+        result = cfg.homogenize(cache)
     summary = result.summary()
     hits = sum(lv["cache_hits"] for lv in summary["levels"])
     total = hits + sum(lv["cache_misses"] for lv in summary["levels"])
@@ -202,15 +187,28 @@ def _ladder_map(cfg: ExperimentConfig):
         lambda e: ScaleLadder.power(e, cfg.lambdas, N=cfg.separation_n)
 
 
+def _require_unit_box(cfg: ExperimentConfig, command: str, keys) -> None:
+    """Reject keys that a sweep of the unit box would silently ignore."""
+    given = {"domain": cfg.domain != (0.0, 1.0),
+             "resolution": cfg.resolution is not None,
+             "probe.center": cfg.probe.center is not None}
+    for key in keys:
+        if given[key]:
+            raise ConfigError(f"key {key!r}: {command} sweeps the unit box "
+                              "[0, 1]^d, sized by cells_per_scale and probed "
+                              "at its centre; remove the key")
+
+
 def cmd_rate(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> None:
+    _require_unit_box(cfg, "rate", ("domain", "resolution"))
     eps_values, ladder_for = _ladder_map(cfg)
     with manifest.stage("rate"):
+        effective = cfg.homogenize(cache).effective
         sweep = probes.rate_sweep(
-            cfg.field, eps_values, ladder_for,
+            cfg.field, eps_values, ladder_for, effective=effective,
             rhs=cfg.pointwise(cfg.rhs_source),
             boundary=cfg.pointwise(cfg.boundary_source),
-            cells_per_scale=cfg.cells_per_scale, tol=cfg.solver_tol,
-            cache=cache)
+            cells_per_scale=cfg.cells_per_scale, tol=cfg.solver_tol)
     write_csv(out / "rate.csv",
               ("eps", "eps_rate_expr", "l2_error", "slope_so_far"),
               [(r.eps, r.rate_expr, r.l2_error, r.slope_so_far)
@@ -259,17 +257,14 @@ def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
         if t_shrink is None:
             # shrink factor comes from homogenized solutions of the same data
             with manifest.stage("calibrate"):
-                result = homogenize_all(cfg.field, ladder,
-                                        resolution=cfg.cell_resolution,
-                                        tol=cfg.cell_tol, cache=cache)
-                u0 = solve_homogenized(bvp, result.effective, tol=cfg.solver_tol)
+                effective = cfg.homogenize(cache).effective
+                u0 = solve_homogenized(bvp, effective, tol=cfg.solver_tol)
                 lift = type(bvp)(
                     grid=grid,
                     rhs=GridFunction(grid, np.zeros(grid.node_shape)),
                     boundary=GridFunction.from_callable(grid,
                                                         lambda p: p[..., 0]))
-                u0_lift = solve_homogenized(lift, result.effective,
-                                            tol=cfg.solver_tol)
+                u0_lift = solve_homogenized(lift, effective, tol=cfg.solver_tol)
                 corpus = [(u0, center), (u0_lift, center)]
                 report = probes.calibrate_t(corpus, [top / 2, top],
                                             theta=cfg.probe.theta, p=cfg.probe.p)
@@ -280,7 +275,8 @@ def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
                 manifest.data["warnings"].append(
                     "no candidate shrink factor contracts the excess; worst "
                     f"ratio {report['worst_ratio']:.4g}")
-                t_shrink = min(report["ratios"])
+                t_shrink = min(t for t, ratio in report["ratios"].items()
+                               if ratio is not None)
             else:
                 t_shrink = report["t"]
             print(f"calibrated shrink factor t = {t_shrink:g}")
@@ -296,13 +292,14 @@ def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
 
 
 def cmd_approx(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> None:
+    _require_unit_box(cfg, "approx", ("domain", "resolution", "probe.center"))
     eps_values, ladder_for = _ladder_map(cfg)
-    kwargs = dict(r=cfg.probe_radius(), rho=cfg.probe.rho,
-                  rhs=cfg.pointwise(cfg.rhs_source),
-                  boundary=cfg.pointwise(cfg.boundary_source),
-                  cells_per_scale=cfg.cells_per_scale, tol=cfg.solver_tol,
-                  cache=cache)
     with manifest.stage("approx"):
+        kwargs = dict(effective=cfg.homogenize(cache).effective,
+                      r=cfg.probe_radius(), rho=cfg.probe.rho,
+                      rhs=cfg.pointwise(cfg.rhs_source),
+                      boundary=cfg.pointwise(cfg.boundary_source),
+                      cells_per_scale=cfg.cells_per_scale, tol=cfg.solver_tol)
         if len(eps_values) >= 2:
             outcome = probes.approximation_sweep(cfg.field, eps_values,
                                                  ladder_for, **kwargs)

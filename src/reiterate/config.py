@@ -9,8 +9,9 @@ The ladder law is one of two shapes: ``scales = s1, s2, ...`` fixes every
 scale explicitly for a single run, or ``eps = e1, e2, ...`` sweeps the
 power ladder eps^lambda_k with exponents from ``lambdas``.  Validation
 collects every violation before reporting, each naming the offending key
-and the expected form, and precomputes per-run grid feasibility (spacing
-at most an eighth of the finest scale) with a memory estimate.
+and the expected form, and checks per-run grid feasibility: spacing at
+most an eighth of the finest scale, and a memory estimate under
+MEMORY_LIMIT_BYTES.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cascade import CascadeResult, homogenize_all
 from .coeff import CoefficientField, CoefficientSpec, ScaleLadder, builtin_family
 from .dirichlet import BVP
 from .errors import ConfigError
 from .expr import compile_expression
 from .grid import Grid
+from .probes import T_CANDIDATES
 
 MEMORY_LIMIT_BYTES = 8 << 30
 _DYADIC = re.compile(r"^2\^(-?\d+)$")
@@ -63,22 +66,10 @@ def parse_int(text: str) -> int:
 class ProbeParams:
     p: float | None = None  # defaults to d + 1 at use sites
     theta: float = 1.0
-    alpha: float = 0.5
     center: tuple | None = None  # defaults to the domain midpoint
     radius: float | None = None  # defaults to a quarter of the domain width
     rho: float = 0.5
     t: float | None = None  # calibrated when absent
-
-
-@dataclass(frozen=True)
-class Feasibility:
-    """Derived solve size for one ladder of the sweep."""
-
-    eps: float
-    finest: float
-    resolution: int
-    spacing: float
-    memory_bytes: int
 
 
 # key -> (expected form, default shown in --help and error messages)
@@ -98,7 +89,6 @@ KNOWN_KEYS = {
     "bvp.boundary": "expression in x1..xd",
     "probe.p": "integrability exponent > dim",
     "probe.theta": "number in (0, 1]",
-    "probe.alpha": "number in (0, 1]",
     "probe.center": "dim numbers inside the domain",
     "probe.radius": "number > 0",
     "probe.rho": "number > 0",
@@ -106,10 +96,7 @@ KNOWN_KEYS = {
     "tol.solver": "solver tolerance in (0, 1e-4]",
     "out": "output directory path",
     "cache": "cache directory path",
-    "seed": "integer",
 }
-
-_T_CANDIDATES = (1 / 16, 1 / 32, 1 / 64)
 
 
 @dataclass(frozen=True)
@@ -132,8 +119,6 @@ class ExperimentConfig:
     solver_tol: float
     out: str
     cache_dir: str | None
-    seed: int
-    feasibility: tuple[Feasibility, ...]
     items: tuple[tuple[str, str], ...]  # normalized pairs, hashed for the manifest
 
     def ladders(self) -> list[ScaleLadder]:
@@ -141,6 +126,12 @@ class ExperimentConfig:
             return [ScaleLadder(self.explicit_scales, N=self.separation_n)]
         return [ScaleLadder.power(e, self.lambdas, N=self.separation_n)
                 for e in self.eps_values]
+
+    def homogenize(self, cache=None) -> CascadeResult:
+        """The one cascade every subcommand reads its effective tensor from."""
+        return homogenize_all(self.field, self.ladders()[0],
+                              resolution=self.cell_resolution, tol=self.cell_tol,
+                              cache=cache)
 
     def resolution_for(self, ladder: ScaleLadder) -> int:
         if self.resolution is not None:
@@ -351,10 +342,9 @@ def parse_config(path: str) -> ExperimentConfig:
                       f"{KNOWN_KEYS['probe.p']}")
         probe_p = None
     theta = _take(pairs, "probe.theta", parse_number, errors, default=1.0)
-    alpha = _take(pairs, "probe.alpha", parse_number, errors, default=0.5)
-    for key, value in (("probe.theta", theta), ("probe.alpha", alpha)):
-        if value is not None and not 0.0 < value <= 1.0:
-            errors.append(f"key {key!r}: got {value:g}; expected {KNOWN_KEYS[key]}")
+    if theta is not None and not 0.0 < theta <= 1.0:
+        errors.append(f"key 'probe.theta': got {theta:g}; expected "
+                      f"{KNOWN_KEYS['probe.theta']}")
     center = _take(pairs, "probe.center", parse_number_list, errors)
     if center is not None and d is not None:
         if len(center) != d or any(not domain[0] < c < domain[1] for c in center):
@@ -373,43 +363,32 @@ def parse_config(path: str) -> ExperimentConfig:
         rho = 0.5
     t_shrink = _take(pairs, "probe.t", parse_number, errors)
     if t_shrink is not None and not any(abs(t_shrink - c) < 1e-12
-                                        for c in _T_CANDIDATES):
+                                        for c in T_CANDIDATES):
         errors.append(f"key 'probe.t': got {t_shrink:g}; expected "
                       f"{KNOWN_KEYS['probe.t']}")
         t_shrink = None
 
-    seed = _take(pairs, "seed", parse_int, errors, default=0)
     out = pairs.get("out", "runs")
     cache_dir = pairs.get("cache")
 
-    feasibility: list[Feasibility] = []
     if d is not None and ladders and domain is not None:
         width = domain[1] - domain[0]
         for ladder in ladders:
-            if resolution is not None:
-                n = resolution
-            else:
-                n = int(np.ceil(width * cells_per_scale / ladder.finest))
+            n = resolution or int(np.ceil(width * cells_per_scale / ladder.finest))
             spacing = width / n
+            # node arrays for solution, rhs, boundary, coefficient, pcg workspace
+            memory = (4 + d * d) * 8 * (n + 1) ** d
             if spacing > ladder.finest / 8 * (1 + 1e-12):
                 needed = int(np.ceil(width * 8 / ladder.finest))
                 errors.append(
                     f"key 'resolution': spacing {spacing:g} exceeds an eighth "
                     f"of the finest scale {ladder.finest:g}; need at least "
                     f"{needed} cells per axis")
-                continue
-            # node arrays for solution, rhs, boundary, coefficient, pcg workspace
-            arrays = 4 + d * d
-            memory = arrays * 8 * (n + 1) ** d
-            if memory > MEMORY_LIMIT_BYTES:
+            elif memory > MEMORY_LIMIT_BYTES:
                 errors.append(
                     f"key 'resolution': {n} cells per axis in dimension {d} "
                     f"needs about {memory / 2**30:.1f} GiB, over the "
                     f"{MEMORY_LIMIT_BYTES / 2**30:.0f} GiB limit")
-                continue
-            feasibility.append(Feasibility(
-                eps=ladder.scales[0], finest=ladder.finest, resolution=n,
-                spacing=spacing, memory_bytes=memory))
 
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
@@ -424,7 +403,6 @@ def parse_config(path: str) -> ExperimentConfig:
         resolution=resolution, cells_per_scale=cells_per_scale,
         cell_resolution=cell_resolution, cell_tol=cell_tol,
         rhs_source=rhs_source, boundary_source=boundary_source,
-        probe=ProbeParams(p=probe_p, theta=theta, alpha=alpha, center=center,
+        probe=ProbeParams(p=probe_p, theta=theta, center=center,
                           radius=radius, rho=rho, t=t_shrink),
-        solver_tol=solver_tol, out=out, cache_dir=cache_dir, seed=seed,
-        feasibility=tuple(feasibility), items=items)
+        solver_tol=solver_tol, out=out, cache_dir=cache_dir, items=items)

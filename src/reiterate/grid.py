@@ -15,7 +15,9 @@ laminates) and a matrix-free preconditioned conjugate gradient.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +26,7 @@ from . import kernels
 from .errors import CompatibilityError, ResolutionError, SolverFailure
 
 MAGIC = b"RHGF"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _SHAPE_CODES = {0: (), 1: ("d",), 2: ("d", "d")}
 
 
@@ -75,10 +77,6 @@ class Grid:
         if self.periodic:
             return self.shape
         return tuple(n + 1 for n in self.shape)
-
-    @property
-    def node_count(self) -> int:
-        return int(np.prod(self.node_shape))
 
     def axis_coords(self, axis: int) -> np.ndarray:
         n = self.node_shape[axis]
@@ -536,43 +534,61 @@ def _tridiagonal_box_solve(faces: np.ndarray, b: np.ndarray, h: float):
 # binary serialization
 
 
-def save_gridfunction(f: GridFunction, path):
-    """Write the binary node-field format: 16-byte header, axis counts, f64 values."""
-    comp = f.component_shape
-    code = len(comp)
-    header = MAGIC + struct.pack("<HBBB7x", FORMAT_VERSION, f.grid.d, code,
-                                 0 if f.grid.periodic else 1)
-    counts = struct.pack(f"<{f.grid.d}I", *f.grid.node_shape)
-    payload = np.ascontiguousarray(f.values, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(counts)
+def atomic_bytes(path, payload: bytes) -> None:
+    """Write payload to a temporary sibling, then rename it over path."""
+    # os.path, not pathlib: pathlib interns every file name it parses
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".tmp-{os.getpid()}-{threading.get_ident()}-{name}")
+    with open(tmp, "wb") as fh:
         fh.write(payload)
+    os.replace(tmp, path)
+
+
+def save_gridfunction(f: GridFunction, path):
+    """Write the binary node-field format, version 2, atomically.
+
+    Layout: 16-byte header (magic, version, d, component code, topology),
+    node counts per axis (u32), the lo and hi corners (f64), f64 values.
+    """
+    g = f.grid
+    header = MAGIC + struct.pack("<HBBB7x", FORMAT_VERSION, g.d,
+                                 len(f.component_shape), 0 if g.periodic else 1)
+    box = struct.pack(f"<{g.d}I{2 * g.d}d", *g.node_shape, *g.lo, *g.hi)
+    payload = np.ascontiguousarray(f.values, dtype="<f8").tobytes()
+    atomic_bytes(path, header + box + payload)
 
 
 def load_gridfunction(path, grid: Grid | None = None) -> GridFunction:
-    """Read the binary node-field format; reconstructs a unit cell/box if no grid is given."""
+    """Read the binary node-field format; the stored grid must match a supplied one.
+
+    Version 1 files carry no corners and load on the unit cell or box.
+    """
     with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:4] != MAGIC:
-            raise ValueError(f"{path}: not a grid-function file")
-        version, d, code, topo = struct.unpack("<HBBB7x", header[4:])
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        if d not in (1, 2) or code not in _SHAPE_CODES:
-            raise ValueError(f"{path}: corrupt header")
-        counts = struct.unpack(f"<{d}I", fh.read(4 * d))
-        comp = (d,) * code
-        expected = int(np.prod(counts)) * int(np.prod(comp, dtype=int))
-        data = np.frombuffer(fh.read(), dtype="<f8")
+        raw = fh.read()
+    if len(raw) < 16 or raw[:4] != MAGIC:
+        raise ValueError(f"{path}: not a grid-function file")
+    version, d, code, topo = struct.unpack_from("<HBBB7x", raw, 4)
+    if version not in (1, FORMAT_VERSION):
+        raise ValueError(f"{path}: unsupported format version {version}")
+    if d not in (1, 2) or code not in _SHAPE_CODES:
+        raise ValueError(f"{path}: corrupt header")
+    offset = 16 + 4 * d + (16 * d if version == 2 else 0)
+    if len(raw) < offset:
+        raise ValueError(f"{path}: truncated header")
+    counts = struct.unpack_from(f"<{d}I", raw, 16)
+    if version == 2:
+        corners = struct.unpack_from(f"<{2 * d}d", raw, 16 + 4 * d)
+    else:
+        corners = (0.0,) * d + (1.0,) * d
+    comp = (d,) * code
+    expected = int(np.prod(counts)) * int(np.prod(comp, dtype=int))
+    data = np.frombuffer(raw, dtype="<f8", offset=offset)
     if data.size != expected:
         raise ValueError(f"{path}: payload size {data.size} != expected {expected}")
+    stored = Grid(shape=counts if topo == 0 else tuple(c - 1 for c in counts),
+                  periodic=topo == 0, lo=corners[:d], hi=corners[d:])
     if grid is None:
-        if topo == 0:
-            grid = Grid(shape=counts, periodic=True, lo=(0.0,) * d, hi=(1.0,) * d)
-        else:
-            grid = Grid(shape=tuple(c - 1 for c in counts), periodic=False,
-                        lo=(0.0,) * d, hi=(1.0,) * d)
-    elif grid.node_shape != counts or grid.periodic != (topo == 0):
-        raise ValueError(f"{path}: stored grid {counts} does not match the supplied grid")
+        grid = stored
+    elif grid != stored:
+        raise ValueError(f"{path}: stored grid {stored} does not match the supplied grid")
     return GridFunction(grid, data.reshape(counts + comp).copy())

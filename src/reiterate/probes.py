@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff import CoefficientField, ScaleLadder
-from .cascade import homogenize_all
 from .dirichlet import BVP, solve_homogenized, solve_multiscale
 from .grid import Grid, GridFunction, ball_average, gradient, l2_norm
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# shrink factors the excess iteration may use, largest first
+T_CANDIDATES = (1 / 16, 1 / 32, 1 / 64)
 
 
 def _safe_ratio(num: float, den: float) -> float:
@@ -68,7 +69,6 @@ class RateSweep:
     exponent: float
     intercept: float
     warnings: tuple
-    effective: np.ndarray
 
     def errors(self) -> np.ndarray:
         return np.array([row.l2_error for row in self.rows])
@@ -82,22 +82,22 @@ def separation_error_scale(ladder: ScaleLadder) -> float:
     return total
 
 
-def rate_sweep(field: CoefficientField, eps_values, ladder_for, *,
+def rate_sweep(field: CoefficientField, eps_values, ladder_for, *, effective,
                rhs=1.0, boundary=0.0, cells_per_scale: int = 16,
-               max_resolution: int | None = None, tol: float = 1e-10,
-               cache=None) -> RateSweep:
+               max_resolution: int | None = None,
+               tol: float = 1e-10) -> RateSweep:
     """L2 distance between the oscillating and homogenized solves per eps.
 
-    ladder_for maps a bare eps to its ScaleLadder.  Scales whose required
-    resolution exceeds max_resolution are dropped with a warning rather
-    than solved badly.  The exponent is the log-log slope of the error
+    ladder_for maps a bare eps to its ScaleLadder.  effective is the
+    homogenized coefficient, a tensor or anything solve_homogenized takes;
+    it does not depend on eps.  Scales whose required resolution exceeds
+    max_resolution are dropped with a warning rather than solved badly.  The exponent is the log-log slope of the error
     against the separation error scale of each ladder; a fit over fewer
     than 4 surviving scales is flagged.
     """
     d = field.d
     if max_resolution is None:
         max_resolution = 65536 if d == 1 else 512
-    effective = None
     rows: list[RateRow] = []
     warnings: list[str] = []
     for eps in eps_values:
@@ -108,10 +108,6 @@ def rate_sweep(field: CoefficientField, eps_values, ladder_for, *,
                 f"eps={eps:g} needs {needed} cells per axis, over the cap "
                 f"{max_resolution}; dropped")
             continue
-        if effective is None:
-            result = homogenize_all(field, ladder, tol=min(tol, 1e-11),
-                                    cache=cache)
-            effective = result.effective.tensor
         grid = Grid.box((0.0,) * d, (1.0,) * d, needed)
         bvp = BVP.on(grid, rhs=rhs, boundary=boundary)
         u_eps = solve_multiscale(bvp, field, ladder, tol=tol)
@@ -136,7 +132,7 @@ def rate_sweep(field: CoefficientField, eps_values, ladder_for, *,
             warnings.append(f"exponent fitted over only {len(rows)} scales; "
                             "4 or more give a trustworthy slope")
     return RateSweep(rows=tuple(rows), exponent=exponent, intercept=intercept,
-                     warnings=tuple(warnings), effective=effective)
+                     warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +155,9 @@ def _aligned_subbox(grid: Grid, center, half_width: float):
 
 
 def approximate_by_homogenized(field: CoefficientField, ladder: ScaleLadder, *,
-                               r: float = 0.25, rho: float = 0.5, rhs=1.0,
-                               boundary=0.0, cells_per_scale: int = 16,
-                               tol: float = 1e-10, effective=None,
-                               cache=None) -> dict:
+                               effective, r: float = 0.25, rho: float = 0.5,
+                               rhs=1.0, boundary=0.0, cells_per_scale: int = 16,
+                               tol: float = 1e-10) -> dict:
     """Approximate u_eps on B_r by a homogenized solve fed with its trace.
 
     The limit operator is solved on the concentric box of half width
@@ -183,9 +178,6 @@ def approximate_by_homogenized(field: CoefficientField, ladder: ScaleLadder, *,
     center = tuple(0.5 for _ in range(d))
     bvp = BVP.on(grid, rhs=rhs, boundary=boundary)
     u_eps = solve_multiscale(bvp, field, ladder, tol=tol)
-    if effective is None:
-        result = homogenize_all(field, ladder, tol=min(tol, 1e-11), cache=cache)
-        effective = result.effective
     slices = _aligned_subbox(grid, center, 1.5 * r)
     sub_cells = tuple(s.stop - s.start - 1 for s in slices)
     sub = Grid.box(tuple(grid.lo[a] + slices[a].start * grid.spacing[a] for a in range(d)),
@@ -209,13 +201,9 @@ def approximate_by_homogenized(field: CoefficientField, ladder: ScaleLadder, *,
     }
 
 
-def approximation_sweep(field: CoefficientField, eps_values, ladder_for, **kw) -> dict:
+def approximation_sweep(field: CoefficientField, eps_values, ladder_for, *,
+                        effective, **kw) -> dict:
     """Decay of the local approximation discrepancy across scales."""
-    effective = kw.pop("effective", None)
-    if effective is None and field.n_scales > 0:
-        # effective tensors are scale free, so one cascade serves every eps
-        effective = homogenize_all(field, ladder_for(eps_values[0]),
-                                   tol=1e-11, cache=kw.get("cache")).effective
     reports = [approximate_by_homogenized(field, ladder_for(eps),
                                           effective=effective, **kw)
                for eps in eps_values]
@@ -445,7 +433,7 @@ def face_data_norm_c1alpha(g, tangent_span, r: float, alpha: float,
 # excess iteration and shrink-factor calibration
 
 
-def calibrate_t(corpus, radii, *, candidates=(1 / 16, 1 / 32, 1 / 64),
+def calibrate_t(corpus, radii, *, candidates=T_CANDIDATES,
                 theta: float = 1.0, p: float | None = None) -> dict:
     """Largest candidate shrink factor with G(t r) <= G(r)/2 on the corpus.
 

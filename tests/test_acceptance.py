@@ -175,12 +175,14 @@ def test_criterion_03_flux_corrector_identities():
 
 def test_criterion_04_l2_rate_single_and_two_scale():
     start = time.perf_counter()
-    sweep1 = probes.rate_sweep(LAM1, [2.0**-k for k in range(4, 9)], single_scale)
+    sweep1 = probes.rate_sweep(LAM1, [2.0**-k for k in range(4, 9)], single_scale,
+                               effective=homogenize_all(LAM1, tol=1e-11).effective)
     assert sweep1.warnings == ()
     assert len(sweep1.rows) == 5
     assert 0.9 <= sweep1.exponent <= 1.1
 
-    sweep2 = probes.rate_sweep(PROD2, [2.0**-k for k in range(2, 6)], two_scale)
+    sweep2 = probes.rate_sweep(PROD2, [2.0**-k for k in range(2, 6)], two_scale,
+                               effective=homogenize_all(PROD2, tol=1e-11).effective)
     assert len(sweep2.rows) == 4
     for row in sweep2.rows:
         assert row.rate_expr == pytest.approx(2 * row.eps)
@@ -244,16 +246,18 @@ def test_criterion_06_smoothing_bounds():
 
 def test_criterion_07_local_approximation_probe():
     start = time.perf_counter()
-    out = probes.approximation_sweep(LAM1, [2.0**-k for k in range(5, 9)],
-                                     single_scale)
+    out = probes.approximation_sweep(
+        LAM1, [2.0**-k for k in range(5, 9)], single_scale,
+        effective=homogenize_all(LAM1, tol=1e-11).effective)
     vals = [rep["discrepancy"] for rep in out["reports"]]
     assert all(rep["r"] == 0.25 for rep in out["reports"])
     assert np.all(np.diff(vals) < 0)
     assert out["exponent"] >= 0.5
 
     const = builtin_family("constant(3)", 1)
-    rep = probes.approximate_by_homogenized(const, single_scale(1 / 32),
-                                            tol=1e-10)
+    rep = probes.approximate_by_homogenized(
+        const, single_scale(1 / 32), tol=1e-10,
+        effective=homogenize_all(const, tol=1e-11).effective)
     assert rep["discrepancy"] <= 2e-10  # twice the solver tolerance
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -375,7 +379,6 @@ def test_criterion_11_determinism_and_cache(tmp_path, capsys):
         "dim = 1\n"
         "eps = 1/4, 1/8, 1/16\n"
         "cell.resolution = 64\n"
-        "seed = 0\n"
         f"out = {tmp_path / 'out1'}\n"
         f"cache = {tmp_path / 'cache'}\n"
     )

@@ -13,14 +13,22 @@ dim = 1
 eps = 1/8
 cell.resolution = 64
 bvp.boundary = x1
-seed = 0
 """
 
 PRODUCT = """field = laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y2))
 dim = 1
 eps = 1/8
 cell.resolution = 128
-seed = 0
+"""
+
+LAMINATE = """field = laminate1d(2+sin(2*pi*y1))
+dim = 1
+eps = 1/8, 1/16
+"""
+
+CHECKERBOARD = """field = checkerboard2d(1, 4, 8)
+dim = 2
+eps = 1/4, 1/8
 """
 
 
@@ -71,6 +79,36 @@ def test_rate_csv_rfc4180_and_deterministic(tmp_path, capsys):
     assert any("only 2 scales" in w for w in manifest["warnings"])
 
 
+@pytest.mark.parametrize("base, extra", [
+    pytest.param(LAMINATE, "cell.tol = 1e-6\n", id="laminate-cell.tol"),
+    pytest.param(CHECKERBOARD, "cell.resolution = 16\n",
+                 id="checkerboard-cell.resolution"),
+])
+def test_rate_honours_cell_keys(tmp_path, capsys, base, extra):
+    tables = []
+    for name, text in (("default", base), ("changed", base + extra)):
+        (tmp_path / name).mkdir()
+        cfg, out = setup(tmp_path / name, text)
+        assert run(["rate", "--config", cfg], capsys)[0] == 0
+        tables.append((out / "rate.csv").read_bytes())
+    assert tables[0] != tables[1]
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("rate", "domain = 0, 2", "domain"),
+    ("rate", "resolution = 128", "resolution"),
+    ("approx", "probe.center = 0.25", "probe.center"),
+])
+def test_unit_box_sweeps_reject_ignored_keys(tmp_path, capsys, command, line,
+                                             key):
+    cfg, out = setup(tmp_path, SINGLE + line + "\n")
+    code, _, err = run([command, "--config", cfg], capsys)
+    assert code == 2
+    assert f"key '{key}'" in err
+    manifest = json.loads((out / f"manifest-{command}.json").read_text())
+    assert f"key '{key}'" in manifest["failure"]
+
+
 def test_manifests_identical_outside_timing(tmp_path, capsys):
     cfg, out = setup(tmp_path, SINGLE)
     other = tmp_path / "other"
@@ -113,6 +151,17 @@ def test_certify_writes_certificates_and_calibrates(tmp_path, capsys):
     assert float(row.split(b",")[1]) > 0
     manifest = json.loads((out / "manifest-certify.json").read_text())
     assert manifest["results"]["calibrated_t"] in (1 / 16, 1 / 32, 1 / 64)
+
+
+def test_failed_calibration_picks_smallest_testable_t(tmp_path, capsys,
+                                                      monkeypatch):
+    ratios = {1 / 16: 0.6, 1 / 32: None, 1 / 64: None}
+    monkeypatch.setattr("reiterate.probes.calibrate_t", lambda *a, **k: {
+        "ok": False, "t": None, "ratios": ratios, "worst_ratio": 0.6})
+    cfg, out = setup(tmp_path, SINGLE)
+    assert run(["certify", "--config", cfg], capsys)[0] == 0
+    manifest = json.loads((out / "manifest-certify.json").read_text())
+    assert manifest["results"]["calibrated_t"] == 1 / 16
 
 
 def test_approx_single_scale_row(tmp_path, capsys):

@@ -4,6 +4,8 @@ Expected values come from independent routes: analytic derivatives,
 closed-form solutions, and quadrature identities, frozen here.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -302,7 +304,9 @@ def test_box_solve_variable_coefficient_convergence_order():
 def test_binary_roundtrip_bit_exact(shape_case, periodic, seed, tmp_path_factory):
     d, comp = shape_case
     rng = np.random.default_rng(seed)
-    g = Grid.torus(d, 8) if periodic else Grid.box((0.0,) * d, (1.0,) * d, (8,) * d)
+    lo = tuple(rng.uniform(-2.0, 1.0, d))
+    hi = tuple(a + w for a, w in zip(lo, rng.uniform(0.25, 3.0, d)))
+    g = Grid(shape=(8,) * d, periodic=periodic, lo=lo, hi=hi)
     comp_shape = {(): (), ("v",): (d,), ("m",): (d, d)}[comp]
     f = GridFunction(g, rng.standard_normal(g.node_shape + comp_shape))
     path = tmp_path_factory.mktemp("io") / "field.bin"
@@ -311,7 +315,24 @@ def test_binary_roundtrip_bit_exact(shape_case, periodic, seed, tmp_path_factory
     assert np.array_equal(back.values, f.values)
     auto = load_gridfunction(path)
     assert np.array_equal(auto.values, f.values)
-    assert auto.grid.node_shape == g.node_shape
+    assert auto.grid == g
+    shifted = Grid(shape=g.shape, periodic=periodic, lo=tuple(v + 1 for v in lo),
+                   hi=tuple(v + 1 for v in hi))
+    with pytest.raises(ValueError, match="does not match"):
+        load_gridfunction(path, shifted)
+
+
+def test_version_1_file_loads_on_the_unit_box(tmp_path):
+    # v1 layout: header, node counts, values; no corners
+    values = np.arange(5.0)
+    p = tmp_path / "v1.bin"
+    p.write_bytes(b"RHGF" + struct.pack("<HBBB7x", 1, 1, 0, 1)
+                  + struct.pack("<I", 5) + values.astype("<f8").tobytes())
+    f = load_gridfunction(p)
+    assert f.grid == Grid.box(0.0, 1.0, 4)
+    assert np.array_equal(f.values, values)
+    with pytest.raises(ValueError, match="does not match"):
+        load_gridfunction(p, Grid.box(0.0, 2.0, 4))
 
 
 def test_load_rejects_corrupt_header(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reiterate import probes
+from reiterate.cascade import homogenize_all
 from reiterate.coeff import CoefficientSpec, ScaleLadder, builtin_family
 from reiterate.dirichlet import BVP, solve_multiscale
 from reiterate.grid import Grid, GridFunction
@@ -43,7 +44,8 @@ def test_dyadic_radii_run_down_to_the_floor():
 
 
 def test_rate_sweep_single_scale_is_first_order():
-    sweep = probes.rate_sweep(LAM1, [2.0**-k for k in range(4, 8)], single_scale)
+    sweep = probes.rate_sweep(LAM1, [2.0**-k for k in range(4, 8)], single_scale,
+                              effective=homogenize_all(LAM1, tol=1e-11).effective)
     assert len(sweep.rows) == 4
     errs = sweep.errors()
     assert np.all(np.diff(errs) < 0)
@@ -53,7 +55,8 @@ def test_rate_sweep_single_scale_is_first_order():
 
 
 def test_rate_sweep_two_scale_rate_expression_doubles_eps():
-    sweep = probes.rate_sweep(PROD2, [1 / 4, 1 / 8], two_scale)
+    sweep = probes.rate_sweep(PROD2, [1 / 4, 1 / 8], two_scale,
+                              effective=homogenize_all(PROD2, tol=1e-11).effective)
     for row in sweep.rows:
         assert row.rate_expr == pytest.approx(2 * row.eps)
     assert sweep.rows[0].l2_error > sweep.rows[1].l2_error
@@ -62,6 +65,7 @@ def test_rate_sweep_two_scale_rate_expression_doubles_eps():
 
 def test_rate_sweep_drops_unresolvable_scales():
     sweep = probes.rate_sweep(LAM1, [1 / 8, 1 / 128], single_scale,
+                              effective=homogenize_all(LAM1, tol=1e-11).effective,
                               max_resolution=512)
     assert len(sweep.rows) == 1
     assert sweep.rows[0].eps == 1 / 8
@@ -74,8 +78,9 @@ def test_rate_sweep_drops_unresolvable_scales():
 
 
 def test_local_approximation_decays_linearly():
-    out = probes.approximation_sweep(LAM1, [2.0**-k for k in range(5, 8)],
-                                     single_scale)
+    out = probes.approximation_sweep(
+        LAM1, [2.0**-k for k in range(5, 8)], single_scale,
+        effective=homogenize_all(LAM1, tol=1e-11).effective)
     vals = [rep["discrepancy"] for rep in out["reports"]]
     assert np.all(np.diff(vals) < 0)
     assert 0.8 <= out["exponent"] <= 1.2
@@ -85,14 +90,18 @@ def test_local_approximation_decays_linearly():
 
 def test_local_approximation_constant_coefficient_is_exact():
     const = builtin_family(CoefficientSpec.parse("constant(3)"), 1)
-    rep = probes.approximate_by_homogenized(const, single_scale(1 / 32))
+    rep = probes.approximate_by_homogenized(
+        const, single_scale(1 / 32),
+        effective=homogenize_all(const, tol=1e-11).effective)
     # the homogenized solve with the exact trace reproduces the solution
     assert rep["discrepancy"] <= 1e-12
 
 
 def test_local_approximation_requires_coarse_scale_under_radius():
     with pytest.raises(ValueError, match="probe radius"):
-        probes.approximate_by_homogenized(LAM1, single_scale(1 / 2), r=0.25)
+        probes.approximate_by_homogenized(
+            LAM1, single_scale(1 / 2), r=0.25,
+            effective=homogenize_all(LAM1, tol=1e-11).effective)
 
 
 # ---------------------------------------------------------------------------
