@@ -329,6 +329,12 @@ class CascadeResult:
     effective: EffectiveTensor | None
     corrector_table: CorrectorTable | None
 
+    @property
+    def homogenized(self):
+        """The limit coefficient for solve_homogenized: the constant tensor
+        when there is one, else the slow field A_hat keeps."""
+        return self.effective if self.effective is not None else self.effective_field
+
     def summary(self) -> dict:
         out = {
             "levels": [{

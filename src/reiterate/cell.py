@@ -108,7 +108,7 @@ def solve_corrector(problem: CellProblem) -> CorrectorSet:
     h = grid.spacing
     for j in range(grid.d):
         rhs = stencil.affine_rhs(j)
-        chi, info = pcg(stencil.apply, rhs, diag, tol=problem.tol,
+        chi, info = pcg(stencil.apply, rhs, lambda r: r / diag, tol=problem.tol,
                         project=lambda v: v.__isub__(v.mean()))
         chi -= chi.mean()
         comps.append(chi)

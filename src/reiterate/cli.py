@@ -27,7 +27,7 @@ from . import __version__, probes
 from .cache import CorrectorCache
 from .cascade import frozen_sampler
 from .cell import CellProblem, effective_tensor, save_correctors, solve_corrector
-from .coeff import ScaleLadder, check_separation
+from .coeff import check_separation
 from .config import ExperimentConfig, parse_config
 from .dirichlet import solve_homogenized, solve_multiscale
 from .errors import ConfigError, ResolutionError, SolverFailure
@@ -165,6 +165,7 @@ def cmd_solve(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> No
         bvp = cfg.bvp_for(grid)
         with manifest.stage(f"solve-{idx}"):
             u = solve_multiscale(bvp, cfg.field, ladder, tol=cfg.solver_tol)
+        _record_solve(manifest, f"solve-{idx}", "box", u)
         path = out / f"u-{idx}.bin"
         save_gridfunction(u, path)
         l2 = l2_norm(u)
@@ -179,12 +180,25 @@ def cmd_solve(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> No
 
 
 def _ladder_map(cfg: ExperimentConfig):
-    """(eps list, eps -> ladder) for sweeps; explicit scales give one entry."""
-    if cfg.explicit_scales is not None:
-        ladder = ScaleLadder(cfg.explicit_scales, N=cfg.separation_n)
-        return [ladder.scales[0]], lambda e: ladder
-    return list(cfg.eps_values), \
-        lambda e: ScaleLadder.power(e, cfg.lambdas, N=cfg.separation_n)
+    """(eps list, eps -> ladder) for sweeps, from the config's ladders.
+
+    A sweep labels each ladder by its eps; explicit scales give one ladder,
+    labelled by its coarsest scale.
+    """
+    ladders = cfg.ladders()
+    eps_values = list(cfg.eps_values) or [ladders[0].scales[0]]
+    return eps_values, dict(zip(eps_values, ladders)).__getitem__
+
+
+def _record_solve(manifest: Manifest, stage: str, layer: str,
+                  u: GridFunction) -> None:
+    """Append one box solve's method, iterations and final residual."""
+    info = u.meta
+    manifest.data["residuals"].setdefault("solves", []).append({
+        "stage": stage, "layer": layer, "grid": list(u.grid.shape),
+        "preconditioner": info["preconditioner"],
+        "iterations": info["iterations"],
+        "residual": info["residuals"][-1] if info["residuals"] else 0.0})
 
 
 def _require_unit_box(cfg: ExperimentConfig, command: str, keys) -> None:
@@ -203,7 +217,7 @@ def cmd_rate(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> Non
     _require_unit_box(cfg, "rate", ("domain", "resolution"))
     eps_values, ladder_for = _ladder_map(cfg)
     with manifest.stage("rate"):
-        effective = cfg.homogenize(cache).effective
+        effective = cfg.homogenize(cache).homogenized
         sweep = probes.rate_sweep(
             cfg.field, eps_values, ladder_for, effective=effective,
             rhs=cfg.pointwise(cfg.rhs_source),
@@ -254,10 +268,11 @@ def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
         bvp = cfg.bvp_for(grid)
         with manifest.stage(f"solve-{idx}"):
             u = solve_multiscale(bvp, cfg.field, ladder, tol=cfg.solver_tol)
+        _record_solve(manifest, f"solve-{idx}", "box", u)
         if t_shrink is None:
             # shrink factor comes from homogenized solutions of the same data
             with manifest.stage("calibrate"):
-                effective = cfg.homogenize(cache).effective
+                effective = cfg.homogenize(cache).homogenized
                 u0 = solve_homogenized(bvp, effective, tol=cfg.solver_tol)
                 lift = type(bvp)(
                     grid=grid,
@@ -265,6 +280,8 @@ def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
                     boundary=GridFunction.from_callable(grid,
                                                         lambda p: p[..., 0]))
                 u0_lift = solve_homogenized(lift, effective, tol=cfg.solver_tol)
+                _record_solve(manifest, "calibrate", "homogenized", u0)
+                _record_solve(manifest, "calibrate", "homogenized", u0_lift)
                 corpus = [(u0, center), (u0_lift, center)]
                 report = probes.calibrate_t(corpus, [top / 2, top],
                                             theta=cfg.probe.theta, p=cfg.probe.p)
@@ -295,7 +312,7 @@ def cmd_approx(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> N
     _require_unit_box(cfg, "approx", ("domain", "resolution", "probe.center"))
     eps_values, ladder_for = _ladder_map(cfg)
     with manifest.stage("approx"):
-        kwargs = dict(effective=cfg.homogenize(cache).effective,
+        kwargs = dict(effective=cfg.homogenize(cache).homogenized,
                       r=cfg.probe_radius(), rho=cfg.probe.rho,
                       rhs=cfg.pointwise(cfg.rhs_source),
                       boundary=cfg.pointwise(cfg.boundary_source),

@@ -10,7 +10,17 @@ Discrete calculus pairs centered-difference gradient and divergence so
 that <div v, u> = -<v, grad u> holds to machine precision on periodic
 grids.  The elliptic solves use the flux form with face-harmonic
 averaging of diagonal coefficient entries (exact harmonic means for 1D
-laminates) and a matrix-free preconditioned conjugate gradient.
+laminates) and a matrix-free preconditioned conjugate gradient with one
+of two preconditioners:
+
+* Jacobi (the stencil diagonal) on periodic cells, in solve_corrector
+  and solve_periodic_elliptic.  Cells are small, so a cheap apply wins.
+* The exact inverse of the mean-coefficient Laplacian, applied by a
+  DST-I along each axis (laplacian_inverse), on 2D boxes in
+  solve_box_dirichlet.  Its iteration count depends on the coefficient
+  contrast and not on the mesh.
+
+1D boxes skip the iteration and use a banded direct solve.
 """
 
 from __future__ import annotations
@@ -327,25 +337,16 @@ class FluxStencil:
         return kernels.matvec_box_2d(self.faces[0], self.faces[1], self.mixed, u, h[0], h[1])
 
     def diagonal(self) -> np.ndarray:
-        """Diagonal of the operator (mixed terms contribute nothing)."""
+        """Diagonal of the periodic operator (mixed terms contribute nothing)."""
         g = self.grid
+        if not g.periodic:
+            raise ValueError("the Jacobi diagonal is periodic-only; boxes use "
+                             "laplacian_inverse")
         h = g.spacing
         diag = np.zeros(g.node_shape)
         for axis in range(g.d):
             f = self.faces[axis]
-            if g.periodic:
-                diag += (f + np.roll(f, 1, axis=axis)) / h[axis] ** 2
-            else:
-                pad = [(0, 0)] * g.d
-                pad[axis] = (1, 1)
-                fp = np.pad(f, pad)  # zero flux weights beyond the boundary ring
-                lo = [slice(None)] * g.d
-                hi = [slice(None)] * g.d
-                lo[axis] = slice(None, -1)
-                hi[axis] = slice(1, None)
-                diag += (fp[tuple(lo)] + fp[tuple(hi)]) / h[axis] ** 2
-        if not g.periodic:
-            diag[g.boundary_mask()] = 1.0
+            diag += (f + np.roll(f, 1, axis=axis)) / h[axis] ** 2
         return diag
 
     def affine_rhs(self, j: int) -> np.ndarray:
@@ -396,9 +397,12 @@ class FluxStencil:
 # preconditioned conjugate gradient
 
 
-def pcg(apply_op, b, diag, tol=1e-10, maxiter=100_000, project=None):
-    """Matrix-free PCG with diagonal preconditioner.
+def pcg(apply_op, b, precondition, tol=1e-10, maxiter=100_000, project=None):
+    """Matrix-free preconditioned conjugate gradient.
 
+    ``precondition(r)`` returns the preconditioned residual as a new array
+    and must be symmetric positive definite.  Periodic cells pass Jacobi,
+    ``r / stencil.diagonal()``; 2D boxes pass ``laplacian_inverse(stencil)``.
     ``project`` removes a known null-space component (used to pin the mean of
     periodic solutions); it is applied to the initial data and every residual.
     Returns (x, info dict).  Raises SolverFailure on stagnation or a
@@ -413,7 +417,7 @@ def pcg(apply_op, b, diag, tol=1e-10, maxiter=100_000, project=None):
     if norm_b == 0.0:
         return x, info
     r = b.copy()
-    z = r / diag
+    z = precondition(r)
     if project is not None:
         project(z)
     p = z.copy()
@@ -436,7 +440,7 @@ def pcg(apply_op, b, diag, tol=1e-10, maxiter=100_000, project=None):
         info["residuals"].append(res / norm_b)
         if res <= tol * norm_b:
             return x, info
-        z = r / diag
+        z = precondition(r)
         if project is not None:
             project(z)
         rz_new = float(np.vdot(r, z).real)
@@ -446,6 +450,55 @@ def pcg(apply_op, b, diag, tol=1e-10, maxiter=100_000, project=None):
         f"PCG stagnated after {maxiter} iterations (relative residual {info['residuals'][-1]:.3e})",
         residuals=info["residuals"],
     )
+
+
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalized DST-I along one axis, from the FFT of the odd extension.
+
+    Entry k is sum_j x_j sin(pi j k / (m + 1)) for j, k = 1..m; applying it
+    twice multiplies by (m + 1) / 2.
+    """
+    x = np.moveaxis(x, axis, -1)
+    m = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * m + 2,))
+    ext[..., 1:m + 1] = x
+    ext[..., m + 2:] = -x[..., ::-1]
+    out = -0.5 * np.fft.rfft(ext, axis=-1)[..., 1:m + 1].imag
+    return np.moveaxis(out, -1, axis)
+
+
+def laplacian_inverse(stencil: FluxStencil):
+    """Preconditioner for box solves: the exact inverse of the interior
+    Dirichlet operator of the constant coefficient diag(mean(faces[k])).
+
+    A DST-I along each axis diagonalizes that operator, with eigenvalues
+    sum_k a_k (2 - 2 cos(pi i_k / n_k)) / h_k^2.  The preconditioner zeroes
+    the boundary ring and ignores mixed terms, so for a constant diagonal
+    tensor it inverts the box operator exactly.
+    """
+    g = stencil.grid
+    if g.periodic:
+        raise ValueError("laplacian_inverse expects a box grid")
+    eig = np.zeros(())
+    for axis, n in enumerate(g.shape):
+        wave = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n) / n)
+        eig = np.add.outer(eig, np.mean(stencil.faces[axis]) * wave / g.spacing[axis] ** 2)
+    # the forward and inverse transforms are the same DST-I up to this factor
+    scale = np.prod([2.0 / n for n in g.shape]) / eig
+    inner = (slice(1, -1),) * g.d
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        z = r[inner]
+        for axis in range(g.d):
+            z = _dst1(z, axis)
+        z *= scale
+        for axis in range(g.d):
+            z = _dst1(z, axis)
+        out = np.zeros_like(r)
+        out[inner] = z
+        return out
+
+    return precondition
 
 
 def _project_mean(values: np.ndarray):
@@ -467,15 +520,21 @@ def solve_periodic_elliptic(a: GridFunction, rhs: GridFunction, tol: float = 1e-
             f"periodic rhs must have zero mean (got {b.mean():.3e})"
         )
     stencil = FluxStencil(a)
-    u, info = pcg(stencil.apply, b, stencil.diagonal(), tol=tol, maxiter=maxiter,
+    diag = stencil.diagonal()
+    u, info = pcg(stencil.apply, b, lambda r: r / diag, tol=tol, maxiter=maxiter,
                   project=_project_mean)
+    info["preconditioner"] = "jacobi"
     u -= u.mean()
     return GridFunction(grid, u, meta=info)
 
 
 def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
                         tol: float = 1e-10, maxiter: int = 100_000) -> GridFunction:
-    """Solve -div(a grad u) = rhs on a box with u = boundary_values on the faces."""
+    """Solve -div(a grad u) = rhs on a box with u = boundary_values on the faces.
+
+    1D boxes use a banded direct solve; 2D boxes use PCG preconditioned by
+    laplacian_inverse.  ``meta`` names the method under "preconditioner".
+    """
     grid = a.grid
     if grid.periodic:
         raise ValueError("solve_box_dirichlet expects a box grid")
@@ -505,7 +564,9 @@ def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
             out[mask] = 0.0
             return out
 
-        v, info = pcg(apply_interior, b, stencil.diagonal(), tol=tol, maxiter=maxiter)
+        v, info = pcg(apply_interior, b, laplacian_inverse(stencil), tol=tol,
+                      maxiter=maxiter)
+        info["preconditioner"] = "laplacian-dst1"
     u = v + lift
     u[mask] = bv[mask]
     return GridFunction(grid, u, meta=info)
@@ -526,7 +587,7 @@ def _tridiagonal_box_solve(faces: np.ndarray, b: np.ndarray, h: float):
     resid = ab[1] * v[1:-1] - faces[:-1] * scale * v[:-2] - faces[1:] * scale * v[2:]
     norm_b = float(np.linalg.norm(b[1:-1])) or 1.0
     info = {"iterations": 1, "residuals": [float(np.linalg.norm(resid - b[1:-1])) / norm_b],
-            "tol": 0.0, "direct": True}
+            "tol": 0.0, "preconditioner": "banded"}
     return v, info
 
 

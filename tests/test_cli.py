@@ -31,6 +31,17 @@ dim = 2
 eps = 1/4, 1/8
 """
 
+# A_hat keeps the slow factor 2 + sin(2 pi x1)/2: no constant tensor exists
+SLOW = "field = slow_modulated(laminate1d(2+sin(2*pi*y1)), amplitude=0.5, k1=1)\n"
+
+# the benchmark's certify config: the first ladder's grid is 256^2
+CERTIFY_2D = """field = laminate1d(2+sin(2*pi*y1))
+dim = 2
+eps = 1/16
+bvp.rhs = 1
+bvp.boundary = sin(pi*x1)
+"""
+
 
 def setup(tmp_path, text, name="exp.cfg"):
     cfg = tmp_path / name
@@ -151,6 +162,52 @@ def test_certify_writes_certificates_and_calibrates(tmp_path, capsys):
     assert float(row.split(b",")[1]) > 0
     manifest = json.loads((out / "manifest-certify.json").read_text())
     assert manifest["results"]["calibrated_t"] in (1 / 16, 1 / 32, 1 / 64)
+
+
+def test_certify_manifest_lists_its_box_solves(tmp_path, capsys):
+    cfg, out = setup(tmp_path, CERTIFY_2D)
+    assert run(["certify", "--config", cfg], capsys)[0] == 0
+    manifest = json.loads((out / "manifest-certify.json").read_text())
+    solves = manifest["residuals"]["solves"]
+    assert [(s["stage"], s["layer"]) for s in solves] == [
+        ("solve-0", "box"), ("calibrate", "homogenized"),
+        ("calibrate", "homogenized")]
+    for entry in solves:
+        assert entry["grid"] == [256, 256]
+        assert entry["preconditioner"] == "laplacian-dst1"
+        assert 1 <= entry["iterations"] <= 30
+        assert entry["residual"] <= 1e-10
+    # the homogenized tensor of a laminate is constant and diagonal
+    assert all(s["iterations"] <= 2 for s in solves[1:])
+
+
+def test_solve_manifest_records_the_banded_solve(tmp_path, capsys):
+    cfg, out = setup(tmp_path, SINGLE)
+    assert run(["solve", "--config", cfg], capsys)[0] == 0
+    manifest = json.loads((out / "manifest-solve.json").read_text())
+    (entry,) = manifest["residuals"]["solves"]
+    assert entry["stage"] == "solve-0" and entry["grid"] == [128]
+    assert entry["preconditioner"] == "banded" and entry["iterations"] == 1
+
+
+def test_rate_on_slow_homogenized_coefficient(tmp_path, capsys):
+    cfg, out = setup(tmp_path, SLOW + "dim = 1\neps = 1/8, 1/16\nbvp.rhs = 1\n")
+    code, stdout, err = run(["rate", "--config", cfg], capsys)
+    assert code == 0, err
+    manifest = json.loads((out / "manifest-rate.json").read_text())
+    assert 0.8 <= manifest["results"]["exponent"] <= 1.2
+
+
+def test_certify_on_slow_homogenized_coefficient_2d(tmp_path, capsys):
+    cfg, out = setup(tmp_path, SLOW + "dim = 2\neps = 1/16\n"
+                     "cell.resolution = 16\nbvp.rhs = 1\n")
+    code, stdout, err = run(["certify", "--config", cfg], capsys)
+    assert code == 0, err
+    manifest = json.loads((out / "manifest-certify.json").read_text())
+    assert all(0.0 < c <= 2.0 for c in manifest["results"]["certificates"])
+    calibrate = manifest["residuals"]["solves"][1:]
+    assert len(calibrate) == 2
+    assert all(s["iterations"] <= 30 for s in calibrate)
 
 
 def test_failed_calibration_picks_smallest_testable_t(tmp_path, capsys,

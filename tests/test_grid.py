@@ -5,22 +5,28 @@ closed-form solutions, and quadrature identities, frozen here.
 """
 
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reiterate.dirichlet import BVP, solve_homogenized
 from reiterate.errors import CompatibilityError, ResolutionError
 from reiterate.grid import (
+    FluxStencil,
     Grid,
     GridFunction,
     ball_average,
     divergence,
     gradient,
     l2_norm,
+    laplacian_inverse,
     load_gridfunction,
     mean,
+    pcg,
     save_gridfunction,
     solve_box_dirichlet,
     solve_periodic_elliptic,
@@ -292,6 +298,122 @@ def test_box_solve_variable_coefficient_convergence_order():
         u = solve_box_dirichlet(a, GridFunction(g, rhs_vals), 0.0, tol=1e-13)
         errs.append(np.sqrt(np.mean((u.values - u_exact) ** 2)))
     assert errs[0] / errs[1] > 3.5 and errs[1] / errs[2] > 3.5
+
+
+# ---------------------------------------------------------------------------
+# box preconditioner
+
+
+def laminate_box(n, contrast=3.0, mixed=0.0):
+    """Coefficient (1 + (contrast - 1)(1 + sin 16 pi x1)/2) I on the unit box,
+    plus an optional smooth off-diagonal entry."""
+    g = Grid.box((0.0, 0.0), (1.0, 1.0), n)
+    x = g.nodes()
+    s = 1.0 + (contrast - 1.0) * 0.5 * (1.0 + np.sin(16 * np.pi * x[..., 0]))
+    a = np.zeros(g.node_shape + (2, 2))
+    a[..., 0, 0] = a[..., 1, 1] = s
+    a[..., 0, 1] = a[..., 1, 0] = mixed * np.sin(2 * np.pi * x[..., 0]) * np.sin(2 * np.pi * x[..., 1])
+    return GridFunction(g, a)
+
+
+def box_diagonal(stencil):
+    """Interior diagonal of the box operator, probed with nine colours.
+
+    Every node couples only to nodes at most one step away per axis, so
+    applying the operator to the indicator of one colour class (i mod 3,
+    j mod 3) reads each member's diagonal entry undisturbed.
+    """
+    shape = stencil.grid.node_shape
+    i, j = np.indices(shape)
+    diag = np.zeros(shape)
+    for ci in range(3):
+        for cj in range(3):
+            colour = ((i % 3 == ci) & (j % 3 == cj)).astype(float)
+            diag += colour * stencil.apply(colour)
+    diag[stencil.grid.boundary_mask()] = 1.0
+    return diag
+
+
+@pytest.mark.parametrize("tensor, lo, hi, shape", [
+    pytest.param(np.eye(2) * 1.7, 0.0, 1.0, (24, 24), id="isotropic"),
+    pytest.param(np.diag([np.sqrt(3.0), 2.0]), 0.0, 1.0, (24, 16), id="anisotropic"),
+    pytest.param(np.diag([np.sqrt(3.0), 2.0]), 0.0, 2.0, (20, 28), id="box-0-2"),
+])
+def test_laplacian_inverse_inverts_constant_box_operator(tensor, lo, hi, shape):
+    g = Grid.box((lo, lo), (hi, hi), shape)
+    stencil = FluxStencil(GridFunction.constant(g, tensor))
+    precondition = laplacian_inverse(stencil)
+    rng = np.random.default_rng(3)
+    interior = ~g.boundary_mask()
+    v = np.where(interior, rng.standard_normal(g.node_shape), 0.0)
+    back = precondition(stencil.apply(v))
+    assert np.max(np.abs(back - v)) <= 1e-12 * np.max(np.abs(v))
+    assert not np.any(precondition(rng.standard_normal(g.node_shape))[~interior])
+
+
+def test_constant_tensor_homogenized_solve_takes_two_iterations_at_most():
+    g = Grid.box((0.0, 0.0), (1.0, 1.0), 64)
+    bvp = BVP.on(g, rhs=lambda x: np.exp(x[..., 0]) * x[..., 1],
+                 boundary=lambda x: np.sin(np.pi * x[..., 0]) + x[..., 1])
+    u = solve_homogenized(bvp, np.diag([np.sqrt(3.0), 2.0]))
+    assert u.meta["preconditioner"] == "laplacian-dst1"
+    assert 1 <= u.meta["iterations"] <= 2
+    assert u.meta["residuals"][-1] <= 1e-10
+
+
+def test_box_iterations_do_not_grow_with_the_mesh():
+    counts = []
+    for n in (64, 128, 256):
+        a = laminate_box(n)
+        g = a.grid
+        rhs = GridFunction(g, np.ones(g.node_shape))
+        bv = GridFunction.from_callable(g, lambda x: np.sin(np.pi * x[:, 0]))
+        counts.append(solve_box_dirichlet(a, rhs, bv).meta["iterations"])
+    assert max(counts) <= 30
+    assert max(counts) - min(counts) <= 3
+
+
+def test_box_solve_matches_jacobi_reference():
+    a = laminate_box(64, mixed=0.4)
+    g = a.grid
+    stencil = FluxStencil(a)
+    assert stencil.mixed is not None
+    mask = g.boundary_mask()
+    rhs = GridFunction.from_callable(g, lambda x: 1.0 + x[:, 0] * x[:, 1])
+    bv = GridFunction.from_callable(g, lambda x: np.cos(np.pi * x[:, 1]) + x[:, 0])
+    u = solve_box_dirichlet(a, rhs, bv, tol=1e-10)
+
+    lift = np.where(mask, bv.values, 0.0)
+    b = np.where(mask, 0.0, rhs.values - stencil.apply(lift))
+    diag = box_diagonal(stencil)
+
+    def apply_interior(v):
+        out = stencil.apply(v)
+        out[mask] = 0.0
+        return out
+
+    v, info = pcg(apply_interior, b, lambda r: r / diag, tol=1e-10)
+    reference = v + lift
+    assert info["iterations"] > 4 * u.meta["iterations"]
+    assert np.max(np.abs(u.values - reference)) <= 1e-8 * np.max(np.abs(reference))
+
+
+def test_box_solve_loads_no_scipy_and_cli_import_no_fft():
+    # scipy.fft and an eager numpy.fft would cost resident memory and start-up
+    script = (
+        "import sys, numpy as np\n"
+        "import reiterate.cli\n"
+        "assert 'numpy.fft' not in sys.modules, 'numpy.fft loaded at import'\n"
+        "from reiterate.grid import Grid, GridFunction, solve_box_dirichlet\n"
+        "g = Grid.box((0.0, 0.0), (1.0, 1.0), 32)\n"
+        "u = solve_box_dirichlet(GridFunction.constant(g, np.eye(2)),\n"
+        "                        GridFunction.constant(g, 1.0), 0.0)\n"
+        "assert u.meta['preconditioner'] == 'laplacian-dst1'\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
