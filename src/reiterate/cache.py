@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import shutil
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,6 @@ class CorrectorCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self._lock = threading.Lock()
 
     def _stem(self, field_digest: str, level: int, key: str) -> Path:
         return self.root / field_digest / f"L{level}" / key
@@ -53,15 +51,15 @@ class CorrectorCache:
         key = _entry_key(level, frozen, resolution, tol, d)
         stem = self._stem(field_digest, level, key)
         if not (stem.with_suffix(".json").exists() and stem.with_suffix(".bin").exists()):
-            self._miss()
+            self.misses += 1
             return None
         try:
             chi, tensor, sidecar = load_correctors(stem)
         except (ValueError, OSError, json.JSONDecodeError):
             self.evict(stem)
-            self._miss()
+            self.misses += 1
             return None
-        self._hit()
+        self.hits += 1
         return chi, tensor, sidecar
 
     def store(self, field_digest: str, level: int, correctors, tensor) -> Path:
@@ -72,8 +70,7 @@ class CorrectorCache:
         stem.parent.mkdir(parents=True, exist_ok=True)
         # save_correctors writes the sidecar last: it marks the entry complete
         save_correctors(correctors, tensor, stem)
-        with self._lock:
-            self.stores += 1
+        self.stores += 1
         return stem
 
     def evict(self, stem: Path) -> None:
@@ -88,11 +85,3 @@ class CorrectorCache:
         removed = len(list(self.root.rglob("*.json"))) if self.root.exists() else 0
         shutil.rmtree(self.root, ignore_errors=True)
         return removed
-
-    def _hit(self):
-        with self._lock:
-            self.hits += 1
-
-    def _miss(self):
-        with self._lock:
-            self.misses += 1

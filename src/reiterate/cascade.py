@@ -8,8 +8,14 @@ with one slot fewer, so the recursion repeats until nothing oscillates;
 the scale ladder never enters the solves, only the final bookkeeping.
 
 Sample coordinates follow the slot-major layout of the coefficient
-fields: d slow dimensions first (collapsed to a point when the field
-ignores x), then d dimensions per remaining fast slot.
+fields: d slow dimensions first (each collapsed to a point when the field
+ignores that coordinate of x), then d dimensions per remaining fast slot.
+
+A level first looks every sample up in the cache, then solves the misses
+in slabs: stacks of samples with a leading sample axis, each tabulated by
+one coefficient call, solved by one stacked cell solve and reduced to
+tensors in one pass.  Results are checked and cached per sample.  A slab
+holds at most _SLAB_NODES cell nodes, which bounds its memory.
 """
 
 from __future__ import annotations
@@ -20,10 +26,13 @@ from itertools import product
 
 import numpy as np
 
-from .cell import (DEFAULT_RESOLUTION, CellProblem, EffectiveTensor,
-                   effective_tensor, solve_corrector)
+from .cell import (CELL_METHOD, DEFAULT_RESOLUTION, CellStack, EffectiveTensor,
+                   effective_tensors, solve_stack)
 from .coeff import CoefficientField, ScaleLadder
 from .grid import Grid
+
+# cell nodes per slab: larger slabs buy little speed and cost peak memory
+_SLAB_NODES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +206,8 @@ class CascadeLevel:
     cache_misses: int
     iterations: int
     spectrum: tuple[float, float]
+    method: str  # CELL_METHOD of the cell dimension
+    max_residual: float | None  # over the samples solved here; None if all were cached
     constant: EffectiveTensor | None = None
 
 
@@ -210,29 +221,28 @@ def _descended_digest(parent: str | None, level: int, resolution: int, tol: floa
 
 def _slower_axes(field: CoefficientField, level: int, x_resolution: int,
                  slot_resolution: int) -> tuple:
-    axes = []
-    for _ in range(field.d):
-        axes.append(box_axis(x_resolution) if field.depends_on_x else point_axis())
+    axes = [box_axis(x_resolution) if i in field.depends_on_x else point_axis()
+            for i in range(field.d)]
     for _ in range(level - 1):
         for _ in range(field.d):
             axes.append(periodic_axis(slot_resolution))
     return tuple(axes)
 
 
-def frozen_sampler(field: CoefficientField, frozen: tuple):
-    """y -> A(x, y_1, ..., y_{n-1}, y) with the slower arguments frozen.
+def tabulate_cells(field: CoefficientField, frozen, grid: Grid) -> np.ndarray:
+    """A(x, y_1, ..., y_{n-1}, y) at every node y of the cell grid, in one call.
 
-    frozen lists x and then every slower fast slot, d numbers each.
+    frozen has one row per sample: x and then every slower fast slot, d
+    numbers each.  Returns (samples, *cell nodes, d, d).
     """
     d = field.d
-    slower = [np.array(frozen[k * d:(k + 1) * d]) for k in range(field.n_scales)]
-
-    def sampler(y):
-        lead = y.shape[:-1]
-        args = [np.broadcast_to(v, lead + (d,)) for v in slower]
-        return field(args[0], args[1:] + [y])
-
-    return sampler
+    frozen = np.asarray(frozen, dtype=float)
+    pts = grid.nodes().reshape(-1, d)
+    lead = (len(frozen), len(pts))
+    slower = [np.broadcast_to(frozen[:, None, k * d:(k + 1) * d], lead + (d,))
+              for k in range(field.n_scales)]
+    values = field(slower[0], slower[1:] + [np.broadcast_to(pts, lead + (d,))])
+    return np.asarray(values, dtype=float).reshape((len(frozen),) + grid.node_shape + (d, d))
 
 
 def descend(field: CoefficientField, *, resolution: int | None = None,
@@ -257,60 +267,66 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
     axes = _slower_axes(field, level, x_resolution, slot_resolution)
     dims = tuple(a.n for a in axes)
     digest = field.digest()
+    cached = cache is not None and digest is not None
     key_resolution = (resolution,) * d
-
-    def solve_at(index):
-        frozen = tuple(float(axes[a].coords[i]) for a, i in enumerate(index))
-        if cache is not None and digest is not None:
-            entry = cache.lookup(digest, level, frozen, key_resolution, tol, d)
-            if entry is not None:
-                chi, tensor, sidecar = entry
-                return (tensor, tuple(sidecar["spectrum"]), chi.values,
-                        sum(sidecar["iterations"]))
-        problem = CellProblem.from_sampler(frozen_sampler(field, frozen), d=d,
-                                           resolution=resolution, frozen=frozen,
-                                           tol=tol)
-        correctors = solve_corrector(problem)
-        eff = effective_tensor(problem, correctors, mu=field.mu)
-        if cache is not None and digest is not None:
-            cache.store(digest, level, correctors, eff)
-        return (eff.tensor, eff.spectrum, correctors.chi.values,
-                sum(correctors.iterations))
-
-    indices = list(np.ndindex(*dims))
-    values = np.empty(dims + (d, d))
-    spectrum_lo, spectrum_hi = np.inf, -np.inf
-    iterations = 0
-    chi_table = None
     cell_grid = Grid.torus(d, resolution)
-    if retain_correctors:
-        chi_table = np.empty(dims + cell_grid.node_shape + (d,))
-    hits0 = getattr(cache, "hits", 0)
-    for index in indices:
-        tensor, spectrum, chi, iters = solve_at(index)
+
+    values = np.empty(dims + (d, d))
+    spectra = np.empty(dims + (2,))
+    iterations = 0
+    chi_table = np.empty(dims + cell_grid.node_shape + (d,)) if retain_correctors else None
+
+    def fill(index, tensor, spectrum, chi, iters):
+        nonlocal iterations
         values[index] = tensor
-        spectrum_lo = min(spectrum_lo, spectrum[0])
-        spectrum_hi = max(spectrum_hi, spectrum[1])
+        spectra[index] = spectrum
         iterations += iters
         if retain_correctors:
             chi_table[index] = chi
-    hits = (getattr(cache, "hits", 0) - hits0) if cache is not None else 0
+
+    misses = []
+    for index in np.ndindex(*dims):
+        frozen = tuple(float(axes[a].coords[i]) for a, i in enumerate(index))
+        entry = cache.lookup(digest, level, frozen, key_resolution, tol, d) if cached else None
+        if entry is None:
+            misses.append((index, frozen))
+            continue
+        chi, tensor, sidecar = entry
+        fill(index, tensor, sidecar["spectrum"], chi.values, sum(sidecar["iterations"]))
+
+    max_residual = None
+    per_slab = max(1, _SLAB_NODES // int(np.prod(cell_grid.node_shape)))
+    for start in range(0, len(misses), per_slab):
+        slab = misses[start:start + per_slab]
+        frozen = tuple(f for _, f in slab)
+        stack = CellStack(cell_grid, tabulate_cells(field, frozen, cell_grid), frozen, tol)
+        solved = solve_stack(stack)
+        tensors = effective_tensors(stack, solved.chi, mu=field.mu)
+        for s, (index, _) in enumerate(slab):
+            if cached:
+                cache.store(digest, level, solved.corrector_set(s, stack.problem(s)),
+                            tensors[s])
+            fill(index, tensors[s].tensor, tensors[s].spectrum, solved.chi[s],
+                   int(solved.iterations[s].sum()))
+        worst = float(solved.residuals.max())
+        max_residual = worst if max_residual is None else max(max_residual, worst)
 
     table = TensorField(d=d, n_slots=level - 1, axes=axes, values=values)
     child_digest = _descended_digest(digest, level, resolution, tol, dims)
     child = table.as_field(field, child_digest)
 
+    spectrum = (float(spectra[..., 0].min()), float(spectra[..., 1].max()))
+    samples = int(np.prod(dims))
     constant = None
-    if len(indices) == 1:
-        tensor = values[indices[0]]
-        constant = EffectiveTensor(tensor=tensor, mu=field.mu,
-                                   spectrum=(float(spectrum_lo), float(spectrum_hi)))
+    if samples == 1:
+        constant = EffectiveTensor(tensor=values.reshape(d, d), mu=field.mu,
+                                   spectrum=spectrum)
 
     record = CascadeLevel(level=level, tensor_field=table, field=child,
-                          resolution=resolution, samples=len(indices),
-                          cache_hits=hits, cache_misses=len(indices) - hits,
-                          iterations=iterations,
-                          spectrum=(float(spectrum_lo), float(spectrum_hi)),
+                          resolution=resolution, samples=samples,
+                          cache_hits=samples - len(misses), cache_misses=len(misses),
+                          iterations=iterations, spectrum=spectrum,
+                          method=CELL_METHOD[d], max_residual=max_residual,
                           constant=constant)
     corrector_table = None
     if retain_correctors:
@@ -344,6 +360,8 @@ class CascadeResult:
                 "cache_hits": lv.cache_hits,
                 "cache_misses": lv.cache_misses,
                 "iterations": lv.iterations,
+                "method": lv.method,
+                "max_residual": lv.max_residual,
                 "spectrum": [lv.spectrum[0], lv.spectrum[1]],
             } for lv in self.levels],
             "scales": list(self.ladder.scales) if self.ladder else None,

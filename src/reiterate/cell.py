@@ -11,6 +11,13 @@ precision.  Flux correctors phi_kij = d_k f_ij - d_i f_kj come from
 torus Poisson solves Delta f_ij = b_ij; their skew symmetry in (k, i) is
 exact by construction, while the reconstruction sum_k d_k phi_kij = b_ij
 holds up to a stencil commutator of order h^2 for smooth fields.
+
+Cells are solved in stacks: a CellStack holds many frozen samples on one
+torus grid with a leading sample axis, and a single cell is a stack of
+one.  In d=1 the discrete corrector has a closed form (the face flux is
+the harmonic mean q of the faces, so D+chi = q/a - 1 and chi is its
+centered running sum); in d=2 every sample of the stack runs the same
+Jacobi-preconditioned conjugate gradient with its own convergence test.
 """
 
 from __future__ import annotations
@@ -98,43 +105,125 @@ class FluxData:
     residuals: dict = field(compare=False)
 
 
-def solve_corrector(problem: CellProblem) -> CorrectorSet:
-    """Solve the d corrector problems of one cell."""
-    grid = problem.grid
-    stencil = FluxStencil(problem.coefficient)
-    diag = stencil.diagonal()
-    comps, iters = [], []
-    energy = 0.0
+# how solve_stack solves the corrector problems of a cell in each dimension
+CELL_METHOD = {1: "closed-form", 2: "jacobi-pcg"}
+
+
+@dataclass(frozen=True)
+class CellStack:
+    """Cell problems on one torus grid, stacked on a leading sample axis."""
+
+    grid: Grid
+    values: np.ndarray  # (samples, *nodes, d, d)
+    frozen: tuple  # the frozen slow arguments of each sample
+    tol: float
+
+    @classmethod
+    def of(cls, problem: CellProblem) -> "CellStack":
+        return cls(problem.grid, problem.coefficient.values[None],
+                   (problem.frozen,), problem.tol)
+
+    def problem(self, s: int) -> CellProblem:
+        return CellProblem(self.grid, GridFunction(self.grid, self.values[s]),
+                           self.frozen[s], self.tol)
+
+
+@dataclass(frozen=True)
+class StackSolution:
+    """Correctors of every sample of a stack, with per-sample solve records."""
+
+    chi: np.ndarray  # (samples, *nodes, d)
+    iterations: np.ndarray  # (samples, d)
+    residuals: np.ndarray  # (samples,) worst final relative residual over j
+    energy: np.ndarray  # (samples,)
+
+    def corrector_set(self, s: int, problem: CellProblem) -> CorrectorSet:
+        return CorrectorSet(problem=problem, chi=GridFunction(problem.grid, self.chi[s]),
+                            iterations=tuple(int(n) for n in self.iterations[s]),
+                            energy=float(self.energy[s]))
+
+
+def _relative_residuals(stencil: FluxStencil, chi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    nodes = tuple(range(-stencil.d, 0))
+    res = np.sqrt(np.sum((stencil.apply(chi) - rhs) ** 2, axis=nodes))
+    norm = np.sqrt(np.sum(rhs**2, axis=nodes))
+    return np.divide(res, norm, out=np.zeros_like(res), where=norm > 0)
+
+
+def solve_stack(stack: CellStack) -> StackSolution:
+    """Solve the d corrector problems of every sample in a stack.
+
+    d=1 uses the exact discrete corrector, so no iterations and no
+    tolerance; its recorded residual is that of one operator application.
+    """
+    grid = stack.grid
+    d = grid.d
     h = grid.spacing
-    for j in range(grid.d):
-        rhs = stencil.affine_rhs(j)
-        chi, info = pcg(stencil.apply, rhs, lambda r: r / diag, tol=problem.tol,
-                        project=lambda v: v.__isub__(v.mean()))
-        chi -= chi.mean()
+    nodes = tuple(range(-d, 0))
+    stencil = FluxStencil(stack)
+    comps, iters, resid = [], [], []
+    if d == 1:
+        faces = stencil.faces[0]
+        q = 1.0 / np.mean(1.0 / faces, axis=-1, keepdims=True)
+        chi = np.zeros_like(faces)
+        chi[..., 1:] = np.cumsum(h[0] * (q / faces[..., :-1] - 1.0), axis=-1)
+        chi -= chi.mean(axis=-1, keepdims=True)
         comps.append(chi)
-        iters.append(info["iterations"])
-        grad_sq = sum(((np.roll(chi, -1, axis=k) - chi) / h[k]) ** 2 for k in range(grid.d))
-        energy = max(energy, float(np.mean(grad_sq + chi**2)))
-    chi_field = GridFunction(grid, np.stack(comps, axis=-1))
-    return CorrectorSet(problem=problem, chi=chi_field, iterations=tuple(iters), energy=energy)
+        iters.append(np.zeros(len(chi), dtype=int))
+        resid.append(_relative_residuals(stencil, chi, stencil.affine_rhs(0)))
+    else:
+        diag = stencil.diagonal()
+
+        def project(v):
+            v -= v.mean(axis=nodes, keepdims=True)
+
+        for j in range(d):
+            chi, info = pcg(stencil.apply, stencil.affine_rhs(j), lambda r: r / diag,
+                            tol=stack.tol, project=project, stacked=True)
+            chi -= chi.mean(axis=nodes, keepdims=True)
+            comps.append(chi)
+            iters.append(np.array(info["sample_iterations"]))
+            resid.append(np.array([hist[-1] if hist else 0.0
+                                   for hist in info["sample_residuals"]]))
+    chi = np.stack(comps, axis=-1)
+    # per corrector: mean(|D+ chi_j|^2 + chi_j^2); component axis last
+    grad_sq = sum(((np.roll(chi, -1, axis=k - d - 1) - chi) / h[k]) ** 2 for k in range(d))
+    energy = np.mean(grad_sq + chi**2, axis=tuple(range(-d - 1, -1))).max(axis=-1)
+    return StackSolution(chi=chi, iterations=np.stack(iters, axis=-1),
+                         residuals=np.max(resid, axis=0), energy=energy)
+
+
+def effective_tensors(stack: CellStack, chi: np.ndarray,
+                      mu: float | None = None) -> list[EffectiveTensor]:
+    """Mean-flux effective tensor of every sample; spectra checked against
+    [mu, 1/mu] when mu is given."""
+    stencil = FluxStencil(stack)
+    d = stack.grid.d
+    tensor = np.stack([stencil.mean_flux(chi[..., j], affine_axis=j) for j in range(d)],
+                      axis=-1)
+    eigs = np.linalg.eigvalsh(0.5 * (tensor + np.swapaxes(tensor, -1, -2)))
+    spectra = [(float(e[0]), float(e[-1])) for e in eigs]
+    if mu is not None:
+        lo, hi = mu * (1 - 1e-8), (1.0 / mu) * (1 + 1e-8)
+        for spectrum in spectra:
+            if spectrum[0] < lo or spectrum[1] > hi:
+                raise SolverFailure(
+                    f"effective spectrum {spectrum} escapes [{mu:g}, {1/mu:g}]; "
+                    "discretization failure")
+    return [EffectiveTensor(tensor=t, mu=mu if mu is not None else spectrum[0],
+                            spectrum=spectrum)
+            for t, spectrum in zip(tensor, spectra)]
+
+
+def solve_corrector(problem: CellProblem) -> CorrectorSet:
+    """Solve the d corrector problems of one cell (a stack of one)."""
+    return solve_stack(CellStack.of(problem)).corrector_set(0, problem)
 
 
 def effective_tensor(problem: CellProblem, correctors: CorrectorSet,
                      mu: float | None = None) -> EffectiveTensor:
     """Mean-flux effective tensor; spectrum checked against [mu, 1/mu] when mu is given."""
-    stencil = FluxStencil(problem.coefficient)
-    d = problem.grid.d
-    cols = [stencil.mean_flux(correctors.component(j), affine_axis=j) for j in range(d)]
-    tensor = np.stack(cols, axis=-1)
-    eigs = np.linalg.eigvalsh(0.5 * (tensor + tensor.T))
-    spectrum = (float(eigs.min()), float(eigs.max()))
-    if mu is not None:
-        lo, hi = mu * (1 - 1e-8), (1.0 / mu) * (1 + 1e-8)
-        if spectrum[0] < lo or spectrum[1] > hi:
-            raise SolverFailure(
-                f"effective spectrum {spectrum} escapes [{mu:g}, {1/mu:g}]; discretization failure")
-    return EffectiveTensor(tensor=tensor, mu=mu if mu is not None else spectrum[0],
-                           spectrum=spectrum)
+    return effective_tensors(CellStack.of(problem), correctors.chi.values[None], mu)[0]
 
 
 def flux_matrix(problem: CellProblem, correctors: CorrectorSet,

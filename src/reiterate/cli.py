@@ -25,14 +25,15 @@ import numpy as np
 
 from . import __version__, probes
 from .cache import CorrectorCache
-from .cascade import frozen_sampler
-from .cell import CellProblem, effective_tensor, save_correctors, solve_corrector
+from .cascade import tabulate_cells
+from .cell import (DEFAULT_RESOLUTION, CellProblem, effective_tensor, save_correctors,
+                   solve_corrector)
 from .coeff import check_separation
 from .config import ExperimentConfig, parse_config
 from .dirichlet import solve_homogenized, solve_multiscale
 from .errors import ConfigError, ResolutionError, SolverFailure
 # perfbench/tracer.py times artifact writes under the name _atomic_bytes
-from .grid import GridFunction, gradient, l2_norm, save_gridfunction
+from .grid import Grid, GridFunction, gradient, l2_norm, save_gridfunction
 from .grid import atomic_bytes as _atomic_bytes
 
 SUBCOMMANDS = ("cell", "cascade", "solve", "rate", "excess", "certify",
@@ -107,10 +108,11 @@ def cmd_cell(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> Non
     if level < 1:
         raise ConfigError("field has no fast slots; nothing to solve")
     frozen = (0.0,) * (field.d * level)
+    grid = Grid.torus(field.d, cfg.cell_resolution or DEFAULT_RESOLUTION[field.d])
     with manifest.stage("cell"):
-        problem = CellProblem.from_sampler(
-            frozen_sampler(field, frozen), d=field.d,
-            resolution=cfg.cell_resolution, frozen=frozen, tol=cfg.cell_tol)
+        values = tabulate_cells(field, [frozen], grid)[0]
+        problem = CellProblem(grid, GridFunction(grid, values), frozen=frozen,
+                              tol=cfg.cell_tol)
         correctors = solve_corrector(problem)
         eff = effective_tensor(problem, correctors, mu=field.mu)
     stem = out / f"cell-L{level}"
@@ -140,20 +142,22 @@ def cmd_cascade(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
     summary["cache_hit_rate"] = hits / total if total else 0.0
     _atomic_bytes(out / "cascade.json",
                   (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
-    manifest.data["residuals"]["level_iterations"] = {
-        str(lv["level"]): lv["iterations"] for lv in summary["levels"]}
+    manifest.data["residuals"]["levels"] = {
+        str(lv["level"]): {key: lv[key] for key in ("method", "iterations", "max_residual")}
+        for lv in summary["levels"]}
     # hit counts vary between fresh and replayed runs: volatile block only
     manifest.timing["cache_hit_rate"] = summary["cache_hit_rate"]
     if result.effective is not None:
         manifest.data["results"]["effective_tensor"] = result.effective.tensor.tolist()
-        print(f"A_hat = {_tensor_text(result.effective.tensor)} "
-              f"+/- {cfg.cell_tol:g}")
+        # 1D cells are solved exactly; 2D cells to cell.tol
+        tol = f" +/- {cfg.cell_tol:g}" if cfg.d == 2 else ""
+        print(f"A_hat = {_tensor_text(result.effective.tensor)}{tol}")
     else:
         print("effective coefficient keeps a slow dependence; "
               "tabulated field written to the cascade summary")
     for lv in summary["levels"]:
-        print(f"  level {lv['level']}: {lv['samples']} cell solves, "
-              f"{lv['cache_hits']} cache hits")
+        print(f"  level {lv['level']}: {lv['samples']} cell solves "
+              f"({lv['method']}), {lv['cache_hits']} cache hits")
     print(f"cache hit rate {100.0 * summary['cache_hit_rate']:.1f}% "
           f"({hits}/{total})")
 

@@ -161,7 +161,7 @@ class CoefficientField:
     mu: float = 1.0
     theta: float = 1.0
     lipschitz: float = 0.0
-    depends_on_x: bool = False
+    depends_on_x: tuple[int, ...] = ()  # the x axes the field reads (falsy: none)
     spec: CoefficientSpec | None = None
     digest_override: str | None = dc_field(default=None, repr=False)
 
@@ -362,7 +362,10 @@ def _build_slow_modulated(spec: CoefficientSpec, d: int) -> CoefficientField:
 
     lip = base.lipschitz * hi + (1.0 / base.mu) * abs(amplitude) * 2 * math.pi * float(np.linalg.norm(kvec))
     return CoefficientField(d=d, n_scales=base.n_scales, evaluator=evaluator, mu=mu,
-                            theta=1.0, lipschitz=lip, depends_on_x=True, spec=spec)
+                            theta=1.0, lipschitz=lip,
+                            depends_on_x=tuple(sorted(set(base.depends_on_x)
+                                                      | set(np.flatnonzero(kvec).tolist()))),
+                            spec=spec)
 
 
 def _scan_slots(sources: Sequence[str], d: int) -> tuple[list[str], int]:
@@ -378,6 +381,12 @@ def _scan_slots(sources: Sequence[str], d: int) -> tuple[list[str], int]:
         for tok in re.findall(r"\by([1-9])\b", src):
             used = max(used, int(tok))
     return names, -(-used // d)
+
+
+def _x_axes(sources: Sequence[str], d: int) -> tuple[int, ...]:
+    """The slow axes i whose coordinate x{i+1} an expression names."""
+    return tuple(i for i in range(d)
+                 if any(re.search(rf"\bx{i + 1}\b", src) for src in sources))
 
 
 def _slot_kwargs(ys, d: int, n: int) -> dict:
@@ -408,10 +417,9 @@ def _build_expr(spec: CoefficientSpec, d: int) -> CoefficientField:
         kwargs.update(_slot_kwargs(ys, d, n))
         return _identity_times(fn(**kwargs), d)
 
-    depends_on_x = any(f"x{j}" in src for j in range(1, d + 1))
     return CoefficientField(d=d, n_scales=n, evaluator=evaluator, mu=min(lo, 1.0 / hi),
                             theta=1.0, lipschitz=_sampled_lipschitz(fn, names, d, n),
-                            depends_on_x=depends_on_x, spec=spec)
+                            depends_on_x=_x_axes([src], d), spec=spec)
 
 
 def _sampled_lipschitz(fn, names, d, n, seed=1, samples=4000) -> float:
@@ -457,10 +465,9 @@ def _build_matrix2d(spec: CoefficientSpec, d: int) -> CoefficientField:
         return out
 
     lip = max(_sampled_lipschitz(fn, names, d, n) for fn in fns)
-    depends_on_x = any(f"x{j}" in s for j in (1, 2) for s in sources)
     return CoefficientField(d=2, n_scales=n, evaluator=evaluator,
                             mu=min(lam_min, 1.0 / lam_max), theta=1.0, lipschitz=lip,
-                            depends_on_x=depends_on_x, spec=spec)
+                            depends_on_x=_x_axes(sources, d), spec=spec)
 
 
 _FAMILIES = {

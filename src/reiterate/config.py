@@ -84,7 +84,7 @@ KNOWN_KEYS = {
     "resolution": "cells per axis, integer >= 2",
     "cells_per_scale": "integer >= 8",
     "cell.resolution": "cells per axis for cell problems, integer >= 8",
-    "cell.tol": "solver tolerance in (0, 1e-4]",
+    "cell.tol": "solver tolerance in (0, 1e-4], dim = 2 only",
     "bvp.rhs": "expression in x1..xd",
     "bvp.boundary": "expression in x1..xd",
     "probe.p": "integrability exponent > dim",
@@ -97,6 +97,14 @@ KNOWN_KEYS = {
     "out": "output directory path",
     "cache": "cache directory path",
 }
+
+
+def _ladders(explicit, eps_values, lambdas, N) -> list[ScaleLadder]:
+    """The ladder law: the explicit scales as one ladder, else eps^lambda_k
+    for every eps of the sweep."""
+    if explicit is not None:
+        return [ScaleLadder(explicit, N=N)]
+    return [ScaleLadder.power(e, lambdas, N=N) for e in eps_values]
 
 
 @dataclass(frozen=True)
@@ -122,10 +130,8 @@ class ExperimentConfig:
     items: tuple[tuple[str, str], ...]  # normalized pairs, hashed for the manifest
 
     def ladders(self) -> list[ScaleLadder]:
-        if self.explicit_scales is not None:
-            return [ScaleLadder(self.explicit_scales, N=self.separation_n)]
-        return [ScaleLadder.power(e, self.lambdas, N=self.separation_n)
-                for e in self.eps_values]
+        return _ladders(self.explicit_scales, self.eps_values, self.lambdas,
+                        self.separation_n)
 
     def homogenize(self, cache=None) -> CascadeResult:
         """The one cascade every subcommand reads its effective tensor from."""
@@ -278,19 +284,15 @@ def parse_config(path: str) -> ExperimentConfig:
         lambdas = tuple(float(k) for k in range(1, max(n_slots, 1) + 1))
 
     ladders: list[ScaleLadder] = []
-    if explicit is not None:
+    if explicit is not None or (eps_values is not None and lambdas is not None):
         try:
-            ladders = [ScaleLadder(explicit, N=separation_n)]
+            ladders = _ladders(explicit, eps_values, lambdas, separation_n)
         except ValueError as exc:
-            errors.append(f"key 'scales': {exc}")
-            explicit = None
-    elif eps_values is not None and lambdas is not None:
-        try:
-            ladders = [ScaleLadder.power(e, lambdas, N=separation_n)
-                       for e in eps_values]
-        except ValueError as exc:
-            errors.append(f"key 'eps': ladder eps^lambda_k invalid: {exc}")
-            ladders = []
+            if explicit is not None:
+                errors.append(f"key 'scales': {exc}")
+                explicit = None
+            else:
+                errors.append(f"key 'eps': ladder eps^lambda_k invalid: {exc}")
     if field is not None and field.n_scales > 0 and ladders:
         if ladders[0].n != field.n_scales:
             errors.append(f"key 'lambdas': ladder has {ladders[0].n} scales but "
@@ -325,6 +327,9 @@ def parse_config(path: str) -> ExperimentConfig:
         if value is not None and not 0.0 < value <= 1e-4:
             errors.append(f"key {key!r}: got {value:g}; expected "
                           f"{KNOWN_KEYS[key]}")
+    if d == 1 and "cell.tol" in pairs:
+        errors.append("key 'cell.tol': 1D cell problems are solved exactly, so a "
+                      "tolerance changes nothing; remove the key")
 
     rhs_source = pairs.get("bvp.rhs", "1")
     boundary_source = pairs.get("bvp.boundary", "0")

@@ -13,14 +13,19 @@ averaging of diagonal coefficient entries (exact harmonic means for 1D
 laminates) and a matrix-free preconditioned conjugate gradient with one
 of two preconditioners:
 
-* Jacobi (the stencil diagonal) on periodic cells, in solve_corrector
-  and solve_periodic_elliptic.  Cells are small, so a cheap apply wins.
+* Jacobi (the stencil diagonal) on periodic 2D cells, in the stacked
+  corrector solve of ``cell``, and in solve_periodic_elliptic.  Cells
+  are small, so a cheap apply wins.
 * The exact inverse of the mean-coefficient Laplacian, applied by a
   DST-I along each axis (laplacian_inverse), on 2D boxes in
   solve_box_dirichlet.  Its iteration count depends on the coefficient
   contrast and not on the mesh.
 
-1D boxes skip the iteration and use a banded direct solve.
+The periodic stencils and pcg accept a leading sample axis, so a stack
+of cells is solved by one loop with a per-sample convergence test; a
+single system is the same loop on a stack of one.  1D boxes skip the
+iteration and use a banded direct solve, and 1D cell correctors have a
+closed form (see ``cell``).
 """
 
 from __future__ import annotations
@@ -285,38 +290,43 @@ def _harmonic_faces(a: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
     return 2.0 * x * y / (x + y)
 
 
-def _check_spd(a: GridFunction, mu_bounds=None):
+def _check_spd(a) -> None:
     vals = a.values
     d = a.grid.d
-    if a.component_shape != (d, d):
+    if vals.shape[vals.ndim - d - 2:] != a.grid.node_shape + (d, d):
         raise ValueError("coefficient must be a matrix GridFunction")
     if d == 2 and np.max(np.abs(vals[..., 0, 1] - vals[..., 1, 0])) > 1e-12 * np.max(np.abs(vals)):
         raise ValueError("coefficient matrix must be symmetric")
     if d == 1:
         lam_min = vals[..., 0, 0].min()
-        lam_max = vals[..., 0, 0].max()
     else:
         tr = vals[..., 0, 0] + vals[..., 1, 1]
         det = vals[..., 0, 0] * vals[..., 1, 1] - vals[..., 0, 1] * vals[..., 1, 0]
         disc = np.sqrt(np.maximum((tr / 2.0) ** 2 - det, 0.0))
         lam_min = (tr / 2.0 - disc).min()
-        lam_max = (tr / 2.0 + disc).max()
     if lam_min <= 0:
         raise ValueError(f"coefficient not positive definite (min eigenvalue {lam_min:g})")
-    return float(lam_min), float(lam_max)
 
 
 class FluxStencil:
-    """Matrix-free application of the flux-form operator -div(a grad u)."""
+    """Matrix-free application of the flux-form operator -div(a grad u).
 
-    def __init__(self, a: GridFunction):
+    ``a`` is a matrix GridFunction, or a stack of coefficients on one grid:
+    any object with ``grid`` and ``values`` whose values carry a leading
+    sample axis before the nodes.  Every method acts on the trailing grid
+    axes, so a stacked stencil applies each sample's operator to the
+    matching slice of a stacked field.
+    """
+
+    def __init__(self, a):
         grid = a.grid
         _check_spd(a)
         self.grid = grid
         self.d = grid.d
         vals = a.values
         self.faces = [
-            _harmonic_faces(vals[..., k, k], k, grid.periodic) for k in range(grid.d)
+            _harmonic_faces(vals[..., k, k], k - grid.d, grid.periodic)
+            for k in range(grid.d)
         ]
         if grid.d == 2:
             off = vals[..., 0, 1]
@@ -343,10 +353,10 @@ class FluxStencil:
             raise ValueError("the Jacobi diagonal is periodic-only; boxes use "
                              "laplacian_inverse")
         h = g.spacing
-        diag = np.zeros(g.node_shape)
+        diag = 0.0
         for axis in range(g.d):
             f = self.faces[axis]
-            diag += (f + np.roll(f, 1, axis=axis)) / h[axis] ** 2
+            diag = diag + (f + np.roll(f, 1, axis=axis - g.d)) / h[axis] ** 2
         return diag
 
     def affine_rhs(self, j: int) -> np.ndarray:
@@ -356,10 +366,11 @@ class FluxStencil:
             raise ValueError("corrector right-hand sides are periodic-only")
         h = g.spacing
         fj = self.faces[j]
-        rhs = (fj - np.roll(fj, 1, axis=j)) / h[j]
+        rhs = (fj - np.roll(fj, 1, axis=j - g.d)) / h[j]
         if self.mixed is not None:
             k = 1 - j
-            rhs += (np.roll(self.mixed, -1, axis=k) - np.roll(self.mixed, 1, axis=k)) / (2.0 * h[k])
+            rhs += (np.roll(self.mixed, -1, axis=k - g.d)
+                    - np.roll(self.mixed, 1, axis=k - g.d)) / (2.0 * h[k])
         return rhs
 
     def flux(self, u: np.ndarray, affine_axis: int | None = None) -> list[np.ndarray]:
@@ -374,14 +385,14 @@ class FluxStencil:
         h = g.spacing
         out = []
         for i in range(g.d):
-            du = (np.roll(u, -1, axis=i) - u) / h[i]
+            du = (np.roll(u, -1, axis=i - g.d) - u) / h[i]
             if affine_axis is not None and affine_axis == i:
                 du = du + 1.0
             face_flux = self.faces[i] * du
-            comp = 0.5 * (face_flux + np.roll(face_flux, 1, axis=i))
+            comp = 0.5 * (face_flux + np.roll(face_flux, 1, axis=i - g.d))
             if self.mixed is not None:
                 l = 1 - i
-                dl = (np.roll(u, -1, axis=l) - np.roll(u, 1, axis=l)) / (2.0 * h[l])
+                dl = (np.roll(u, -1, axis=l - g.d) - np.roll(u, 1, axis=l - g.d)) / (2.0 * h[l])
                 if affine_axis is not None and affine_axis == l:
                     dl = dl + 1.0
                 comp = comp + self.mixed * dl
@@ -389,15 +400,20 @@ class FluxStencil:
         return out
 
     def mean_flux(self, u: np.ndarray, affine_axis: int) -> np.ndarray:
-        """Column of the effective tensor: mean flux of y_j + u with j = affine_axis."""
-        return np.array([c.mean() for c in self.flux(u, affine_axis)])
+        """Column of the effective tensor: mean flux of y_j + u with j = affine_axis.
+
+        The column index is last: shape (d,), or (samples, d) for a stack.
+        """
+        nodes = tuple(range(-self.d, 0))
+        return np.stack([c.mean(axis=nodes) for c in self.flux(u, affine_axis)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # preconditioned conjugate gradient
 
 
-def pcg(apply_op, b, precondition, tol=1e-10, maxiter=100_000, project=None):
+def pcg(apply_op, b, precondition, tol=1e-10, maxiter=100_000, project=None,
+        stacked=False):
     """Matrix-free preconditioned conjugate gradient.
 
     ``precondition(r)`` returns the preconditioned residual as a new array
@@ -405,51 +421,89 @@ def pcg(apply_op, b, precondition, tol=1e-10, maxiter=100_000, project=None):
     ``r / stencil.diagonal()``; 2D boxes pass ``laplacian_inverse(stencil)``.
     ``project`` removes a known null-space component (used to pin the mean of
     periodic solutions); it is applied to the initial data and every residual.
-    Returns (x, info dict).  Raises SolverFailure on stagnation or a
-    non-positive curvature direction, carrying the residual history.
+
+    With ``stacked`` the leading axis of ``b`` indexes independent systems
+    that ``apply_op``, ``precondition`` and ``project`` treat sample by
+    sample.  Each system keeps its own inner products, step lengths,
+    iteration count and residual history, and stops updating once it
+    converges; a single system runs the same loop as a stack of one.
+
+    Returns (x, info).  info["iterations"] sums the iterations over the
+    systems and info["residuals"] is the largest relative residual after
+    each iteration, so its last entry is the worst final residual;
+    "sample_iterations" and "sample_residuals" hold them per system.
+    Raises SolverFailure on stagnation or a non-positive curvature
+    direction, carrying the residual history of the offending system.
     """
     b = b.copy()
     if project is not None:
         project(b)
-    norm_b = np.sqrt(np.vdot(b, b).real)
-    info = {"iterations": 0, "residuals": [], "tol": tol}
+    lead = b.shape[:1] if stacked else ()
+    column = lead + (1,) * (b.ndim - len(lead))
+
+    def dot(u, v):
+        flat = lead + (-1,)
+        return np.einsum("...i,...i->...", u.reshape(flat), v.reshape(flat)).reshape(column)
+
+    norm_b = np.sqrt(dot(b, b))
     x = np.zeros_like(b)
-    if norm_b == 0.0:
-        return x, info
+    active = norm_b > 0.0
+    counts = np.zeros(column, dtype=int)
+    rel = np.zeros(column)
+    history = []  # relative residual of every system after each iteration
+
+    def info():
+        steps = counts.reshape(-1)
+        table = np.reshape(history, (len(history), steps.size))
+        per_sample = [table[:n, s].tolist() for s, n in enumerate(steps)]
+        return {"iterations": int(steps.sum()),
+                "residuals": table.max(axis=1).tolist(), "tol": tol,
+                "sample_iterations": steps.tolist(),
+                "sample_residuals": per_sample}
+
+    def failure(message, which):
+        # report the history of the worst system among the offending ones
+        s = int(np.argmax(np.where(which, rel, -np.inf)))
+        return SolverFailure(message, residuals=info()["sample_residuals"][s])
+
+    if not active.any():
+        return x, info()
     r = b.copy()
     z = precondition(r)
     if project is not None:
         project(z)
     p = z.copy()
-    rz = float(np.vdot(r, z).real)
-    for k in range(1, int(maxiter) + 1):
+    rz = dot(r, z)
+    for _ in range(int(maxiter)):
         ap = apply_op(p)
-        pap = float(np.vdot(p, ap).real)
-        if pap <= 0.0:
-            raise SolverFailure(
-                f"operator not positive definite along search direction (p.Ap={pap:g})",
-                residuals=info["residuals"],
-            )
-        alpha = rz / pap
+        pap = dot(p, ap)
+        bent = active & (pap <= 0.0)
+        if bent.any():
+            worst = float(pap[bent].min())
+            raise failure(f"operator not positive definite along search direction "
+                          f"(p.Ap={worst:g})", bent)
+        alpha = np.where(active, rz / np.where(active, pap, 1.0), 0.0)
         x += alpha * p
         r -= alpha * ap
         if project is not None:
             project(r)
-        res = np.sqrt(float(np.vdot(r, r).real))
-        info["iterations"] = k
-        info["residuals"].append(res / norm_b)
-        if res <= tol * norm_b:
-            return x, info
+        res = np.sqrt(dot(r, r))
+        rel = np.where(active, res / np.where(active, norm_b, 1.0), rel)
+        counts += active
+        history.append(rel)
+        active = active & (res > tol * norm_b)
+        if not active.any():
+            return x, info()
         z = precondition(r)
         if project is not None:
             project(z)
-        rz_new = float(np.vdot(r, z).real)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SolverFailure(
-        f"PCG stagnated after {maxiter} iterations (relative residual {info['residuals'][-1]:.3e})",
-        residuals=info["residuals"],
-    )
+        rz_new = dot(r, z)
+        beta = np.where(active, rz_new / np.where(active, rz, 1.0), 0.0)
+        p = z + beta * p
+        rz = np.where(active, rz_new, rz)
+    worst = float(rel[active].max())
+    raise failure(f"PCG stagnated after {maxiter} iterations (relative residual "
+                  f"{worst:.3e})", active)
 
 
 def _dst1(x: np.ndarray, axis: int) -> np.ndarray:

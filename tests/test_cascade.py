@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from reiterate.cache import CorrectorCache
+from reiterate import cascade
 from reiterate.cascade import (Axis, CorrectorTable, TensorField, box_axis,
                                descend, holder_check, homogenize_all,
                                multilinear, periodic_axis, point_axis)
@@ -151,6 +152,48 @@ def test_slow_modulated_cascade_tabulates_x_dependence():
                             - SQRT3 * (2 + np.sin(2 * np.pi * mid[:, 0]))))
     # midpoint error of linear interpolation is max|f''| h^2 / 8 at h = 1/64
     assert mid_err < 1.05 * SQRT3 * (2 * np.pi) ** 2 / 8 / 64**2
+
+
+SLOW_2D = "slow_modulated(checkerboard2d(1, 4, 8), amplitude=0.5, k1=1)"
+
+
+def test_slow_field_samples_only_the_x_axes_it_reads():
+    from dataclasses import replace
+
+    field = builtin_family(SLOW_2D, 2)
+    assert field.depends_on_x == (0,)
+    _, record, _ = descend(field, resolution=8, tol=1e-11)
+    assert record.samples == 33
+    # the same field claiming both x axes tabulates every (x1, x2) pair
+    _, full, _ = descend(replace(field, depends_on_x=(0, 1)), resolution=8, tol=1e-11)
+    assert full.samples == 33 * 33
+    shared = record.tensor_field.values[:, 0]
+    assert np.allclose(full.tensor_field.values, shared[:, None], rtol=1e-13, atol=0)
+
+
+def test_slabbed_level_matches_per_sample_solves(tmp_path, monkeypatch):
+    # ten samples per slab do not divide the 33 samples of the level
+    monkeypatch.setattr(cascade, "_SLAB_NODES", 10 * 64)
+    field = builtin_family(SLOW_2D, 2)
+    store = CorrectorCache(tmp_path / "store")
+    _, record, _ = descend(field, resolution=8, tol=1e-11, cache=store)
+    assert store.stores == record.samples == 33
+    axis = record.tensor_field.axes[0]
+    total = 0
+    for i, x1 in enumerate(axis.coords):
+        frozen = (float(x1), 0.0)
+        problem = CellProblem.from_sampler(
+            lambda y: field(np.broadcast_to(frozen, y.shape), [y]), d=2,
+            resolution=8, frozen=frozen, tol=1e-11)
+        alone = solve_corrector(problem)
+        eff = effective_tensor(problem, alone, mu=field.mu)
+        got = record.tensor_field.values[i, 0]
+        assert np.max(np.abs(got - eff.tensor)) <= 1e-13 * np.max(np.abs(eff.tensor))
+        _, _, sidecar = store.lookup(field.digest(), 1, frozen, (8, 8), 1e-11, 2)
+        assert tuple(sidecar["iterations"]) == alone.iterations
+        total += sum(alone.iterations)
+    assert record.iterations == total
+    assert record.method == "jacobi-pcg" and 0.0 < record.max_residual <= 1e-11
 
 
 def test_holder_check_passes_for_product_field():

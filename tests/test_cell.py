@@ -15,17 +15,20 @@ import pytest
 
 from reiterate.cell import (
     CellProblem,
+    CellStack,
     effective_tensor,
+    effective_tensors,
     flux_correctors,
     flux_matrix,
     load_correctors,
     row_divergence_residual,
     save_correctors,
     solve_corrector,
+    solve_stack,
 )
 from reiterate.coeff import builtin_family
 from reiterate.errors import CompatibilityError
-from reiterate.grid import Grid, GridFunction, mean
+from reiterate.grid import FluxStencil, Grid, GridFunction, mean, pcg
 
 SQRT3 = np.sqrt(3.0)
 
@@ -82,6 +85,46 @@ def test_corrector_matches_quadrature_oracle_1d():
 def test_corrector_energy_recorded_and_bounded():
     correctors = solve_corrector(laminate_problem())
     assert 0 < correctors.energy < 10.0  # C(d, mu) witness for this field
+
+
+def test_closed_form_corrector_solves_the_flux_form_operator():
+    # a product of two laminate factors at incommensurate frequencies
+    field = builtin_family("laminate1d(2+sin(2*pi*y1), exp(sin(2*pi*y2)))", 1)
+    for n in (64, 256):
+        problem = CellProblem.from_sampler(lambda y: field(np.zeros_like(y), [y, 3 * y]),
+                                           d=1, resolution=n)
+        correctors = solve_corrector(problem)
+        assert correctors.iterations == (0,)
+        chi = correctors.component(0)
+        stencil = FluxStencil(problem.coefficient)
+        rhs = stencil.affine_rhs(0)
+        assert np.linalg.norm(stencil.apply(chi) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        diag = stencil.diagonal()
+        ref, _ = pcg(stencil.apply, rhs, lambda r: r / diag, tol=1e-13,
+                     project=lambda v: v.__isub__(v.mean()))
+        ref -= ref.mean()
+        assert np.max(np.abs(chi - ref)) <= 1e-12 * np.max(np.abs(chi))
+
+
+def test_stacked_2d_solve_matches_each_sample_alone():
+    # samples of increasing contrast need different iteration counts
+    field = builtin_family("expr(exp(4*x1*sin(2*pi*y1)*sin(2*pi*y2)))", 2)
+    grid = Grid.torus(2, 12)
+    y = grid.nodes()
+    frozen = tuple((x1, 0.0) for x1 in np.linspace(0.0, 1.0, 7))
+    values = np.stack([field(np.broadcast_to(f, y.shape), [y]) for f in frozen])
+    stack = CellStack(grid, values, frozen, tol=1e-11)
+    solved = solve_stack(stack)
+    tensors = effective_tensors(stack, solved.chi, mu=field.mu)
+    assert len(set(solved.iterations[:, 0])) > 2
+    for s in range(len(frozen)):
+        problem = stack.problem(s)
+        alone = solve_corrector(problem)
+        assert tuple(solved.iterations[s]) == alone.iterations
+        eff = effective_tensor(problem, alone, mu=field.mu)
+        scale = np.max(np.abs(eff.tensor))
+        assert np.max(np.abs(tensors[s].tensor - eff.tensor)) <= 1e-13 * scale
+    assert np.all(solved.residuals <= 1e-11)
 
 
 def test_dimensional_reduction_2d_laminate():

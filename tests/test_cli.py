@@ -91,7 +91,7 @@ def test_rate_csv_rfc4180_and_deterministic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("base, extra", [
-    pytest.param(LAMINATE, "cell.tol = 1e-6\n", id="laminate-cell.tol"),
+    pytest.param(CHECKERBOARD, "cell.tol = 1e-6\n", id="checkerboard-cell.tol"),
     pytest.param(CHECKERBOARD, "cell.resolution = 16\n",
                  id="checkerboard-cell.resolution"),
 ])
@@ -103,6 +103,14 @@ def test_rate_honours_cell_keys(tmp_path, capsys, base, extra):
         assert run(["rate", "--config", cfg], capsys)[0] == 0
         tables.append((out / "rate.csv").read_bytes())
     assert tables[0] != tables[1]
+
+
+def test_cell_tol_rejected_in_1d(tmp_path, capsys):
+    # 1D correctors are exact, so a tolerance would change nothing
+    cfg, _ = setup(tmp_path, LAMINATE + "cell.tol = 1e-6\n")
+    code, _, err = run(["rate", "--config", cfg], capsys)
+    assert code == 2
+    assert "key 'cell.tol'" in err
 
 
 @pytest.mark.parametrize("command, line, key", [
@@ -281,6 +289,83 @@ def test_solver_failure_exits_3_and_records_manifest(tmp_path, capsys,
     assert "solver failure" in err
     manifest = json.loads((out / "manifest-cell.json").read_text())
     assert "stagnated" in manifest["failure"]
+
+
+# contrast exp(+-4 x1) grows with x1, so the frozen samples of one slab need
+# different iteration counts; the sample at x1 = 0 is constant and needs none
+GRADED = """field = expr(exp(4*x1*sin(2*pi*y1)*sin(2*pi*y2)))
+dim = 2
+eps = 1/8
+cell.resolution = 8
+"""
+
+
+def test_stagnating_sample_inside_a_slab_exits_3(tmp_path, capsys, monkeypatch):
+    from reiterate import cell, grid
+
+    counts = []
+
+    def recording_pcg(*args, **kwargs):
+        x, info = grid.pcg(*args, **kwargs)
+        counts.extend(info["sample_iterations"])
+        return x, info
+
+    monkeypatch.setattr(cell, "pcg", recording_pcg)
+    (tmp_path / "probe").mkdir()
+    cfg, _ = setup(tmp_path / "probe", GRADED)
+    assert run(["cascade", "--config", cfg], capsys)[0] == 0
+    easy, hard = min(c for c in counts if c > 0), max(counts)
+    assert easy < hard
+
+    # a cap between the two lets most samples of the slab converge
+    cap = (easy + hard) // 2
+    monkeypatch.setattr(cell, "pcg", lambda *a, **k: grid.pcg(*a, **k, maxiter=cap))
+    cfg, out = setup(tmp_path, GRADED)
+    code, _, err = run(["cascade", "--config", cfg], capsys)
+    assert code == 3
+    assert "solver failure" in err and f"stagnated after {cap}" in err
+    manifest = json.loads((out / "manifest-cascade.json").read_text())
+    assert "stagnated" in manifest["failure"]
+
+
+def test_cascade_records_method_and_residual_per_level(tmp_path, capsys):
+    for name, text, method in (("one", PRODUCT, "closed-form"),
+                               ("two", GRADED, "jacobi-pcg")):
+        (tmp_path / name).mkdir()
+        cfg, out = setup(tmp_path / name, text)
+        assert run(["cascade", "--config", cfg], capsys)[0] == 0
+        summary = json.loads((out / "cascade.json").read_text())
+        levels = json.loads((out / "manifest-cascade.json").read_text())[
+            "residuals"]["levels"]
+        for lv in summary["levels"]:
+            assert lv["method"] == method
+            assert 0.0 <= lv["max_residual"] <= 1e-10
+            assert (lv["iterations"] == 0) == (method == "closed-form")
+            assert levels[str(lv["level"])] == {
+                key: lv[key] for key in ("method", "iterations", "max_residual")}
+
+
+def test_exact_1d_tensor_prints_no_tolerance(tmp_path, capsys):
+    cfg, _ = setup(tmp_path, PRODUCT)
+    code, stdout, _ = run(["cascade", "--config", cfg], capsys)
+    assert code == 0
+    assert "A_hat = 3.000000\n" in stdout and "+/-" not in stdout
+
+
+def test_cached_rerun_writes_identical_cascade_summary(tmp_path, capsys):
+    cfg, out = setup(tmp_path, GRADED)
+    summaries = []
+    for _ in range(3):
+        assert run(["cascade", "--config", cfg], capsys)[0] == 0
+        summaries.append((out / "cascade.json").read_bytes())
+    fresh, replay = (json.loads(text) for text in summaries[:2])
+    assert replay["cache_hit_rate"] == 1.0
+    assert summaries[2] == summaries[1]
+    # the replay reads the solved iteration counts back and solves nothing
+    for a, b in zip(fresh["levels"], replay["levels"]):
+        assert b["cache_misses"] == 0 and b["max_residual"] is None
+        for key in ("samples", "iterations", "method", "spectrum"):
+            assert a[key] == b[key]
 
 
 def test_cache_flag_beats_environment(tmp_path, capsys, monkeypatch):

@@ -148,6 +148,19 @@ def test_slow_modulated_requires_positive_floor():
         builtin_family("slow_modulated(laminate1d(2+sin(2*pi*y1)), offset=1, amplitude=2)", 1)
 
 
+@pytest.mark.parametrize("spec, d, axes", [
+    ("slow_modulated(laminate1d(2+sin(2*pi*y1)), k1=1)", 2, (0,)),
+    ("slow_modulated(laminate1d(2+sin(2*pi*y1)), k1=0, k2=2)", 2, (1,)),
+    ("slow_modulated(laminate1d(2+sin(2*pi*y1)), k1=1, k2=1)", 2, (0, 1)),
+    ("slow_modulated(expr(2+sin(2*pi*x2)*sin(2*pi*y1)), k1=1)", 2, (0, 1)),
+    ("expr(2+sin(2*pi*x2)+sin(2*pi*y1))", 2, (1,)),
+    ("expr(2+exp(sin(2*pi*y1)))", 2, ()),
+    ("matrix2d(2+x1, 0, 2+sin(2*pi*y2))", 2, (0,)),
+])
+def test_depends_on_x_names_the_axes_read(spec, d, axes):
+    assert builtin_family(spec, d).depends_on_x == axes
+
+
 def test_slow_modulated_depends_on_x():
     field = builtin_family(
         "slow_modulated(laminate1d(2+sin(2*pi*y1)), offset=2, amplitude=1, k1=1)", 1)

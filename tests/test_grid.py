@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reiterate.dirichlet import BVP, solve_homogenized
-from reiterate.errors import CompatibilityError, ResolutionError
+from reiterate.errors import CompatibilityError, ResolutionError, SolverFailure
 from reiterate.grid import (
     FluxStencil,
     Grid,
@@ -480,3 +480,24 @@ def test_l2_norm_quadrature_weight():
     f = GridFunction(g, np.ones(g.node_shape))
     # sqrt(h * count) = sqrt(extent + h) for the node-inclusive box
     assert l2_norm(f) == pytest.approx(np.sqrt(2.0 + g.spacing[0]), rel=1e-12)
+
+
+def test_stacked_pcg_keeps_per_system_counts_and_flags_the_stagnating_one():
+    # three diagonal systems: one converges at once, one needs every
+    # eigenvalue (n steps), and one has a zero right-hand side
+    n = 6
+    diag = np.stack([np.full(n, 2.0), np.arange(1.0, n + 1), np.ones(n)])
+    b = np.stack([np.ones(n), np.ones(n), np.zeros(n)])
+    x, info = pcg(lambda v: diag * v, b, lambda r: r.copy(), tol=1e-12, stacked=True)
+    assert np.allclose(x[:2], b[:2] / diag[:2], rtol=1e-12) and not x[2].any()
+    assert info["sample_iterations"] == [1, n, 0]
+    assert info["iterations"] == n + 1
+    assert [len(h) for h in info["sample_residuals"]] == [1, n, 0]
+    assert info["residuals"][-1] == max(h[-1] for h in info["sample_residuals"] if h)
+
+    with pytest.raises(SolverFailure) as caught:
+        pcg(lambda v: diag * v, b, lambda r: r.copy(), tol=1e-12, maxiter=3,
+            stacked=True)
+    # the history is the stagnating system's own, one entry per step
+    assert len(caught.value.residuals) == 3
+    assert caught.value.residuals[-1] > 1e-12
