@@ -25,8 +25,8 @@ import numpy as np
 
 from .cascade import CascadeResult, homogenize_all
 from .coeff import CoefficientField, CoefficientSpec, ScaleLadder, builtin_family
-from .dirichlet import BVP
-from .errors import ConfigError
+from .dirichlet import BVP, cells_per_axis, require_resolved
+from .errors import ConfigError, ResolutionError
 from .expr import compile_expression
 from .grid import Grid
 from .probes import T_CANDIDATES
@@ -93,7 +93,7 @@ KNOWN_KEYS = {
     "probe.radius": "number > 0",
     "probe.rho": "number > 0",
     "probe.t": "one of 1/16, 1/32, 1/64",
-    "tol.solver": "solver tolerance in (0, 1e-4]",
+    "tol.solver": "solver tolerance in (0, 1e-4], dim = 2 only",
     "out": "output directory path",
     "cache": "cache directory path",
 }
@@ -140,15 +140,13 @@ class ExperimentConfig:
                               cache=cache)
 
     def resolution_for(self, ladder: ScaleLadder) -> int:
-        if self.resolution is not None:
-            return self.resolution
         lo, hi = self.domain
-        return int(np.ceil((hi - lo) * self.cells_per_scale / ladder.finest))
+        return self.resolution or cells_per_axis(hi - lo, self.cells_per_scale,
+                                                 ladder.finest)
 
     def grid_for(self, ladder: ScaleLadder) -> Grid:
         lo, hi = self.domain
-        n = self.resolution_for(ladder)
-        return Grid.box((lo,) * self.d, (hi,) * self.d, n)
+        return Grid.box((lo,) * self.d, (hi,) * self.d, self.resolution_for(ladder))
 
     def pointwise(self, source: str):
         """Compile an expression in x1..xd into a function of node points."""
@@ -327,9 +325,10 @@ def parse_config(path: str) -> ExperimentConfig:
         if value is not None and not 0.0 < value <= 1e-4:
             errors.append(f"key {key!r}: got {value:g}; expected "
                           f"{KNOWN_KEYS[key]}")
-    if d == 1 and "cell.tol" in pairs:
-        errors.append("key 'cell.tol': 1D cell problems are solved exactly, so a "
-                      "tolerance changes nothing; remove the key")
+    for key, problem in (("cell.tol", "cell"), ("tol.solver", "box")):
+        if d == 1 and key in pairs:
+            errors.append(f"key {key!r}: 1D {problem} problems are solved exactly, "
+                          "so a tolerance changes nothing; remove the key")
 
     rhs_source = pairs.get("bvp.rhs", "1")
     boundary_source = pairs.get("bvp.boundary", "0")
@@ -373,33 +372,7 @@ def parse_config(path: str) -> ExperimentConfig:
                       f"{KNOWN_KEYS['probe.t']}")
         t_shrink = None
 
-    out = pairs.get("out", "runs")
-    cache_dir = pairs.get("cache")
-
-    if d is not None and ladders and domain is not None:
-        width = domain[1] - domain[0]
-        for ladder in ladders:
-            n = resolution or int(np.ceil(width * cells_per_scale / ladder.finest))
-            spacing = width / n
-            # node arrays for solution, rhs, boundary, coefficient, pcg workspace
-            memory = (4 + d * d) * 8 * (n + 1) ** d
-            if spacing > ladder.finest / 8 * (1 + 1e-12):
-                needed = int(np.ceil(width * 8 / ladder.finest))
-                errors.append(
-                    f"key 'resolution': spacing {spacing:g} exceeds an eighth "
-                    f"of the finest scale {ladder.finest:g}; need at least "
-                    f"{needed} cells per axis")
-            elif memory > MEMORY_LIMIT_BYTES:
-                errors.append(
-                    f"key 'resolution': {n} cells per axis in dimension {d} "
-                    f"needs about {memory / 2**30:.1f} GiB, over the "
-                    f"{MEMORY_LIMIT_BYTES / 2**30:.0f} GiB limit")
-
-    if errors:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
-
-    items = tuple(sorted(pairs.items()))
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         field_source=field_source, field=field, d=d,
         eps_values=tuple(eps_values) if eps_values is not None else (),
         lambdas=tuple(lambdas) if lambdas is not None else None,
@@ -410,4 +383,25 @@ def parse_config(path: str) -> ExperimentConfig:
         rhs_source=rhs_source, boundary_source=boundary_source,
         probe=ProbeParams(p=probe_p, theta=theta, center=center,
                           radius=radius, rho=rho, t=t_shrink),
-        solver_tol=solver_tol, out=out, cache_dir=cache_dir, items=items)
+        solver_tol=solver_tol, out=pairs.get("out", "runs"),
+        cache_dir=pairs.get("cache"), items=tuple(sorted(pairs.items())))
+
+    # feasibility of the grids the solves will use
+    for ladder in ladders if d is not None else ():
+        grid = cfg.grid_for(ladder)
+        try:
+            require_resolved(grid, ladder)
+        except ResolutionError as exc:
+            errors.append(f"key 'resolution': {exc}")
+            continue
+        # node arrays for solution, rhs, boundary, coefficient, pcg workspace
+        memory = (4 + d * d) * 8 * (grid.shape[0] + 1) ** d
+        if memory > MEMORY_LIMIT_BYTES:
+            errors.append(
+                f"key 'resolution': {grid.shape[0]} cells per axis in dimension {d} "
+                f"needs about {memory / 2**30:.1f} GiB, over the "
+                f"{MEMORY_LIMIT_BYTES / 2**30:.0f} GiB limit")
+
+    if errors:
+        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
+    return cfg

@@ -44,12 +44,17 @@ class BVP:
                    boundary=GridFunction.from_callable(grid, boundary))
 
 
+def cells_per_axis(width: float, cells_per_scale: int, finest: float) -> int:
+    """The grid-size law: cells_per_scale cells across the finest scale."""
+    return int(np.ceil(width * cells_per_scale / finest))
+
+
 def require_resolved(grid: Grid, ladder: ScaleLadder) -> None:
     """Spacing must not exceed an eighth of the finest scale."""
     h = max(grid.spacing)
     finest = ladder.finest
     if h > finest / 8 * (1 + 1e-12):
-        needed = int(np.ceil((grid.hi[0] - grid.lo[0]) * 8 / finest))
+        needed = cells_per_axis(grid.hi[0] - grid.lo[0], 8, finest)
         raise ResolutionError(
             f"grid spacing {h:g} exceeds eps_n/8 = {finest / 8:g}; "
             f"need at least {needed} cells per axis")

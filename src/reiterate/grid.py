@@ -23,9 +23,9 @@ of two preconditioners:
 
 The periodic stencils and pcg accept a leading sample axis, so a stack
 of cells is solved by one loop with a per-sample convergence test; a
-single system is the same loop on a stack of one.  1D boxes skip the
-iteration and use a banded direct solve, and 1D cell correctors have a
-closed form (see ``cell``).
+single system is the same loop on a stack of one.  In 1D nothing
+iterates: box solves integrate the flux twice in closed form, and so do
+the cell correctors (see ``cell``).  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -559,8 +559,8 @@ def _project_mean(values: np.ndarray):
     values -= values.mean()
 
 
-def solve_periodic_elliptic(a: GridFunction, rhs: GridFunction, tol: float = 1e-10,
-                            maxiter: int = 100_000) -> GridFunction:
+def solve_periodic_elliptic(a: GridFunction, rhs: GridFunction,
+                            tol: float = 1e-10) -> GridFunction:
     """Solve -div(a grad u) = rhs on the torus with mean(u) = 0."""
     grid = a.grid
     if not grid.periodic:
@@ -575,19 +575,19 @@ def solve_periodic_elliptic(a: GridFunction, rhs: GridFunction, tol: float = 1e-
         )
     stencil = FluxStencil(a)
     diag = stencil.diagonal()
-    u, info = pcg(stencil.apply, b, lambda r: r / diag, tol=tol, maxiter=maxiter,
-                  project=_project_mean)
+    u, info = pcg(stencil.apply, b, lambda r: r / diag, tol=tol, project=_project_mean)
     info["preconditioner"] = "jacobi"
     u -= u.mean()
     return GridFunction(grid, u, meta=info)
 
 
 def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
-                        tol: float = 1e-10, maxiter: int = 100_000) -> GridFunction:
+                        tol: float = 1e-10) -> GridFunction:
     """Solve -div(a grad u) = rhs on a box with u = boundary_values on the faces.
 
-    1D boxes use a banded direct solve; 2D boxes use PCG preconditioned by
-    laplacian_inverse.  ``meta`` names the method under "preconditioner".
+    1D boxes are solved exactly in closed form (0 iterations, tolerance 0);
+    2D boxes use PCG preconditioned by laplacian_inverse.  ``meta`` names
+    the method under "preconditioner".
     """
     grid = a.grid
     if grid.periodic:
@@ -618,8 +618,7 @@ def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
             out[mask] = 0.0
             return out
 
-        v, info = pcg(apply_interior, b, laplacian_inverse(stencil), tol=tol,
-                      maxiter=maxiter)
+        v, info = pcg(apply_interior, b, laplacian_inverse(stencil), tol=tol)
         info["preconditioner"] = "laplacian-dst1"
     u = v + lift
     u[mask] = bv[mask]
@@ -627,21 +626,22 @@ def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
 
 
 def _tridiagonal_box_solve(faces: np.ndarray, b: np.ndarray, h: float):
-    """Direct banded solve of the 1D interior system; exact and O(n)."""
-    from scipy.linalg import solve_banded
+    """Exact O(n) solve of the 1D interior system with v = 0 at both ends.
 
-    n = b.size - 1
-    scale = 1.0 / h**2
-    ab = np.zeros((3, n - 1))
-    ab[1] = (faces[:-1] + faces[1:]) * scale
-    ab[0, 1:] = -faces[1:-1] * scale
-    ab[2, :-1] = -faces[1:-1] * scale
-    v = np.zeros(n + 1)
-    v[1:-1] = solve_banded((1, 1), ab, b[1:-1])
-    resid = ab[1] * v[1:-1] - faces[:-1] * scale * v[:-2] - faces[1:] * scale * v[2:]
+    The face flux F = faces diff(v) / h drops by h b_i across interior node
+    i, so F = c - h cumsum(b) and v = cumsum(h F / faces), with c chosen so
+    that v vanishes at the right end.  perfbench/tracer.py binds this name.
+    """
+    flux = np.concatenate(([0.0], -h * np.cumsum(b[1:-1])))
+    step = h / faces
+    flux -= np.dot(step, flux) / np.sum(step)
+    v = np.zeros_like(b)
+    v[1:-1] = np.cumsum(step[:-1] * flux[:-1])
+    # the recorded residual comes from one application of the interior operator
+    resid = -np.diff(faces * np.diff(v) / h) / h - b[1:-1]
     norm_b = float(np.linalg.norm(b[1:-1])) or 1.0
-    info = {"iterations": 1, "residuals": [float(np.linalg.norm(resid - b[1:-1])) / norm_b],
-            "tol": 0.0, "preconditioner": "banded"}
+    info = {"iterations": 0, "residuals": [float(np.linalg.norm(resid)) / norm_b],
+            "tol": 0.0, "preconditioner": "closed-form"}
     return v, info
 
 

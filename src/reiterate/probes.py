@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff import CoefficientField, ScaleLadder
-from .dirichlet import BVP, solve_homogenized, solve_multiscale
+from .dirichlet import BVP, cells_per_axis, solve_homogenized, solve_multiscale
 from .grid import Grid, GridFunction, ball_average, gradient, l2_norm
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -102,7 +102,7 @@ def rate_sweep(field: CoefficientField, eps_values, ladder_for, *, effective,
     warnings: list[str] = []
     for eps in eps_values:
         ladder = ladder_for(eps)
-        needed = int(np.ceil(cells_per_scale / ladder.finest))
+        needed = cells_per_axis(1.0, cells_per_scale, ladder.finest)
         if needed > max_resolution:
             warnings.append(
                 f"eps={eps:g} needs {needed} cells per axis, over the cap "
@@ -171,7 +171,7 @@ def approximate_by_homogenized(field: CoefficientField, ladder: ScaleLadder, *,
     if ladder.scales[0] > r * (1 + 1e-12):
         raise ValueError(f"coarsest scale {ladder.scales[0]:g} exceeds the "
                          f"probe radius {r:g}")
-    n = int(np.ceil(cells_per_scale / ladder.finest))
+    n = cells_per_axis(1.0, cells_per_scale, ladder.finest)
     if n % 2:
         n += 1  # keep the box center on a node
     grid = Grid.box((0.0,) * d, (1.0,) * d, n)

@@ -106,11 +106,39 @@ def test_rate_honours_cell_keys(tmp_path, capsys, base, extra):
 
 
 def test_cell_tol_rejected_in_1d(tmp_path, capsys):
-    # 1D correctors are exact, so a tolerance would change nothing
-    cfg, _ = setup(tmp_path, LAMINATE + "cell.tol = 1e-6\n")
-    code, _, err = run(["rate", "--config", cfg], capsys)
-    assert code == 2
-    assert "key 'cell.tol'" in err
+    # 1D correctors and 1D boxes are solved exactly, so a tolerance for
+    # either would change nothing
+    for key, value in (("cell.tol", "1e-6"), ("tol.solver", "1e-5")):
+        (tmp_path / key).mkdir()
+        cfg, _ = setup(tmp_path / key, LAMINATE + f"{key} = {value}\n")
+        code, _, err = run(["rate", "--config", cfg], capsys)
+        assert code == 2
+        assert f"key '{key}'" in err
+
+
+@pytest.mark.parametrize("command, line, artifact", [
+    pytest.param("cascade", "separation_n = 2", "manifest-cascade.json",
+                 id="separation_n"),
+    pytest.param("solve", "cells_per_scale = 32", "norms.csv", id="cells_per_scale"),
+    pytest.param("excess", "probe.p = 3", "excess.csv", id="probe.p"),
+    # 1/2 would not do: the excess uses min(theta, 1 - d/p) = 1/2 by default
+    pytest.param("excess", "probe.theta = 1/4", "excess.csv", id="probe.theta"),
+    pytest.param("approx", "probe.rho = 1/4", "approx.csv", id="probe.rho"),
+    pytest.param("certify", "probe.t = 1/32", "manifest-certify.json", id="probe.t"),
+])
+def test_key_changes_its_subcommand_output(tmp_path, capsys, command, line,
+                                          artifact):
+    outputs = []
+    for name, text in (("default", PRODUCT), ("changed", PRODUCT + line + "\n")):
+        (tmp_path / name).mkdir()
+        cfg, out = setup(tmp_path / name, text)
+        assert run([command, "--config", cfg], capsys)[0] == 0
+        if artifact.endswith(".json"):
+            # the digest and the timing block differ for any two configs
+            outputs.append(json.loads((out / artifact).read_text())["results"])
+        else:
+            outputs.append((out / artifact).read_bytes())
+    assert outputs[0] != outputs[1]
 
 
 @pytest.mark.parametrize("command, line, key", [
@@ -189,13 +217,13 @@ def test_certify_manifest_lists_its_box_solves(tmp_path, capsys):
     assert all(s["iterations"] <= 2 for s in solves[1:])
 
 
-def test_solve_manifest_records_the_banded_solve(tmp_path, capsys):
+def test_solve_manifest_records_the_closed_form_solve(tmp_path, capsys):
     cfg, out = setup(tmp_path, SINGLE)
     assert run(["solve", "--config", cfg], capsys)[0] == 0
     manifest = json.loads((out / "manifest-solve.json").read_text())
     (entry,) = manifest["residuals"]["solves"]
     assert entry["stage"] == "solve-0" and entry["grid"] == [128]
-    assert entry["preconditioner"] == "banded" and entry["iterations"] == 1
+    assert entry["preconditioner"] == "closed-form" and entry["iterations"] == 0
 
 
 def test_rate_on_slow_homogenized_coefficient(tmp_path, capsys):

@@ -300,6 +300,37 @@ def test_box_solve_variable_coefficient_convergence_order():
     assert errs[0] / errs[1] > 3.5 and errs[1] / errs[2] > 3.5
 
 
+@pytest.mark.parametrize("n", [101, 128])
+def test_1d_closed_form_matches_dense_solve(n):
+    # contrast 7 coefficient on [0, 2], u(0) = 0.2 and u(2) = 1.6
+    g = Grid.box(0.0, 2.0, n)
+    x = g.axis_coords(0)
+    a = GridFunction(g, (2.0 + 1.5 * np.sin(14 * np.pi * x))[:, None, None])
+    rhs = GridFunction(g, 1.0 + np.cos(3 * x))
+    bv = GridFunction(g, 0.2 + 0.7 * x)
+    u = solve_box_dirichlet(a, rhs, bv)
+    assert u.meta["preconditioner"] == "closed-form" and u.meta["iterations"] == 0
+
+    # the dense interior matrix, assembled column by column from the stencil
+    stencil = FluxStencil(a)
+    columns = [stencil.apply(e)[1:-1] for e in np.eye(n + 1)[1:-1]]
+    lift = np.where(g.boundary_mask(), bv.values, 0.0)
+    b = rhs.values[1:-1] - stencil.apply(lift)[1:-1]
+    reference = lift.copy()
+    reference[1:-1] = np.linalg.solve(np.stack(columns, axis=1), b)
+    assert np.max(np.abs(u.values - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_1d_closed_form_residual_stays_small_on_fine_grids():
+    g = Grid.box(0.0, 1.0, 65536)
+    x = g.axis_coords(0)
+    a = GridFunction(g, (2.0 + np.sin(74 * np.pi * x))[:, None, None])
+    u = solve_box_dirichlet(a, GridFunction(g, 1.0 + np.cos(3 * x)),
+                            GridFunction(g, 0.2 + 0.7 * x))
+    assert u.meta["tol"] == 0.0
+    assert u.meta["residuals"][-1] <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # box preconditioner
 
@@ -409,6 +440,10 @@ def test_box_solve_loads_no_scipy_and_cli_import_no_fft():
         "u = solve_box_dirichlet(GridFunction.constant(g, np.eye(2)),\n"
         "                        GridFunction.constant(g, 1.0), 0.0)\n"
         "assert u.meta['preconditioner'] == 'laplacian-dst1'\n"
+        "g = Grid.box(0.0, 1.0, 64)\n"
+        "u = solve_box_dirichlet(GridFunction.constant(g, np.eye(1)),\n"
+        "                        GridFunction.constant(g, 1.0), 0.0)\n"
+        "assert u.meta['preconditioner'] == 'closed-form'\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
