@@ -1,12 +1,17 @@
-"""Disk cache for cell-problem solves.
+"""Disk cache for cell-problem solves, one entry per slab.
 
+A cascade level solves its samples in fixed slabs (cascade._SLAB_NODES),
+and an entry holds one whole slab: a stacked .bin of its correctors,
+shaped (samples, *cell nodes, d), and a JSON sidecar with the stack shape
+and, for every sample, the frozen row, tensor, spectrum and iterations.
 Entries are keyed by the coefficient field digest, the cascade level, the
-frozen slow arguments, the cell resolution, and the solver tolerance, so a
+slab's frozen rows, the cell resolution, the solver tolerance and d, so a
 repeated run replays tensors and correctors instead of solving again.
+A slab hits or misses as a whole; the hit and miss counters count samples.
 Each file of an entry lands whole through a temporary file and
-os.replace, and the JSON sidecar lands last, so a reader either sees a
-complete entry or none.  Corrupt or truncated entries are evicted on
-lookup and count as misses.
+os.replace, and the sidecar lands last, so a reader either sees a
+complete entry or none.  Corrupt or truncated entries, and sidecars that
+disagree with the request, are evicted on lookup and count as misses.
 """
 
 from __future__ import annotations
@@ -19,13 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .cell import load_correctors, save_correctors
+from .grid import atomic_bytes
 
 
-def _entry_key(level: int, frozen, resolution, tol: float, d: int) -> str:
+def _entry_key(level: int, frozen_rows, resolution, tol: float, d: int) -> str:
     payload = json.dumps({
         "level": level,
-        "frozen": ["%.17g" % float(v) for v in frozen],
+        "frozen": [["%.17g" % float(v) for v in row] for row in frozen_rows],
         "resolution": list(np.atleast_1d(resolution).tolist()),
         "tol": "%.17g" % tol,
         "d": d,
@@ -33,43 +38,77 @@ def _entry_key(level: int, frozen, resolution, tol: float, d: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
+def load_correctors(stem):
+    """(chi stack, sidecar) of one entry; ValueError when the .bin does not
+    hold exactly the stack shape the sidecar gives."""
+    with open(f"{stem}.json") as fh:
+        sidecar = json.load(fh)
+    with open(f"{stem}.bin", "rb") as fh:
+        raw = fh.read()
+    chi = np.frombuffer(raw, dtype="<f8").reshape([int(n) for n in sidecar["shape"]])
+    return chi.copy(), sidecar
+
+
 class CorrectorCache:
-    """Content-addressed store of corrector solves under a root directory."""
+    """Content-addressed store of slab solves under a root directory."""
 
     def __init__(self, root: str | os.PathLike | None = None):
         root = root or os.environ.get("REITERATE_CACHE") or ".reiterate-cache"
         self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
+        self.hits = 0  # samples
+        self.misses = 0  # samples
+        self.stores = 0  # entries
 
     def _stem(self, field_digest: str, level: int, key: str) -> Path:
         return self.root / field_digest / f"L{level}" / key
 
-    def lookup(self, field_digest: str, level: int, frozen, resolution, tol: float, d: int):
-        """Return (chi, tensor, sidecar) or None; evicts unreadable entries."""
-        key = _entry_key(level, frozen, resolution, tol, d)
-        stem = self._stem(field_digest, level, key)
+    def lookup(self, field_digest: str, level: int, frozen_rows, resolution,
+               tol: float, d: int):
+        """Return (chi stack, sidecar) for a slab or None; evicts entries
+        that are unreadable or describe another slab."""
+        rows = [[float(v) for v in row] for row in frozen_rows]
+        resolution = list(np.atleast_1d(resolution).tolist())
+        stem = self._stem(field_digest, level,
+                          _entry_key(level, rows, resolution, tol, d))
         if not (stem.with_suffix(".json").exists() and stem.with_suffix(".bin").exists()):
-            self.misses += 1
+            self.misses += len(rows)
             return None
         try:
-            chi, tensor, sidecar = load_correctors(stem)
-        except (ValueError, OSError, json.JSONDecodeError):
+            chi, sidecar = load_correctors(stem)
+            ok = (sidecar["frozen"] == rows and sidecar["resolution"] == resolution
+                  and sidecar["tol"] == tol
+                  and list(chi.shape) == [len(rows)] + resolution + [d]
+                  and all(len(sidecar[k]) == len(rows)
+                          for k in ("tensor", "spectrum", "iterations")))
+        except (ValueError, OSError, KeyError, TypeError):
+            ok = False
+        if not ok:
             self.evict(stem)
-            self.misses += 1
+            self.misses += len(rows)
             return None
-        self.hits += 1
-        return chi, tensor, sidecar
+        self.hits += len(rows)
+        return chi, sidecar
 
-    def store(self, field_digest: str, level: int, correctors, tensor) -> Path:
-        problem = correctors.problem
-        key = _entry_key(level, problem.frozen, problem.grid.shape, problem.tol,
-                         problem.grid.d)
-        stem = self._stem(field_digest, level, key)
+    def store(self, field_digest: str, level: int, stack, solved, tensors) -> Path:
+        """Write one slab: the CellStack, its StackSolution and EffectiveTensors."""
+        grid = stack.grid
+        rows = [[float(v) for v in row] for row in stack.frozen]
+        stem = self._stem(field_digest, level,
+                          _entry_key(level, rows, grid.shape, stack.tol, grid.d))
         stem.parent.mkdir(parents=True, exist_ok=True)
-        # save_correctors writes the sidecar last: it marks the entry complete
-        save_correctors(correctors, tensor, stem)
+        chi = np.ascontiguousarray(solved.chi, dtype="<f8")
+        atomic_bytes(f"{stem}.bin", chi.tobytes())
+        sidecar = {
+            "frozen": rows,
+            "tol": stack.tol,
+            "resolution": list(grid.shape),
+            "shape": list(chi.shape),
+            "iterations": solved.iterations.tolist(),
+            "tensor": [t.tensor.tolist() for t in tensors],
+            "spectrum": [list(t.spectrum) for t in tensors],
+        }
+        # the sidecar lands last: it marks the entry complete
+        atomic_bytes(f"{stem}.json", json.dumps(sidecar, sort_keys=True).encode())
         self.stores += 1
         return stem
 

@@ -11,11 +11,11 @@ Sample coordinates follow the slot-major layout of the coefficient
 fields: d slow dimensions first (each collapsed to a point when the field
 ignores that coordinate of x), then d dimensions per remaining fast slot.
 
-A level first looks every sample up in the cache, then solves the misses
-in slabs: stacks of samples with a leading sample axis, each tabulated by
-one coefficient call, solved by one stacked cell solve and reduced to
-tensors in one pass.  Results are checked and cached per sample.  A slab
-holds at most _SLAB_NODES cell nodes, which bounds its memory.
+A level splits its samples, in np.ndindex order, into fixed slabs of at
+most _SLAB_NODES cell nodes, which bounds their memory.  Each slab is one
+cache entry: it is looked up whole, and on a miss it is tabulated by one
+coefficient call, solved by one stacked cell solve (a leading sample
+axis), reduced to tensors in one pass, checked and stored whole.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from .cell import (CELL_METHOD, DEFAULT_RESOLUTION, CellStack, EffectiveTensor,
 from .coeff import CoefficientField, ScaleLadder
 from .grid import Grid
 
-# cell nodes per slab: larger slabs buy little speed and cost peak memory
+# cell nodes per slab: larger slabs buy little speed and cost peak memory.
+# A slab's frozen rows key its cache entry, so changing this bound makes
+# every cached level miss once (it never serves a mismatched entry).
 _SLAB_NODES = 4096
 
 
@@ -271,52 +273,48 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
     key_resolution = (resolution,) * d
     cell_grid = Grid.torus(d, resolution)
 
-    values = np.empty(dims + (d, d))
-    spectra = np.empty(dims + (2,))
+    samples = int(np.prod(dims))
+    rows = [tuple(float(axes[a].coords[i]) for a, i in enumerate(index))
+            for index in np.ndindex(*dims)]
+    # flat tables: row s holds sample s, in np.ndindex order
+    values = np.empty((samples, d, d))
+    spectra = np.empty((samples, 2))
+    chi_table = np.empty((samples,) + cell_grid.node_shape + (d,)) if retain_correctors else None
     iterations = 0
-    chi_table = np.empty(dims + cell_grid.node_shape + (d,)) if retain_correctors else None
-
-    def fill(index, tensor, spectrum, chi, iters):
-        nonlocal iterations
-        values[index] = tensor
-        spectra[index] = spectrum
-        iterations += iters
-        if retain_correctors:
-            chi_table[index] = chi
-
-    misses = []
-    for index in np.ndindex(*dims):
-        frozen = tuple(float(axes[a].coords[i]) for a, i in enumerate(index))
-        entry = cache.lookup(digest, level, frozen, key_resolution, tol, d) if cached else None
-        if entry is None:
-            misses.append((index, frozen))
-            continue
-        chi, tensor, sidecar = entry
-        fill(index, tensor, sidecar["spectrum"], chi.values, sum(sidecar["iterations"]))
-
+    misses = 0
     max_residual = None
     per_slab = max(1, _SLAB_NODES // int(np.prod(cell_grid.node_shape)))
-    for start in range(0, len(misses), per_slab):
-        slab = misses[start:start + per_slab]
-        frozen = tuple(f for _, f in slab)
-        stack = CellStack(cell_grid, tabulate_cells(field, frozen, cell_grid), frozen, tol)
-        solved = solve_stack(stack)
-        tensors = effective_tensors(stack, solved.chi, mu=field.mu)
-        for s, (index, _) in enumerate(slab):
+    for start in range(0, samples, per_slab):
+        part = slice(start, start + per_slab)
+        frozen = rows[part]
+        entry = cache.lookup(digest, level, frozen, key_resolution, tol, d) if cached else None
+        if entry is not None:
+            chi, sidecar = entry
+            values[part] = sidecar["tensor"]
+            spectra[part] = sidecar["spectrum"]
+            iterations += int(np.sum(sidecar["iterations"]))
+        else:
+            misses += len(frozen)
+            stack = CellStack(cell_grid, tabulate_cells(field, frozen, cell_grid), frozen, tol)
+            solved = solve_stack(stack)
+            tensors = effective_tensors(stack, solved.chi, mu=field.mu)
             if cached:
-                cache.store(digest, level, solved.corrector_set(s, stack.problem(s)),
-                            tensors[s])
-            fill(index, tensors[s].tensor, tensors[s].spectrum, solved.chi[s],
-                   int(solved.iterations[s].sum()))
-        worst = float(solved.residuals.max())
-        max_residual = worst if max_residual is None else max(max_residual, worst)
+                cache.store(digest, level, stack, solved, tensors)
+            chi = solved.chi
+            values[part] = [t.tensor for t in tensors]
+            spectra[part] = [t.spectrum for t in tensors]
+            iterations += int(solved.iterations.sum())
+            worst = float(solved.residuals.max())
+            max_residual = worst if max_residual is None else max(max_residual, worst)
+        if retain_correctors:
+            chi_table[part] = chi
+    values = values.reshape(dims + (d, d))
 
     table = TensorField(d=d, n_slots=level - 1, axes=axes, values=values)
     child_digest = _descended_digest(digest, level, resolution, tol, dims)
     child = table.as_field(field, child_digest)
 
-    spectrum = (float(spectra[..., 0].min()), float(spectra[..., 1].max()))
-    samples = int(np.prod(dims))
+    spectrum = (float(spectra[:, 0].min()), float(spectra[:, 1].max()))
     constant = None
     if samples == 1:
         constant = EffectiveTensor(tensor=values.reshape(d, d), mu=field.mu,
@@ -324,14 +322,15 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
 
     record = CascadeLevel(level=level, tensor_field=table, field=child,
                           resolution=resolution, samples=samples,
-                          cache_hits=samples - len(misses), cache_misses=len(misses),
+                          cache_hits=samples - misses, cache_misses=misses,
                           iterations=iterations, spectrum=spectrum,
                           method=CELL_METHOD[d], max_residual=max_residual,
                           constant=constant)
     corrector_table = None
     if retain_correctors:
-        corrector_table = CorrectorTable(d=d, level=level, slower_axes=axes,
-                                         cell_grid=cell_grid, values=chi_table)
+        corrector_table = CorrectorTable(
+            d=d, level=level, slower_axes=axes, cell_grid=cell_grid,
+            values=chi_table.reshape(dims + cell_grid.node_shape + (d,)))
     return child, record, corrector_table
 
 

@@ -395,18 +395,19 @@ def main(argv=None) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(args.command, cfg)
+    failure = None
     try:
         HANDLERS[args.command](cfg, cache, out, manifest)
     except (ConfigError, ResolutionError, ValueError) as exc:
-        manifest.write(out, failure=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        failure, status, label = exc, 2, "error"
     except SolverFailure as exc:
-        manifest.write(out, failure=str(exc))
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
-    manifest.timing["cache"] = {
-        "hits": cache.hits, "misses": cache.misses, "root": str(cache.root)}
+        failure, status, label = exc, 3, "solver failure"
+    manifest.timing["cache"] = {"hits": cache.hits, "misses": cache.misses,
+                                "stores": cache.stores, "root": str(cache.root)}
+    if failure is not None:
+        manifest.write(out, failure=str(failure))
+        print(f"{label}: {failure}", file=sys.stderr)
+        return status
     path = manifest.write(out)
     print(f"manifest: {path}")
     return 0

@@ -5,6 +5,8 @@ g(t) = 2 + sin(2 pi t): integrating out y2 gives A_1(y1) = sqrt(3) g(y1)
 exactly, and integrating out y1 gives the constant 3.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -177,11 +179,13 @@ def test_slabbed_level_matches_per_sample_solves(tmp_path, monkeypatch):
     field = builtin_family(SLOW_2D, 2)
     store = CorrectorCache(tmp_path / "store")
     _, record, _ = descend(field, resolution=8, tol=1e-11, cache=store)
-    assert store.stores == record.samples == 33
+    assert record.samples == 33 and store.stores == 4  # slabs of 10, 10, 10, 3
     axis = record.tensor_field.axes[0]
+    rows = [(float(x1), 0.0) for x1 in axis.coords]
+    sidecars = [store.lookup(field.digest(), 1, rows[k:k + 10], (8, 8), 1e-11, 2)[1]
+                for k in range(0, 33, 10)]
     total = 0
-    for i, x1 in enumerate(axis.coords):
-        frozen = (float(x1), 0.0)
+    for i, frozen in enumerate(rows):
         problem = CellProblem.from_sampler(
             lambda y: field(np.broadcast_to(frozen, y.shape), [y]), d=2,
             resolution=8, frozen=frozen, tol=1e-11)
@@ -189,11 +193,43 @@ def test_slabbed_level_matches_per_sample_solves(tmp_path, monkeypatch):
         eff = effective_tensor(problem, alone, mu=field.mu)
         got = record.tensor_field.values[i, 0]
         assert np.max(np.abs(got - eff.tensor)) <= 1e-13 * np.max(np.abs(eff.tensor))
-        _, _, sidecar = store.lookup(field.digest(), 1, frozen, (8, 8), 1e-11, 2)
-        assert tuple(sidecar["iterations"]) == alone.iterations
+        assert tuple(sidecars[i // 10]["iterations"][i % 10]) == alone.iterations
         total += sum(alone.iterations)
     assert record.iterations == total
     assert record.method == "jacobi-pcg" and 0.0 < record.max_residual <= 1e-11
+
+
+def test_cold_level_writes_one_entry_per_slab(tmp_path, monkeypatch):
+    monkeypatch.setattr(cascade, "_SLAB_NODES", 10 * 64)
+    store = CorrectorCache(tmp_path / "store")
+    _, record, _ = descend(builtin_family(SLOW_2D, 2), resolution=8, tol=1e-11,
+                           cache=store)
+    files = [p for p in store.root.rglob("*") if p.is_file()]
+    assert len(files) == 2 * -(-record.samples // 10) == 8
+    assert store.misses == record.samples and store.stores == 4
+
+
+def test_cascade_2d_field_writes_36_cache_files(tmp_path):
+    # 33^2 x-samples on 8^2 cells: 64 samples per slab, 18 slabs
+    field = builtin_family(
+        "slow_modulated(checkerboard2d(1, 4, 8), amplitude=0.5, k1=1, k2=1)", 2)
+    store = CorrectorCache(tmp_path / "store")
+    result = homogenize_all(field, resolution=8, tol=1e-10, cache=store)
+    assert sum(lv.samples for lv in result.levels) == 1089
+    assert len([p for p in store.root.rglob("*") if p.is_file()]) == 36
+
+
+def test_changed_slab_size_misses_never_misserves(tmp_path, monkeypatch):
+    field = builtin_family(SLOW_2D, 2)
+    store = CorrectorCache(tmp_path / "store")
+    monkeypatch.setattr(cascade, "_SLAB_NODES", 10 * 64)
+    _, first, _ = descend(field, resolution=8, tol=1e-11, cache=store)
+    monkeypatch.setattr(cascade, "_SLAB_NODES", 7 * 64)
+    again = CorrectorCache(tmp_path / "store")
+    _, second, _ = descend(field, resolution=8, tol=1e-11, cache=again)
+    assert again.hits == 0 and again.misses == 33 and again.stores == 5
+    assert second.cache_hits == 0 and second.cache_misses == 33
+    assert np.array_equal(first.tensor_field.values, second.tensor_field.values)
 
 
 def test_holder_check_passes_for_product_field():
@@ -259,6 +295,14 @@ def test_second_run_is_served_from_cache(tmp_path):
                           second.levels[0].tensor_field.values)
 
 
+def test_cached_correctors_replay_exactly(tmp_path):
+    field = builtin_family(PRODUCT, 1)
+    runs = [homogenize_all(field, LADDER2, resolution=64, retain_correctors=True,
+                           cache=CorrectorCache(tmp_path / "store")) for _ in range(2)]
+    assert runs[1].levels[0].cache_misses == 0
+    assert np.array_equal(runs[0].corrector_table.values, runs[1].corrector_table.values)
+
+
 def test_cache_key_separates_resolution_and_tolerance(tmp_path):
     field = builtin_family(PRODUCT, 1)
     cache = CorrectorCache(tmp_path / "store")
@@ -269,27 +313,60 @@ def test_cache_key_separates_resolution_and_tolerance(tmp_path):
     assert cache.hits == hits  # nothing reused across resolution or tolerance
 
 
-def test_corrupt_entry_is_evicted_and_resolved(tmp_path):
+def _slab_samples(stem) -> int:
+    with open(stem.with_suffix(".json")) as fh:
+        return len(json.load(fh)["frozen"])
+
+
+def _replay_without(tmp_path, damage):
+    """Fill a cache, damage one entry, then check the replay entry by entry."""
     field = builtin_family(PRODUCT, 1)
     cache = CorrectorCache(tmp_path / "store")
     reference = homogenize_all(field, LADDER2, resolution=64, cache=cache)
-    victim = next(iter(cache.root.rglob("*.bin")))
-    victim.write_bytes(b"not a grid function")
+    stem = sorted(cache.root.rglob("*.json"))[0].with_suffix("")
+    victim = _slab_samples(stem)
+    damage(stem)
     cache2 = CorrectorCache(tmp_path / "store")
     replay = homogenize_all(field, LADDER2, resolution=64, cache=cache2)
-    assert cache2.misses == 1 and cache2.stores == 1
+    total = sum(lv.samples for lv in replay.levels)
+    # the victim slab's samples miss and land again as one entry; every other slab hits
+    assert cache2.misses == victim and cache2.stores == 1
+    assert cache2.hits == total - victim
+    assert _slab_samples(stem) == victim
+    for a, b in zip(reference.levels, replay.levels):
+        assert np.array_equal(a.tensor_field.values, b.tensor_field.values)
     assert np.array_equal(reference.effective.tensor, replay.effective.tensor)
 
 
+def test_corrupt_entry_is_evicted_and_resolved(tmp_path):
+    _replay_without(tmp_path, lambda stem: stem.with_suffix(".bin").write_bytes(
+        b"not a grid function"))
+
+
 def test_incomplete_entry_counts_as_miss(tmp_path):
-    field = builtin_family(PRODUCT, 1)
-    cache = CorrectorCache(tmp_path / "store")
-    homogenize_all(field, LADDER2, resolution=64, cache=cache)
-    victim = next(iter(cache.root.rglob("*.json")))
-    victim.unlink()
-    cache2 = CorrectorCache(tmp_path / "store")
-    homogenize_all(field, LADDER2, resolution=64, cache=cache2)
-    assert cache2.misses == 1
+    _replay_without(tmp_path, lambda stem: stem.with_suffix(".json").unlink())
+
+
+@pytest.mark.parametrize("key", ["frozen", "resolution", "tol", "shape", "tensor", "bin"])
+def test_sidecar_disagreeing_with_request_is_evicted(tmp_path, key):
+    def edit(stem):
+        sidecar = json.loads(stem.with_suffix(".json").read_text())
+        if key == "frozen":
+            sidecar["frozen"][0][0] += 0.5
+        elif key == "resolution":
+            sidecar["resolution"] = [32]
+        elif key == "tol":
+            sidecar["tol"] = 1e-8
+        elif key == "shape":  # same payload size, another stack shape
+            sidecar["shape"] = [int(np.prod(sidecar["shape"])), 1]
+        elif key == "tensor":
+            sidecar["tensor"].pop()
+        stem.with_suffix(".json").write_text(json.dumps(sidecar))
+        if key == "bin":
+            with open(stem.with_suffix(".bin"), "ab") as fh:
+                fh.write(bytes(8))
+
+    _replay_without(tmp_path, edit)
 
 
 def test_clean_removes_the_store(tmp_path):

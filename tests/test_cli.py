@@ -356,6 +356,40 @@ def test_stagnating_sample_inside_a_slab_exits_3(tmp_path, capsys, monkeypatch):
     assert "stagnated" in manifest["failure"]
 
 
+def test_every_exit_with_a_manifest_records_cache_counters(tmp_path, capsys,
+                                                          monkeypatch):
+    from reiterate import cascade
+    from reiterate.errors import SolverFailure
+
+    monkeypatch.setattr(cascade, "_SLAB_NODES", 10 * 64)  # 33 samples, 4 slabs
+    solve_stack = cascade.solve_stack
+    calls = []
+
+    def third_slab_fails(stack):
+        calls.append(stack)
+        if len(calls) == 3:
+            raise SolverFailure("PCG stagnated after 7 iterations")
+        return solve_stack(stack)
+
+    monkeypatch.setattr(cascade, "solve_stack", third_slab_fails)
+    cfg, out = setup(tmp_path, GRADED)
+    assert run(["cascade", "--config", cfg], capsys)[0] == 3
+    manifest = json.loads((out / "manifest-cascade.json").read_text())
+    assert "stagnated" in manifest["failure"]
+    cache = manifest["timing"]["cache"]
+    assert (cache["hits"], cache["misses"], cache["stores"]) == (0, 30, 2)
+
+    monkeypatch.setattr(cascade, "solve_stack", solve_stack)
+    assert run(["cascade", "--config", cfg], capsys)[0] == 0
+    cache = json.loads((out / "manifest-cascade.json").read_text())["timing"]["cache"]
+    assert (cache["hits"], cache["misses"], cache["stores"]) == (20, 13, 2)
+
+    cfg, out = setup(tmp_path, GRADED + "domain = 0, 2\n", name="rate.cfg")
+    assert run(["rate", "--config", cfg], capsys)[0] == 2
+    cache = json.loads((out / "manifest-rate.json").read_text())["timing"]["cache"]
+    assert (cache["hits"], cache["misses"], cache["stores"]) == (0, 0, 0)
+
+
 def test_cascade_records_method_and_residual_per_level(tmp_path, capsys):
     for name, text, method in (("one", PRODUCT, "closed-form"),
                                ("two", GRADED, "jacobi-pcg")):
