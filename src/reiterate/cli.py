@@ -11,6 +11,16 @@ Exit status: 0 on success, 2 on validation failure, 3 on solver failure.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread unless the caller set the variable: no solve path calls
+# BLAS, so a larger pool only spins.  numpy reads these once, when it loads,
+# so they are set before the first import of it (``import reiterate`` loads
+# no numpy).  Manifests record them under timing.threads.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import csv
 import io
@@ -67,7 +77,8 @@ class Manifest:
             "residuals": {},
             "results": {},
         }
-        self.timing = {"started": _now(), "stages": {}}
+        self.timing = {"started": _now(), "stages": {},
+                       "threads": {var: os.environ.get(var) for var in THREAD_VARS}}
 
     @contextmanager
     def stage(self, name: str):

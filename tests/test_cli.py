@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from reiterate.cli import main
+from reiterate.cli import THREAD_VARS, main
 from reiterate.grid import load_gridfunction
 
 SINGLE = """field = laminate1d(2+sin(2*pi*y1))
@@ -462,3 +463,72 @@ def test_import_writes_nothing_to_stderr():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+# the benchmark's rate-1d config: 257 cells, 1D boxes of up to 65,536 cells
+RATE_1D = """field = laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y2))
+dim = 1
+eps = 1/4, 1/8, 1/16, 1/32, 1/64
+bvp.rhs = 1
+bvp.boundary = x1
+"""
+
+
+def _env_without_thread_vars(**overrides):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(overrides)
+    return env
+
+
+def test_rate_csv_is_independent_of_blas_pool_size(tmp_path):
+    tables = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        cfg, out = setup(tmp_path / threads, RATE_1D)
+        proc = subprocess.run(
+            [sys.executable, "-m", "reiterate.cli", "rate", "--config", cfg],
+            capture_output=True, text=True,
+            env=_env_without_thread_vars(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        tables.append((out / "rate.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_cli_runs_one_blas_thread_unless_the_caller_sets_one():
+    script = ("import json, os, sys\n"
+              "import reiterate.cli\n"
+              "tasks = len(os.listdir('/proc/self/task')) "
+              "if sys.platform == 'linux' else None\n"
+              "print(json.dumps([{v: os.environ.get(v) for v in reiterate.cli.THREAD_VARS},"
+              " tasks]))\n")
+    seen = {}
+    for label, env in (("unset", _env_without_thread_vars()),
+                       ("set", _env_without_thread_vars(OPENBLAS_NUM_THREADS="2"))):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        seen[label] = json.loads(proc.stdout)
+    variables, tasks = seen["unset"]
+    assert variables == {var: "1" for var in THREAD_VARS}
+    if sys.platform == "linux":
+        assert tasks == 1
+    assert seen["set"][0] == {**variables, "OPENBLAS_NUM_THREADS": "2"}
+
+
+def test_manifest_records_thread_variables_on_every_exit(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    expected = {"OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": None,
+                "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS")}
+
+    cfg, out = setup(tmp_path, PRODUCT)
+    assert run(["cascade", "--config", cfg], capsys)[0] == 0
+    manifest = json.loads((out / "manifest-cascade.json").read_text())
+    assert manifest["timing"]["threads"] == expected
+
+    cfg, out = setup(tmp_path, GRADED + "domain = 0, 2\n", name="rate.cfg")
+    assert run(["rate", "--config", cfg], capsys)[0] == 2
+    manifest = json.loads((out / "manifest-rate.json").read_text())
+    assert "failure" in manifest
+    assert manifest["timing"]["threads"] == expected
