@@ -66,7 +66,7 @@ class CorrectorCache:
                tol: float, d: int):
         """Return (chi stack, sidecar) for a slab or None; evicts entries
         that are unreadable or describe another slab."""
-        rows = [[float(v) for v in row] for row in frozen_rows]
+        rows = np.asarray(frozen_rows, dtype=float).tolist()
         resolution = list(np.atleast_1d(resolution).tolist())
         stem = self._stem(field_digest, level,
                           _entry_key(level, rows, resolution, tol, d))
@@ -89,10 +89,12 @@ class CorrectorCache:
         self.hits += len(rows)
         return chi, sidecar
 
-    def store(self, field_digest: str, level: int, stack, solved, tensors) -> Path:
-        """Write one slab: the CellStack, its StackSolution and EffectiveTensors."""
+    def store(self, field_digest: str, level: int, stack, solved, tensors,
+              spectra) -> Path:
+        """Write one slab: the CellStack, its StackSolution, and its
+        (samples, d, d) tensors and (samples, 2) spectra."""
         grid = stack.grid
-        rows = [[float(v) for v in row] for row in stack.frozen]
+        rows = np.asarray(stack.frozen, dtype=float).tolist()
         stem = self._stem(field_digest, level,
                           _entry_key(level, rows, grid.shape, stack.tol, grid.d))
         stem.parent.mkdir(parents=True, exist_ok=True)
@@ -104,8 +106,8 @@ class CorrectorCache:
             "resolution": list(grid.shape),
             "shape": list(chi.shape),
             "iterations": solved.iterations.tolist(),
-            "tensor": [t.tensor.tolist() for t in tensors],
-            "spectrum": [list(t.spectrum) for t in tensors],
+            "tensor": tensors.tolist(),
+            "spectrum": spectra.tolist(),
         }
         # the sidecar lands last: it marks the entry complete
         atomic_bytes(f"{stem}.json", json.dumps(sidecar, sort_keys=True).encode())

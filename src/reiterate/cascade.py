@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from .cell import (CELL_METHOD, DEFAULT_RESOLUTION, CellStack, EffectiveTensor,
-                   effective_tensors, solve_stack)
+                   effective_stack, solve_stack)
 from .coeff import CoefficientField, ScaleLadder
 from .grid import Grid
 
@@ -274,9 +274,9 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
     cell_grid = Grid.torus(d, resolution)
 
     samples = int(np.prod(dims))
-    rows = [tuple(float(axes[a].coords[i]) for a, i in enumerate(index))
-            for index in np.ndindex(*dims)]
     # flat tables: row s holds sample s, in np.ndindex order
+    rows = np.stack(np.meshgrid(*(a.coords for a in axes), indexing="ij"),
+                    axis=-1).reshape(samples, len(axes))
     values = np.empty((samples, d, d))
     spectra = np.empty((samples, 2))
     chi_table = np.empty((samples,) + cell_grid.node_shape + (d,)) if retain_correctors else None
@@ -297,12 +297,10 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
             misses += len(frozen)
             stack = CellStack(cell_grid, tabulate_cells(field, frozen, cell_grid), frozen, tol)
             solved = solve_stack(stack)
-            tensors = effective_tensors(stack, solved.chi, mu=field.mu)
+            values[part], spectra[part] = effective_stack(stack, solved.chi, mu=field.mu)
             if cached:
-                cache.store(digest, level, stack, solved, tensors)
+                cache.store(digest, level, stack, solved, values[part], spectra[part])
             chi = solved.chi
-            values[part] = [t.tensor for t in tensors]
-            spectra[part] = [t.spectrum for t in tensors]
             iterations += int(solved.iterations.sum())
             worst = float(solved.residuals.max())
             max_residual = worst if max_residual is None else max(max_residual, worst)

@@ -90,9 +90,17 @@ class EffectiveTensor:
     spectrum: tuple[float, float]
 
     def __post_init__(self):
-        asym = np.max(np.abs(self.tensor - self.tensor.T))
-        if asym > 1e-8 * max(1.0, np.max(np.abs(self.tensor))):
-            raise SolverFailure(f"effective tensor asymmetric by {asym:g}; refine the cell grid")
+        _check_symmetric(self.tensor)
+
+
+def _check_symmetric(tensor: np.ndarray) -> None:
+    """SolverFailure naming the first of the (..., d, d) tensors that is
+    asymmetric beyond 1e-8 of its largest entry (or of 1)."""
+    asym = np.max(np.abs(tensor - np.swapaxes(tensor, -1, -2)), axis=(-2, -1))
+    bad = np.flatnonzero(asym > 1e-8 * np.maximum(1.0, np.max(np.abs(tensor), axis=(-2, -1))))
+    if bad.size:
+        raise SolverFailure(f"effective tensor asymmetric by {np.ravel(asym)[bad[0]]:g}; "
+                            "refine the cell grid")
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,7 @@ class CellStack:
 
     grid: Grid
     values: np.ndarray  # (samples, *nodes, d, d)
-    frozen: tuple  # the frozen slow arguments of each sample
+    frozen: np.ndarray | tuple  # one row of frozen slow arguments per sample
     tol: float
 
     @classmethod
@@ -193,26 +201,35 @@ def solve_stack(stack: CellStack) -> StackSolution:
                          residuals=np.max(resid, axis=0), energy=energy)
 
 
-def effective_tensors(stack: CellStack, chi: np.ndarray,
-                      mu: float | None = None) -> list[EffectiveTensor]:
-    """Mean-flux effective tensor of every sample; spectra checked against
-    [mu, 1/mu] when mu is given."""
+def effective_stack(stack: CellStack, chi: np.ndarray,
+                    mu: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Mean-flux effective tensors (samples, d, d) and spectra (samples, 2)
+    of every sample: the extreme eigenvalues of each symmetric part, checked
+    against [mu, 1/mu] when mu is given, and each tensor checked for
+    symmetry as EffectiveTensor checks it."""
     stencil = FluxStencil(stack)
     d = stack.grid.d
     tensor = np.stack([stencil.mean_flux(chi[..., j], affine_axis=j) for j in range(d)],
                       axis=-1)
-    eigs = np.linalg.eigvalsh(0.5 * (tensor + np.swapaxes(tensor, -1, -2)))
-    spectra = [(float(e[0]), float(e[-1])) for e in eigs]
+    spectra = np.linalg.eigvalsh(0.5 * (tensor + np.swapaxes(tensor, -1, -2)))[:, [0, -1]]
     if mu is not None:
         lo, hi = mu * (1 - 1e-8), (1.0 / mu) * (1 + 1e-8)
-        for spectrum in spectra:
-            if spectrum[0] < lo or spectrum[1] > hi:
-                raise SolverFailure(
-                    f"effective spectrum {spectrum} escapes [{mu:g}, {1/mu:g}]; "
-                    "discretization failure")
-    return [EffectiveTensor(tensor=t, mu=mu if mu is not None else spectrum[0],
-                            spectrum=spectrum)
-            for t, spectrum in zip(tensor, spectra)]
+        bad = np.flatnonzero((spectra[:, 0] < lo) | (spectra[:, 1] > hi))
+        if bad.size:
+            spectrum = tuple(float(v) for v in spectra[bad[0]])
+            raise SolverFailure(
+                f"effective spectrum {spectrum} escapes [{mu:g}, {1/mu:g}]; "
+                "discretization failure")
+    _check_symmetric(tensor)
+    return tensor, spectra
+
+
+def effective_tensors(stack: CellStack, chi: np.ndarray,
+                      mu: float | None = None) -> list[EffectiveTensor]:
+    """effective_stack, one EffectiveTensor per sample."""
+    tensors, spectra = effective_stack(stack, chi, mu)
+    return [EffectiveTensor(tensor=t, mu=mu if mu is not None else s[0], spectrum=s)
+            for t, s in zip(tensors, map(tuple, spectra.tolist()))]
 
 
 def solve_corrector(problem: CellProblem) -> CorrectorSet:

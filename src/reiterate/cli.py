@@ -7,6 +7,13 @@ fields, and a JSON run manifest written atomically at the end.  Every
 entry that can differ between identical runs lives under the manifest's
 ``timing`` block, so re-running a config reproduces every other byte.
 Exit status: 0 on success, 2 on validation failure, 3 on solver failure.
+
+``run()`` is the process entry point (``python -m reiterate.cli`` and the
+``reiterate`` script): it ends the process with ``os._exit`` once ``main``
+has written every artifact and the manifest, the console streams are
+flushed and the ``atexit`` hooks have run, which skips interpreter
+teardown.  Library callers and tests call ``main``, which returns the
+status.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse
+import atexit
 import csv
 import io
 import json
@@ -52,6 +60,20 @@ SUBCOMMANDS = ("cell", "cascade", "solve", "rate", "excess", "certify",
 
 def _fmt(value) -> str:
     return "%.17g" % float(value)
+
+
+def _say(text: str, err: bool = False) -> None:
+    """Print one console line.  A reader that closed the pipe silences the
+    stream instead of ending the run, so every artifact and the manifest
+    are still written; the rest of the stream goes to the null device, as
+    the SIGPIPE note of the signal module's docs shows."""
+    stream = sys.stderr if err else sys.stdout
+    try:
+        print(text, file=stream)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 def write_csv(path: Path, header, rows) -> None:
@@ -131,8 +153,8 @@ def cmd_cell(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> Non
     manifest.data["residuals"]["cell_iterations"] = list(correctors.iterations)
     manifest.data["results"]["tensor"] = eff.tensor.tolist()
     manifest.data["results"]["spectrum"] = list(eff.spectrum)
-    print(f"level {level} cell tensor at the origin: {_tensor_text(eff.tensor)}")
-    print(f"correctors saved to {stem}.bin")
+    _say(f"level {level} cell tensor at the origin: {_tensor_text(eff.tensor)}")
+    _say(f"correctors saved to {stem}.bin")
 
 
 def cmd_cascade(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> None:
@@ -162,15 +184,15 @@ def cmd_cascade(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
         manifest.data["results"]["effective_tensor"] = result.effective.tensor.tolist()
         # 1D cells are solved exactly; 2D cells to cell.tol
         tol = f" +/- {cfg.cell_tol:g}" if cfg.d == 2 else ""
-        print(f"A_hat = {_tensor_text(result.effective.tensor)}{tol}")
+        _say(f"A_hat = {_tensor_text(result.effective.tensor)}{tol}")
     else:
-        print("effective coefficient keeps a slow dependence; "
-              "tabulated field written to the cascade summary")
+        _say("effective coefficient keeps a slow dependence; "
+             "tabulated field written to the cascade summary")
     for lv in summary["levels"]:
-        print(f"  level {lv['level']}: {lv['samples']} cell solves "
-              f"({lv['method']}), {lv['cache_hits']} cache hits")
-    print(f"cache hit rate {100.0 * summary['cache_hit_rate']:.1f}% "
-          f"({hits}/{total})")
+        _say(f"  level {lv['level']}: {lv['samples']} cell solves "
+             f"({lv['method']}), {lv['cache_hits']} cache hits")
+    _say(f"cache hit rate {100.0 * summary['cache_hit_rate']:.1f}% "
+         f"({hits}/{total})")
 
 
 def cmd_solve(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> None:
@@ -187,8 +209,8 @@ def cmd_solve(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> No
         h1 = float(np.sqrt(l2**2 + l2_norm(gradient(u))**2))
         rows.append((ladder.scales[0], ladder.finest,
                      cfg.resolution_for(ladder), l2, h1))
-        print(f"eps={ladder.scales[0]:g}: {grid.shape} cells, "
-              f"L2={l2:.6g}, H1={h1:.6g} -> {path.name}")
+        _say(f"eps={ladder.scales[0]:g}: {grid.shape} cells, "
+             f"L2={l2:.6g}, H1={h1:.6g} -> {path.name}")
     write_csv(out / "norms.csv",
               ("eps", "finest", "resolution", "l2_norm", "h1_norm"), rows)
     manifest.data["results"]["solves"] = len(rows)
@@ -245,11 +267,11 @@ def cmd_rate(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> Non
     manifest.data["warnings"].extend(sweep.warnings)
     manifest.data["results"]["exponent"] = sweep.exponent
     for row in sweep.rows:
-        print(f"eps={row.eps:<10g} rate_expr={row.rate_expr:<12g} "
-              f"l2_error={row.l2_error:<12.6g} slope={row.slope_so_far:.4f}")
-    print(f"fitted slope = {sweep.exponent:.4f}")
+        _say(f"eps={row.eps:<10g} rate_expr={row.rate_expr:<12g} "
+             f"l2_error={row.l2_error:<12.6g} slope={row.slope_so_far:.4f}")
+    _say(f"fitted slope = {sweep.exponent:.4f}")
     for warning in sweep.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+        _say(f"warning: {warning}", err=True)
 
 
 def cmd_excess(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> None:
@@ -269,8 +291,8 @@ def cmd_excess(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> N
                for row in rows])
     manifest.data["results"]["radii"] = [row["r"] for row in rows]
     for row in rows:
-        print(f"r={row['r']:<10g} H={row['H']:<12.6g} Phi={row['Phi']:<12.6g} "
-              f"G={row['G']:<12.6g} h={row['h']:.6g}")
+        _say(f"r={row['r']:<10g} H={row['H']:<12.6g} Phi={row['Phi']:<12.6g} "
+             f"G={row['G']:<12.6g} h={row['h']:.6g}")
 
 
 def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> None:
@@ -311,13 +333,13 @@ def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
                                if ratio is not None)
             else:
                 t_shrink = report["t"]
-            print(f"calibrated shrink factor t = {t_shrink:g}")
+            _say(f"calibrated shrink factor t = {t_shrink:g}")
         with manifest.stage(f"certificate-{idx}"):
             rep = probes.lipschitz_certificate(
                 u, center, top, eps_floor=ladder.finest, forcing=bvp.rhs,
                 p=cfg.probe.p)
         rows.append((ladder.scales[0], rep["certificate"]))
-        print(f"eps={ladder.scales[0]:<10g} certificate={rep['certificate']:.6g}")
+        _say(f"eps={ladder.scales[0]:<10g} certificate={rep['certificate']:.6g}")
     write_csv(out / "certificate.csv", ("eps", "certificate"), rows)
     manifest.data["results"]["calibrated_t"] = t_shrink
     manifest.data["results"]["certificates"] = [c for _, c in rows]
@@ -344,17 +366,17 @@ def cmd_approx(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> N
               [(rep["eps"], rep["r"], rep["discrepancy"], rep["bound_ratio"])
                for rep in reports])
     for rep in reports:
-        print(f"eps={rep['eps']:<10g} discrepancy={rep['discrepancy']:<12.6g} "
-              f"bound_ratio={rep['bound_ratio']:.6g}")
+        _say(f"eps={rep['eps']:<10g} discrepancy={rep['discrepancy']:<12.6g} "
+             f"bound_ratio={rep['bound_ratio']:.6g}")
     if "exponent" in manifest.data["results"]:
-        print(f"fitted exponent = {manifest.data['results']['exponent']:.4f}")
+        _say(f"fitted exponent = {manifest.data['results']['exponent']:.4f}")
 
 
 def cmd_clean_cache(cfg: ExperimentConfig, cache, out: Path,
                     manifest: Manifest) -> None:
     removed = cache.clean()
     manifest.data["results"]["entries_removed"] = removed
-    print(f"removed {removed} cache entries from {cache.root}")
+    _say(f"removed {removed} cache entries from {cache.root}")
 
 
 HANDLERS = {
@@ -399,7 +421,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         cfg = cfg.with_overrides(out=args.out)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", err=True)
         return 2
     cache_root = args.cache or cfg.resolved_cache_dir()
     cache = CorrectorCache(cache_root)
@@ -417,12 +439,31 @@ def main(argv=None) -> int:
                                 "stores": cache.stores, "root": str(cache.root)}
     if failure is not None:
         manifest.write(out, failure=str(failure))
-        print(f"{label}: {failure}", file=sys.stderr)
+        _say(f"{label}: {failure}", err=True)
         return status
     path = manifest.write(out)
-    print(f"manifest: {path}")
+    _say(f"manifest: {path}")
     return 0
 
 
+def run(argv=None) -> None:
+    """Run main() and end the process without interpreter teardown.
+
+    Every artifact lands through atomic_bytes before main returns, so once
+    the console streams are flushed and the atexit hooks have run, module
+    teardown and the final garbage collection have nothing left to save.
+    SystemExit (argparse, --help) and uncaught exceptions still leave
+    through the normal exit.
+    """
+    status = main(argv)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError):  # a closed pipe or stream: nothing to save
+            pass
+    atexit._run_exitfuncs()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -5,7 +5,9 @@ face-harmonic averages of the diagonal coefficient entries, centered
 differences for the mixed (off-diagonal) terms.  One numpy kernel per
 topology and dimension.  The periodic kernels act on the trailing grid
 axes, so coefficients and fields may carry a leading sample axis: a stack
-of independent cells is one call.
+of independent cells is one call.  They shift arrays by slicing and
+concatenating rather than with np.roll, which costs about twice as much
+per call on the small stacked cells of a cascade slab.
 """
 
 from __future__ import annotations
@@ -17,22 +19,32 @@ import numpy as np
 # periodic topology
 
 
+def _roll(u, shift, axis):
+    """np.roll(u, shift, axis) for a negative axis, as one concatenate of two
+    slices: the same bytes without np.roll's per-call set-up."""
+    cut = -shift % u.shape[axis]
+    tail = (slice(None),) * (-axis - 1)
+    return np.concatenate((u[(..., slice(cut, None)) + tail],
+                           u[(..., slice(None, cut)) + tail]), axis=axis)
+
+
 def matvec_periodic_1d(fa, u, h):
     # fa[i] sits on the face between nodes i and i+1 (mod N)
-    flux = fa * (np.roll(u, -1, -1) - u) / h
-    return -(flux - np.roll(flux, 1, -1)) / h
+    flux = fa * (_roll(u, -1, -1) - u) / h
+    return -(flux - _roll(flux, 1, -1)) / h
 
 
 def matvec_periodic_2d(fx, fy, axy, u, h1, h2):
-    flux_x = fx * (np.roll(u, -1, -2) - u) / h1
-    flux_y = fy * (np.roll(u, -1, -1) - u) / h2
-    out = -(flux_x - np.roll(flux_x, 1, -2)) / h1
-    out -= (flux_y - np.roll(flux_y, 1, -1)) / h2
+    u_xp, u_yp = _roll(u, -1, -2), _roll(u, -1, -1)
+    flux_x = fx * (u_xp - u) / h1
+    flux_y = fy * (u_yp - u) / h2
+    out = -(flux_x - _roll(flux_x, 1, -2)) / h1
+    out -= (flux_y - _roll(flux_y, 1, -1)) / h2
     if axy is not None and axy.size:
-        mx = axy * (np.roll(u, -1, -1) - np.roll(u, 1, -1)) / (2.0 * h2)
-        my = axy * (np.roll(u, -1, -2) - np.roll(u, 1, -2)) / (2.0 * h1)
-        out -= (np.roll(mx, -1, -2) - np.roll(mx, 1, -2)) / (2.0 * h1)
-        out -= (np.roll(my, -1, -1) - np.roll(my, 1, -1)) / (2.0 * h2)
+        mx = axy * (u_yp - _roll(u, 1, -1)) / (2.0 * h2)
+        my = axy * (u_xp - _roll(u, 1, -2)) / (2.0 * h1)
+        out -= (_roll(mx, -1, -2) - _roll(mx, 1, -2)) / (2.0 * h1)
+        out -= (_roll(my, -1, -1) - _roll(my, 1, -1)) / (2.0 * h2)
     return out
 
 

@@ -173,6 +173,30 @@ def test_slow_field_samples_only_the_x_axes_it_reads():
     assert np.allclose(full.tensor_field.values, shared[:, None], rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("text, d", [
+    ("slow_modulated(laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y2)), amplitude=0.5, k1=1)", 1),
+    ("slow_modulated(checkerboard2d(1, 4, 8), amplitude=0.5, k1=1, k2=2)", 2)])
+def test_descend_freezes_rows_in_ndindex_order(monkeypatch, text, d):
+    # the rows key the cache entries, so they must match the per-index tuples
+    # of np.ndindex value for value
+    field = builtin_family(text, d)
+    seen = []
+
+    def recording(field, frozen, grid):
+        seen.extend(np.asarray(frozen).tolist())
+        return tabulate_cells(field, frozen, grid)
+
+    tabulate_cells = cascade.tabulate_cells
+    monkeypatch.setattr(cascade, "tabulate_cells", recording)
+    _, record, _ = descend(field, resolution=8, tol=1e-10, x_resolution=5,
+                           slot_resolution=3)
+    axes = record.tensor_field.axes
+    expected = [[float(axes[a].coords[i]) for a, i in enumerate(index)]
+                for index in np.ndindex(*(axis.n for axis in axes))]
+    assert len(expected) == record.samples > 1
+    assert seen == expected
+
+
 def test_slabbed_level_matches_per_sample_solves(tmp_path, monkeypatch):
     # ten samples per slab do not divide the 33 samples of the level
     monkeypatch.setattr(cascade, "_SLAB_NODES", 10 * 64)

@@ -16,6 +16,7 @@ import pytest
 from reiterate.cell import (
     CellProblem,
     CellStack,
+    effective_stack,
     effective_tensor,
     effective_tensors,
     flux_correctors,
@@ -26,8 +27,9 @@ from reiterate.cell import (
     solve_corrector,
     solve_stack,
 )
+from reiterate.cascade import tabulate_cells
 from reiterate.coeff import builtin_family
-from reiterate.errors import CompatibilityError
+from reiterate.errors import CompatibilityError, SolverFailure
 from reiterate.grid import FluxStencil, Grid, GridFunction, mean, pcg
 
 SQRT3 = np.sqrt(3.0)
@@ -125,6 +127,57 @@ def test_stacked_2d_solve_matches_each_sample_alone():
         scale = np.max(np.abs(eff.tensor))
         assert np.max(np.abs(tensors[s].tensor - eff.tensor)) <= 1e-13 * scale
     assert np.all(solved.residuals <= 1e-11)
+
+
+def test_effective_stack_equals_each_sample_alone_bitwise():
+    field = builtin_family(
+        "slow_modulated(checkerboard2d(1, 4, 8), amplitude=0.5, k1=1, k2=1)", 2)
+    grid = Grid.torus(2, 8)
+    frozen = np.array([(x1, x2) for x1 in (0.0, 0.3, 0.7) for x2 in (0.1, 0.55)])
+    stack = CellStack(grid, tabulate_cells(field, frozen, grid), frozen, tol=1e-11)
+    solved = solve_stack(stack)
+    tensors, spectra = effective_stack(stack, solved.chi, mu=field.mu)
+    assert tensors.shape == (6, 2, 2) and spectra.shape == (6, 2)
+    for s in range(len(frozen)):
+        problem = stack.problem(s)
+        alone = effective_tensor(problem, solved.corrector_set(s, problem), mu=field.mu)
+        assert np.array_equal(tensors[s], alone.tensor)
+        assert np.array_equal(spectra[s], alone.spectrum)
+
+
+def test_effective_stack_rejects_the_first_spectrum_outside_the_window():
+    # constant cells c*I have zero correctors and tensor c*I exactly
+    grid = Grid.torus(2, 8)
+    levels = (1.0, 3.0, 4.0)
+    stack = CellStack(grid, np.stack([c * np.broadcast_to(np.eye(2), grid.node_shape + (2, 2))
+                                      for c in levels]), np.zeros((3, 2)), tol=1e-10)
+    chi = np.zeros((3,) + grid.node_shape + (2,))
+    with pytest.raises(SolverFailure) as err:
+        effective_stack(stack, chi, mu=0.5)
+    assert str(err.value) == ("effective spectrum (3.0, 3.0) escapes [0.5, 2]; "
+                              "discretization failure")
+    _, spectra = effective_stack(stack, chi, mu=0.25)
+    assert spectra.tolist() == [[c, c] for c in levels]
+
+
+def test_effective_stack_rejects_the_first_asymmetric_tensor():
+    # zero correctors give a checkerboard a diagonal mean flux; noisy ones do not
+    grid = Grid.torus(2, 8)
+    board = builtin_family("checkerboard2d(1, 4, 8)", 2)(
+        np.zeros(grid.node_shape + (2,)), [grid.nodes()])
+    stack = CellStack(grid, np.stack([board, 1.5 * board]), np.zeros((2, 2)), tol=1e-10)
+    chi = 0.3 * np.random.default_rng(5).normal(size=(2,) + grid.node_shape + (2,))
+    chi[0] = 0.0
+    stencil = FluxStencil(stack)
+    tensor = np.stack([stencil.mean_flux(chi[..., j], affine_axis=j) for j in range(2)],
+                      axis=-1)
+    asym = np.max(np.abs(tensor[1] - tensor[1].T))
+    assert np.array_equal(tensor[0], tensor[0].T) and asym > 1e-3
+    with pytest.raises(SolverFailure) as err:
+        effective_stack(stack, chi)
+    assert str(err.value) == f"effective tensor asymmetric by {asym:g}; refine the cell grid"
+    with pytest.raises(SolverFailure, match="asymmetric"):
+        effective_tensors(stack, chi)
 
 
 def test_dimensional_reduction_2d_laminate():

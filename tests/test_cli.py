@@ -532,3 +532,104 @@ def test_manifest_records_thread_variables_on_every_exit(tmp_path, capsys,
     manifest = json.loads((out / "manifest-rate.json").read_text())
     assert "failure" in manifest
     assert manifest["timing"]["threads"] == expected
+
+
+# ---------------------------------------------------------------------------
+# process exit: run() ends with os._exit once main() has written everything
+
+
+def _child_env(**overrides):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(overrides)
+    return env
+
+
+def test_module_run_delivers_every_summary_line(tmp_path):
+    # buffered stdout: whatever os._exit would drop must be flushed first
+    cfg, out = setup(tmp_path, PRODUCT)
+    proc = subprocess.run([sys.executable, "-m", "reiterate.cli", "cascade", "--config", cfg],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("A_hat = 3.000")
+    assert lines[1].startswith("  level 2: ") and lines[2].startswith("  level 1: ")
+    assert lines[3].startswith("cache hit rate 0.0% ")
+    path = out / "manifest-cascade.json"
+    assert lines[4:] == [f"manifest: {path}"]
+    assert json.loads(path.read_text())["command"] == "cascade"
+
+
+def test_module_run_exits_2_on_a_config_error(tmp_path):
+    cfg, out = setup(tmp_path, SINGLE + "bogus = 1\n")
+    proc = subprocess.run([sys.executable, "-m", "reiterate.cli", "solve", "--config", cfg],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "bogus" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_closed_stdout_still_writes_every_artifact(tmp_path, unbuffered):
+    cfg, out = setup(tmp_path, PRODUCT)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the child's first print meets a broken pipe
+    env = _child_env() if unbuffered is None else _child_env(PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "reiterate.cli", "cascade", "--config", cfg],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads((out / "cascade.json").read_text())["effective_tensor"]
+    assert "failure" not in json.loads((out / "manifest-cascade.json").read_text())
+
+
+def test_run_passes_on_the_status_of_main(tmp_path, capsys, monkeypatch):
+    import atexit
+
+    from reiterate import cli
+    from reiterate.errors import SolverFailure
+
+    events = []
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: events.append("atexit"))
+    monkeypatch.setattr(os, "_exit", lambda status: events.append(status))
+    cfg, _ = setup(tmp_path, SINGLE)
+    cli.run(["cell", "--config", cfg])
+    bad, _ = setup(tmp_path, SINGLE + "bogus = 1\n", name="bad.cfg")
+    cli.run(["cell", "--config", bad])
+
+    def stagnate(problem):
+        raise SolverFailure("PCG stagnated after 100000 iterations")
+
+    monkeypatch.setattr(cli, "solve_corrector", stagnate)
+    cli.run(["cell", "--config", cfg])
+    assert events == ["atexit", 0, "atexit", 2, "atexit", 3]
+    captured = capsys.readouterr()
+    assert "manifest: " in captured.out and "stagnated" in captured.err
+
+
+def test_run_keeps_atexit_hooks(tmp_path):
+    cfg, out = setup(tmp_path, PRODUCT)
+    marker = tmp_path / "hook-ran"
+    script = ("import atexit, pathlib, sys\n"
+              "from reiterate import cli\n"
+              f"atexit.register(pathlib.Path({str(marker)!r}).write_text, 'yes')\n"
+              f"cli.run(['cascade', '--config', {cfg!r}])\n"
+              "sys.exit(7)  # never reached: run() ends the process\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert marker.read_text() == "yes"
+    assert (out / "manifest-cascade.json").exists()
+
+
+def test_console_script_ends_through_run():
+    from pathlib import Path
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"reiterate": "reiterate.cli:run"}

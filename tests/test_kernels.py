@@ -130,3 +130,51 @@ def test_box_affine_in_constant_medium_is_flux_free():
     out = kernels.matvec_box_1d(np.full(n - 1, 2.5), u, h)
     assert np.max(np.abs(out)) < 1e-10
 
+
+
+# ---------------------------------------------------------------------------
+# stacked periodic cells: the kernels shift by slicing, the np.roll formula
+# is the reference for bytes and the node loops for values
+
+
+def periodic_1d_roll(fa, u, h):
+    flux = fa * (np.roll(u, -1, -1) - u) / h
+    return -(flux - np.roll(flux, 1, -1)) / h
+
+
+def periodic_2d_roll(fx, fy, axy, u, h1, h2):
+    flux_x = fx * (np.roll(u, -1, -2) - u) / h1
+    flux_y = fy * (np.roll(u, -1, -1) - u) / h2
+    out = -(flux_x - np.roll(flux_x, 1, -2)) / h1
+    out -= (flux_y - np.roll(flux_y, 1, -1)) / h2
+    if axy is not None:
+        mx = axy * (np.roll(u, -1, -1) - np.roll(u, 1, -1)) / (2.0 * h2)
+        my = axy * (np.roll(u, -1, -2) - np.roll(u, 1, -2)) / (2.0 * h1)
+        out -= (np.roll(mx, -1, -2) - np.roll(mx, 1, -2)) / (2.0 * h1)
+        out -= (np.roll(my, -1, -1) - np.roll(my, 1, -1)) / (2.0 * h2)
+    return out
+
+
+def test_stacked_periodic_1d_matches_roll_bitwise():
+    samples, n = 5, 33
+    fa = random_coeff((samples, n))
+    u = RNG.normal(size=(samples, n))
+    out = kernels.matvec_periodic_1d(fa, u, 1.0 / n)
+    assert np.array_equal(out, periodic_1d_roll(fa, u, 1.0 / n))
+    for s in range(samples):
+        np.testing.assert_allclose(out[s], periodic_1d_reference(fa[s], u[s], 1.0 / n),
+                                   rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_stacked_periodic_2d_matches_roll_bitwise(mixed):
+    samples, n1, n2 = 4, 8, 12
+    fx, fy = random_coeff((samples, n1, n2)), random_coeff((samples, n1, n2))
+    axy = 0.2 * RNG.normal(size=(samples, n1, n2)) if mixed else None
+    u = RNG.normal(size=(samples, n1, n2))
+    out = kernels.matvec_periodic_2d(fx, fy, axy, u, 1.0 / n1, 1.0 / n2)
+    assert np.array_equal(out, periodic_2d_roll(fx, fy, axy, u, 1.0 / n1, 1.0 / n2))
+    for s in range(samples):
+        ref = periodic_2d_reference(fx[s], fy[s], None if axy is None else axy[s], u[s],
+                                    1.0 / n1, 1.0 / n2)
+        np.testing.assert_allclose(out[s], ref, rtol=1e-12, atol=1e-9)
