@@ -12,6 +12,8 @@ Each file of an entry lands whole through a temporary file and
 os.replace, and the sidecar lands last, so a reader either sees a
 complete entry or none.  Corrupt or truncated entries, and sidecars that
 disagree with the request, are evicted on lookup and count as misses.
+``reiterate cell`` writes its artifact with the same writer, save_slab, as
+a slab of one sample, so load_correctors reads it too.
 """
 
 from __future__ import annotations
@@ -38,8 +40,28 @@ def _entry_key(level: int, frozen_rows, resolution, tol: float, d: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
+def save_slab(stem, stack, solved, tensors, spectra) -> None:
+    """Write one slab at stem: the CellStack, its StackSolution, and its
+    (samples, d, d) tensors and (samples, 2) spectra.  stem.bin holds the
+    correctors as raw little-endian f8, shaped (samples, *cell nodes, d);
+    the stem.json sidecar lands last and marks the slab complete."""
+    grid = stack.grid
+    chi = np.ascontiguousarray(solved.chi, dtype="<f8")
+    atomic_bytes(f"{stem}.bin", chi.tobytes())
+    sidecar = {
+        "frozen": np.asarray(stack.frozen, dtype=float).tolist(),
+        "tol": stack.tol,
+        "resolution": list(grid.shape),
+        "shape": list(chi.shape),
+        "iterations": solved.iterations.tolist(),
+        "tensor": tensors.tolist(),
+        "spectrum": spectra.tolist(),
+    }
+    atomic_bytes(f"{stem}.json", json.dumps(sidecar, sort_keys=True).encode())
+
+
 def load_correctors(stem):
-    """(chi stack, sidecar) of one entry; ValueError when the .bin does not
+    """(chi stack, sidecar) of one slab; ValueError when the .bin does not
     hold exactly the stack shape the sidecar gives."""
     with open(f"{stem}.json") as fh:
         sidecar = json.load(fh)
@@ -52,8 +74,7 @@ def load_correctors(stem):
 class CorrectorCache:
     """Content-addressed store of slab solves under a root directory."""
 
-    def __init__(self, root: str | os.PathLike | None = None):
-        root = root or os.environ.get("REITERATE_CACHE") or ".reiterate-cache"
+    def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.hits = 0  # samples
         self.misses = 0  # samples
@@ -91,26 +112,13 @@ class CorrectorCache:
 
     def store(self, field_digest: str, level: int, stack, solved, tensors,
               spectra) -> Path:
-        """Write one slab: the CellStack, its StackSolution, and its
-        (samples, d, d) tensors and (samples, 2) spectra."""
+        """Write one slab entry through save_slab; returns its stem."""
         grid = stack.grid
         rows = np.asarray(stack.frozen, dtype=float).tolist()
         stem = self._stem(field_digest, level,
                           _entry_key(level, rows, grid.shape, stack.tol, grid.d))
         stem.parent.mkdir(parents=True, exist_ok=True)
-        chi = np.ascontiguousarray(solved.chi, dtype="<f8")
-        atomic_bytes(f"{stem}.bin", chi.tobytes())
-        sidecar = {
-            "frozen": rows,
-            "tol": stack.tol,
-            "resolution": list(grid.shape),
-            "shape": list(chi.shape),
-            "iterations": solved.iterations.tolist(),
-            "tensor": tensors.tolist(),
-            "spectrum": spectra.tolist(),
-        }
-        # the sidecar lands last: it marks the entry complete
-        atomic_bytes(f"{stem}.json", json.dumps(sidecar, sort_keys=True).encode())
+        save_slab(stem, stack, solved, tensors, spectra)
         self.stores += 1
         return stem
 

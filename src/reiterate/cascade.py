@@ -133,34 +133,16 @@ class TensorField:
         if len(self.axes) != self.d * (1 + self.n_slots):
             raise ValueError("axis count must cover x and every remaining slot")
 
-    def interpolate(self, flat: np.ndarray) -> np.ndarray:
-        return multilinear(self.axes, self.values, flat)
-
     def evaluator(self, x, ys) -> np.ndarray:
         lead = x.shape[:-1]
         parts = [x.reshape(-1, self.d)]
         parts += [ys[k].reshape(-1, self.d) for k in range(self.n_slots)]
         flat = np.concatenate(parts, axis=1)
-        return self.interpolate(flat).reshape(lead + (self.d, self.d))
-
-    def lipschitz_estimate(self) -> float:
-        """Sum of per-axis max slopes bounds the interpolant's Lipschitz norm."""
-        total = 0.0
-        for a, axis in enumerate(self.axes):
-            if axis.n == 1:
-                continue
-            diff = np.diff(self.values, axis=a)
-            if axis.periodic:
-                wrap = np.take(self.values, [0], axis=a) - np.take(self.values, [-1], axis=a)
-                diff = np.concatenate([diff, wrap], axis=a)
-            total += float(np.max(np.abs(diff))) / axis.spacing
-        return total
+        return multilinear(self.axes, self.values, flat).reshape(lead + (self.d, self.d))
 
     def as_field(self, parent: CoefficientField, digest: str | None) -> CoefficientField:
         return CoefficientField(d=self.d, n_scales=self.n_slots, evaluator=self.evaluator,
-                                mu=parent.mu, theta=parent.theta,
-                                lipschitz=self.lipschitz_estimate(),
-                                depends_on_x=parent.depends_on_x,
+                                mu=parent.mu, depends_on_x=parent.depends_on_x,
                                 digest_override=digest)
 
 
@@ -400,21 +382,3 @@ def homogenize_all(field: CoefficientField, ladder: ScaleLadder | None = None, *
                                     spectrum=(float(eigs[0]), float(eigs[-1])))
     return CascadeResult(ladder=ladder, levels=tuple(levels), effective_field=current,
                          effective=effective, corrector_table=corrector_table)
-
-
-def holder_check(result: CascadeResult, seed: int = 0) -> dict:
-    """Sampled ellipticity, periodicity, and regularity reports per level."""
-    reports = []
-    for record in result.levels:
-        child = record.field
-        entry = {
-            "level": record.level,
-            "ellipticity": child.check_ellipticity(seed=seed),
-            "hoelder": child.check_hoelder(seed=seed),
-        }
-        if child.n_scales > 0:
-            entry["periodicity"] = child.check_periodicity(seed=seed)
-        reports.append(entry)
-    ok = all(block["ok"] for entry in reports for block in entry.values()
-             if isinstance(block, dict))
-    return {"seed": seed, "levels": reports, "ok": ok}

@@ -22,7 +22,6 @@ Jacobi-preconditioned conjugate gradient with its own convergence test.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,11 +32,8 @@ from .grid import (
     Grid,
     GridFunction,
     _axis_derivative,
-    atomic_bytes,
-    load_gridfunction,
     mean,
     pcg,
-    save_gridfunction,
     solve_periodic_elliptic,
 )
 
@@ -77,10 +73,17 @@ class CorrectorSet:
     problem: CellProblem
     chi: GridFunction  # vector components chi_j
     iterations: tuple[int, ...]
-    energy: float  # max_j mean(|grad chi_j|^2 + chi_j^2), recorded constant
 
     def component(self, j: int) -> np.ndarray:
         return self.chi.values[..., j]
+
+    @property
+    def energy(self) -> float:
+        """max_j mean(|D+ chi_j|^2 + chi_j^2), which the energy estimate bounds by C(d, mu)."""
+        grid, chi = self.problem.grid, self.chi.values
+        grad_sq = sum(((np.roll(chi, -1, axis=k) - chi) / grid.spacing[k]) ** 2
+                      for k in range(grid.d))
+        return float(np.mean(grad_sq + chi**2, axis=tuple(range(grid.d))).max())
 
 
 @dataclass(frozen=True)
@@ -143,12 +146,10 @@ class StackSolution:
     chi: np.ndarray  # (samples, *nodes, d)
     iterations: np.ndarray  # (samples, d)
     residuals: np.ndarray  # (samples,) worst final relative residual over j
-    energy: np.ndarray  # (samples,)
 
     def corrector_set(self, s: int, problem: CellProblem) -> CorrectorSet:
         return CorrectorSet(problem=problem, chi=GridFunction(problem.grid, self.chi[s]),
-                            iterations=tuple(int(n) for n in self.iterations[s]),
-                            energy=float(self.energy[s]))
+                            iterations=tuple(int(n) for n in self.iterations[s]))
 
 
 def _relative_residuals(stencil: FluxStencil, chi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -193,12 +194,8 @@ def solve_stack(stack: CellStack) -> StackSolution:
             iters.append(np.array(info["sample_iterations"]))
             resid.append(np.array([hist[-1] if hist else 0.0
                                    for hist in info["sample_residuals"]]))
-    chi = np.stack(comps, axis=-1)
-    # per corrector: mean(|D+ chi_j|^2 + chi_j^2); component axis last
-    grad_sq = sum(((np.roll(chi, -1, axis=k - d - 1) - chi) / h[k]) ** 2 for k in range(d))
-    energy = np.mean(grad_sq + chi**2, axis=tuple(range(-d - 1, -1))).max(axis=-1)
-    return StackSolution(chi=chi, iterations=np.stack(iters, axis=-1),
-                         residuals=np.max(resid, axis=0), energy=energy)
+    return StackSolution(chi=np.stack(comps, axis=-1), iterations=np.stack(iters, axis=-1),
+                         residuals=np.max(resid, axis=0))
 
 
 def effective_stack(stack: CellStack, chi: np.ndarray,
@@ -224,14 +221,6 @@ def effective_stack(stack: CellStack, chi: np.ndarray,
     return tensor, spectra
 
 
-def effective_tensors(stack: CellStack, chi: np.ndarray,
-                      mu: float | None = None) -> list[EffectiveTensor]:
-    """effective_stack, one EffectiveTensor per sample."""
-    tensors, spectra = effective_stack(stack, chi, mu)
-    return [EffectiveTensor(tensor=t, mu=mu if mu is not None else s[0], spectrum=s)
-            for t, s in zip(tensors, map(tuple, spectra.tolist()))]
-
-
 def solve_corrector(problem: CellProblem) -> CorrectorSet:
     """Solve the d corrector problems of one cell (a stack of one)."""
     return solve_stack(CellStack.of(problem)).corrector_set(0, problem)
@@ -240,7 +229,10 @@ def solve_corrector(problem: CellProblem) -> CorrectorSet:
 def effective_tensor(problem: CellProblem, correctors: CorrectorSet,
                      mu: float | None = None) -> EffectiveTensor:
     """Mean-flux effective tensor; spectrum checked against [mu, 1/mu] when mu is given."""
-    return effective_tensors(CellStack.of(problem), correctors.chi.values[None], mu)[0]
+    tensors, spectra = effective_stack(CellStack.of(problem), correctors.chi.values[None], mu)
+    spectrum = tuple(spectra[0].tolist())
+    return EffectiveTensor(tensor=tensors[0], mu=mu if mu is not None else spectrum[0],
+                           spectrum=spectrum)
 
 
 def flux_matrix(problem: CellProblem, correctors: CorrectorSet,
@@ -305,30 +297,3 @@ def row_divergence_residual(B: GridFunction) -> float:
             s += _axis_derivative(grid, B.values[..., i, j], i)
         worst = max(worst, float(np.sqrt(np.mean(s**2))))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# persistence: one binary file per component plus a JSON sidecar
-
-
-def save_correctors(correctors: CorrectorSet, tensor: EffectiveTensor, stem) -> None:
-    """Write stem.bin, then the stem.json sidecar; each lands atomically."""
-    save_gridfunction(correctors.chi, f"{stem}.bin")
-    sidecar = {
-        "frozen": [float(v) for v in correctors.problem.frozen],
-        "tol": correctors.problem.tol,
-        "resolution": list(correctors.problem.grid.shape),
-        "iterations": list(correctors.iterations),
-        "energy": correctors.energy,
-        "tensor": tensor.tensor.tolist(),
-        "spectrum": list(tensor.spectrum),
-    }
-    atomic_bytes(f"{stem}.json",
-                 json.dumps(sidecar, sort_keys=True, indent=1).encode())
-
-
-def load_correctors(stem):
-    chi = load_gridfunction(f"{stem}.bin")
-    with open(f"{stem}.json") as fh:
-        sidecar = json.load(fh)
-    return chi, np.asarray(sidecar["tensor"]), sidecar

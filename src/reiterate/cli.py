@@ -42,10 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, probes
-from .cache import CorrectorCache
+from .cache import CorrectorCache, save_slab
 from .cascade import tabulate_cells
-from .cell import (DEFAULT_RESOLUTION, CellProblem, effective_tensor, save_correctors,
-                   solve_corrector)
+from .cell import DEFAULT_RESOLUTION, CellStack, effective_stack, solve_stack
 from .coeff import check_separation
 from .config import ExperimentConfig, parse_config
 from .dirichlet import solve_homogenized, solve_multiscale
@@ -140,20 +139,20 @@ def cmd_cell(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> Non
     level = field.n_scales
     if level < 1:
         raise ConfigError("field has no fast slots; nothing to solve")
-    frozen = (0.0,) * (field.d * level)
+    # one sample with every slower argument frozen at the origin
+    frozen = np.zeros((1, field.d * level))
     grid = Grid.torus(field.d, cfg.cell_resolution or DEFAULT_RESOLUTION[field.d])
     with manifest.stage("cell"):
-        values = tabulate_cells(field, [frozen], grid)[0]
-        problem = CellProblem(grid, GridFunction(grid, values), frozen=frozen,
-                              tol=cfg.cell_tol)
-        correctors = solve_corrector(problem)
-        eff = effective_tensor(problem, correctors, mu=field.mu)
+        stack = CellStack(grid, tabulate_cells(field, frozen, grid), frozen, cfg.cell_tol)
+        solved = solve_stack(stack)
+        tensors, spectra = effective_stack(stack, solved.chi, mu=field.mu)
+    # the artifact is a one-sample cache slab, read by cache.load_correctors
     stem = out / f"cell-L{level}"
-    save_correctors(correctors, eff, stem)
-    manifest.data["residuals"]["cell_iterations"] = list(correctors.iterations)
-    manifest.data["results"]["tensor"] = eff.tensor.tolist()
-    manifest.data["results"]["spectrum"] = list(eff.spectrum)
-    _say(f"level {level} cell tensor at the origin: {_tensor_text(eff.tensor)}")
+    save_slab(stem, stack, solved, tensors, spectra)
+    manifest.data["residuals"]["cell_iterations"] = solved.iterations[0].tolist()
+    manifest.data["results"]["tensor"] = tensors[0].tolist()
+    manifest.data["results"]["spectrum"] = spectra[0].tolist()
+    _say(f"level {level} cell tensor at the origin: {_tensor_text(tensors[0])}")
     _say(f"correctors saved to {stem}.bin")
 
 

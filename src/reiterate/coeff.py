@@ -3,9 +3,12 @@
 A coefficient field maps (x, y_1, ..., y_n) to a symmetric positive
 definite d x d matrix, 1-periodic in each fast slot y_k.  Symmetry is a
 contract here (the conjugate-gradient solves rely on it); builders reject
-asymmetric or indefinite data.  Ellipticity, periodicity, and Hoelder
-regularity are checked by seeded sampling, and the reports record the
-seed and sample count.
+asymmetric or indefinite data where they tabulate it (laminate factors on
+a uniform grid, expression families at seeded points) and record mu, the
+ellipticity constant the cascade checks every effective spectrum against.
+Periodicity is the expressions' contract: a cell
+solve sees one period on a torus grid, and descended tables wrap their
+slot axes.
 
 Expression-based families name coordinates slot-major: x1..xd are the
 slow coordinates and y{(k-1)*d + j} is coordinate j of fast slot k, so in
@@ -153,14 +156,12 @@ class CoefficientSpec:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Symmetric elliptic coefficient A(x, y_1..y_n) with regularity metadata."""
+    """Symmetric elliptic coefficient A(x, y_1..y_n) with ellipticity constant mu."""
 
     d: int
     n_scales: int
     evaluator: Callable = dc_field(repr=False)
     mu: float = 1.0
-    theta: float = 1.0
-    lipschitz: float = 0.0
     depends_on_x: tuple[int, ...] = ()  # the x axes the field reads (falsy: none)
     spec: CoefficientSpec | None = None
     digest_override: str | None = dc_field(default=None, repr=False)
@@ -179,57 +180,6 @@ class CoefficientField:
         if self.spec is not None:
             return self.spec.digest(self.d)
         return None
-
-    # -- sampled invariants -------------------------------------------------
-
-    def _sample_args(self, rng, m):
-        x = rng.uniform(0.0, 1.0, size=(m, self.d))
-        ys = [rng.uniform(0.0, 1.0, size=(m, self.d)) for _ in range(self.n_scales)]
-        return x, ys
-
-    def check_ellipticity(self, seed: int = 0, samples: int = 10_000) -> dict:
-        rng = np.random.default_rng(seed)
-        x, ys = self._sample_args(rng, samples)
-        a = self(x, ys)
-        asym = float(np.max(np.abs(a - np.swapaxes(a, -1, -2))))
-        eigs = np.linalg.eigvalsh(a)
-        lam_min, lam_max = float(eigs.min()), float(eigs.max())
-        ok = asym < 1e-12 and lam_min >= self.mu * (1 - 1e-9) and lam_max <= (1 / self.mu) * (1 + 1e-9)
-        return {"seed": seed, "samples": samples, "min_eig": lam_min, "max_eig": lam_max,
-                "max_asymmetry": asym, "mu": self.mu, "ok": bool(ok)}
-
-    def check_periodicity(self, seed: int = 0, samples: int = 200) -> dict:
-        rng = np.random.default_rng(seed)
-        x, ys = self._sample_args(rng, samples)
-        base = self(x, ys)
-        worst = 0.0
-        for k in range(self.n_scales):
-            for axis in range(self.d):
-                shifted = [y.copy() for y in ys]
-                shifted[k][:, axis] += 1.0
-                worst = max(worst, float(np.max(np.abs(self(x, shifted) - base))))
-        return {"seed": seed, "samples": samples, "max_period_defect": worst,
-                "ok": worst < 1e-9}
-
-    def check_hoelder(self, seed: int = 0, samples: int = 400) -> dict:
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for scale_exp in range(2, 8):
-            delta = 2.0**-scale_exp
-            x, ys = self._sample_args(rng, samples)
-            step = rng.normal(size=(samples, self.d))
-            step *= delta / np.linalg.norm(step, axis=1, keepdims=True)
-            base = self(x, ys)
-            diff = np.max(np.abs(self(x + step, ys) - base), axis=(-1, -2))
-            worst = max(worst, float(diff.max() / delta**self.theta))
-            for k in range(self.n_scales):
-                ys2 = [y.copy() for y in ys]
-                ys2[k] = ys2[k] + step
-                diff_k = np.max(np.abs(self(x, ys2) - base), axis=(-1, -2))
-                worst = max(worst, float(diff_k.max() / delta**self.theta))
-        return {"seed": seed, "samples": samples, "theta": self.theta,
-                "max_quotient": worst, "claimed": self.lipschitz,
-                "ok": self.lipschitz == 0.0 or worst <= self.lipschitz * (1 + 1e-6)}
 
 
 def evaluate_multiscale(field: CoefficientField, ladder: ScaleLadder, x) -> np.ndarray:
@@ -278,15 +228,13 @@ def _build_constant(spec: CoefficientSpec, d: int) -> CoefficientField:
     def evaluator(x, ys, mat=mat):
         return np.broadcast_to(mat, x.shape[:-1] + mat.shape).copy()
 
-    return CoefficientField(d=d, n_scales=0, evaluator=evaluator, mu=mu, theta=1.0,
-                            lipschitz=0.0, spec=spec)
+    return CoefficientField(d=d, n_scales=0, evaluator=evaluator, mu=mu, spec=spec)
 
 
 def _build_laminate(spec: CoefficientSpec, d: int) -> CoefficientField:
     if not spec.args:
         raise ConfigError("laminate1d needs at least one factor expression")
     factors = []
-    lip = 0.0
     lo_all, hi_all = 1.0, 1.0
     for k, src in enumerate(spec.args, start=1):
         if isinstance(src, CoefficientSpec):
@@ -297,9 +245,6 @@ def _build_laminate(spec: CoefficientSpec, d: int) -> CoefficientField:
         lo, hi = _range_of(fn, var)
         if lo <= 0:
             raise ConfigError(f"laminate factor {src!r} reaches {lo:g} <= 0 (ellipticity violation)")
-        grid = np.linspace(0.0, 1.0, 8192, endpoint=False)
-        slope = float(np.max(np.abs(np.gradient(fn(**{var: grid}), grid))))
-        lip = max(lip, slope)
         lo_all *= lo
         hi_all *= hi
         factors.append((var, fn))
@@ -312,7 +257,7 @@ def _build_laminate(spec: CoefficientSpec, d: int) -> CoefficientField:
         return _identity_times(scalar, d)
 
     return CoefficientField(d=d, n_scales=len(factors), evaluator=evaluator, mu=mu,
-                            theta=1.0, lipschitz=lip, spec=spec)
+                            spec=spec)
 
 
 def _build_checkerboard(spec: CoefficientSpec, d: int) -> CoefficientField:
@@ -328,7 +273,6 @@ def _build_checkerboard(spec: CoefficientSpec, d: int) -> CoefficientField:
     mu = min(a1, 1.0 / a2)
     # values sqrt(a1 a2) * exp(tau * tanh(s sin sin)) lie strictly inside (a1, a2)
     # and swap into a1*a2/a under quarter rotation, phases reached as s -> inf.
-    lip = geo * math.exp(tau) * tau * sharp * 2.0 * math.pi
 
     def evaluator(x, ys, geo=geo, tau=tau, sharp=sharp):
         y = ys[0]
@@ -336,8 +280,7 @@ def _build_checkerboard(spec: CoefficientSpec, d: int) -> CoefficientField:
         scalar = geo * np.exp(tau * np.tanh(sharp * pattern))
         return _identity_times(scalar, 2)
 
-    return CoefficientField(d=2, n_scales=1, evaluator=evaluator, mu=mu, theta=1.0,
-                            lipschitz=lip, spec=spec)
+    return CoefficientField(d=2, n_scales=1, evaluator=evaluator, mu=mu, spec=spec)
 
 
 def _build_slow_modulated(spec: CoefficientSpec, d: int) -> CoefficientField:
@@ -360,9 +303,7 @@ def _build_slow_modulated(spec: CoefficientSpec, d: int) -> CoefficientField:
         slow = offset + amplitude * np.sin(2 * np.pi * (x @ kvec))
         return base.evaluator(x, ys) * slow[..., None, None]
 
-    lip = base.lipschitz * hi + (1.0 / base.mu) * abs(amplitude) * 2 * math.pi * float(np.linalg.norm(kvec))
     return CoefficientField(d=d, n_scales=base.n_scales, evaluator=evaluator, mu=mu,
-                            theta=1.0, lipschitz=lip,
                             depends_on_x=tuple(sorted(set(base.depends_on_x)
                                                       | set(np.flatnonzero(kvec).tolist()))),
                             spec=spec)
@@ -394,11 +335,11 @@ def _slot_kwargs(ys, d: int, n: int) -> dict:
 
 
 def _sampled_scalar_metadata(fns, d, n, seed=0):
+    """Each expression's values at 20,000 seeded points of the unit cube."""
     rng = np.random.default_rng(seed)
     pts = {f"x{j}": rng.uniform(0, 1, 20_000) for j in range(1, d + 1)}
     pts.update({f"y{i}": rng.uniform(0, 1, 20_000) for i in range(1, n * d + 1)})
-    vals = [fn(**pts) for fn in fns]
-    return pts, vals
+    return [fn(**pts) for fn in fns]
 
 
 def _build_expr(spec: CoefficientSpec, d: int) -> CoefficientField:
@@ -407,7 +348,7 @@ def _build_expr(spec: CoefficientSpec, d: int) -> CoefficientField:
     src = str(spec.args[0])
     names, n = _scan_slots([src], d)
     fn = compile_expression(src, names)
-    _, (vals,) = _sampled_scalar_metadata([fn], d, n)
+    (vals,) = _sampled_scalar_metadata([fn], d, n)
     lo, hi = float(vals.min()), float(vals.max())
     if lo <= 0:
         raise ConfigError(f"expr coefficient reaches {lo:g} <= 0 on samples (ellipticity violation)")
@@ -418,21 +359,7 @@ def _build_expr(spec: CoefficientSpec, d: int) -> CoefficientField:
         return _identity_times(fn(**kwargs), d)
 
     return CoefficientField(d=d, n_scales=n, evaluator=evaluator, mu=min(lo, 1.0 / hi),
-                            theta=1.0, lipschitz=_sampled_lipschitz(fn, names, d, n),
                             depends_on_x=_x_axes([src], d), spec=spec)
-
-
-def _sampled_lipschitz(fn, names, d, n, seed=1, samples=4000) -> float:
-    rng = np.random.default_rng(seed)
-    args = {name: rng.uniform(0, 1, samples) for name in names}
-    base = fn(**args)
-    worst = 0.0
-    delta = 1e-4
-    for name in names:
-        shifted = dict(args)
-        shifted[name] = args[name] + delta
-        worst = max(worst, float(np.max(np.abs(fn(**shifted) - base)) / delta))
-    return worst
 
 
 def _build_matrix2d(spec: CoefficientSpec, d: int) -> CoefficientField:
@@ -443,8 +370,7 @@ def _build_matrix2d(spec: CoefficientSpec, d: int) -> CoefficientField:
     sources = [str(a) for a in spec.args]
     names, n = _scan_slots(sources, d)
     fns = [compile_expression(src, names) for src in sources]
-    pts, vals = _sampled_scalar_metadata(fns, d, n)
-    a11, a12, a22 = vals
+    a11, a12, a22 = _sampled_scalar_metadata(fns, d, n)
     tr = a11 + a22
     det = a11 * a22 - a12 * a12
     disc = np.sqrt(np.maximum((tr / 2) ** 2 - det, 0))
@@ -464,9 +390,8 @@ def _build_matrix2d(spec: CoefficientSpec, d: int) -> CoefficientField:
         out[..., 1, 1] = e22
         return out
 
-    lip = max(_sampled_lipschitz(fn, names, d, n) for fn in fns)
     return CoefficientField(d=2, n_scales=n, evaluator=evaluator,
-                            mu=min(lam_min, 1.0 / lam_max), theta=1.0, lipschitz=lip,
+                            mu=min(lam_min, 1.0 / lam_max),
                             depends_on_x=_x_axes(sources, d), spec=spec)
 
 

@@ -179,13 +179,8 @@ class ExperimentConfig:
         payload = "\n".join(f"{k} = {v}" for k, v in self.items)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    def with_overrides(self, out=None, cache=None) -> "ExperimentConfig":
-        cfg = self
-        if out is not None:
-            cfg = replace(cfg, out=str(out))
-        if cache is not None:
-            cfg = replace(cfg, cache_dir=str(cache))
-        return cfg
+    def with_overrides(self, out=None) -> "ExperimentConfig":
+        return self if out is None else replace(self, out=str(out))
 
     def resolved_cache_dir(self) -> str:
         # the environment overrides the config file; a --cache flag beats both

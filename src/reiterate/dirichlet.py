@@ -146,12 +146,13 @@ def two_scale_expansion(u0: GridFunction, table: CorrectorTable,
     x = grid.nodes().reshape(-1, grid.d)
     chi = table.sample(x, ladder).reshape(grid.node_shape + (grid.d,))
     grad0 = gradient(u0).values
-    eta = Cutoff(grid, eps).values().values
+    cutoff = Cutoff(grid, eps)
+    eta = cutoff.values().values
     slow = np.stack([smooth(GridFunction(grid, eta * grad0[..., j]), eps).values
                      for j in range(grid.d)], axis=-1)
     corrector_term = np.einsum("...j,...j->...", chi, slow)
     return GridFunction(grid, u0.values + eps * corrector_term,
-                        meta={"eps": eps, "cutoff_gradient_bound": 15.0 / (8.0 * eps)})
+                        meta={"eps": eps, "cutoff_gradient_bound": cutoff.gradient_bound})
 
 
 def error_report(u_eps: GridFunction, approx: GridFunction,

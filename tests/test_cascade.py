@@ -13,7 +13,7 @@ import pytest
 from reiterate.cache import CorrectorCache
 from reiterate import cascade
 from reiterate.cascade import (Axis, CorrectorTable, TensorField, box_axis,
-                               descend, holder_check, homogenize_all,
+                               descend, homogenize_all,
                                multilinear, periodic_axis, point_axis)
 from reiterate.cell import CellProblem, effective_tensor, solve_corrector
 from reiterate.coeff import ScaleLadder, builtin_family
@@ -254,14 +254,6 @@ def test_changed_slab_size_misses_never_misserves(tmp_path, monkeypatch):
     assert again.hits == 0 and again.misses == 33 and again.stores == 5
     assert second.cache_hits == 0 and second.cache_misses == 33
     assert np.array_equal(first.tensor_field.values, second.tensor_field.values)
-
-
-def test_holder_check_passes_for_product_field():
-    field = builtin_family(PRODUCT, 1)
-    result = homogenize_all(field, LADDER2, resolution=128)
-    report = holder_check(result)
-    assert report["ok"]
-    assert {entry["level"] for entry in report["levels"]} == {1, 2}
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,36 @@ def test_cell_solves_finest_level(tmp_path, capsys):
     assert (out / "cell-L1.bin").exists()
 
 
+@pytest.mark.parametrize("text, level", [
+    pytest.param(PRODUCT, 2, id="1d"),
+    pytest.param("field = checkerboard2d(1, 4, 8)\ndim = 2\neps = 1/8\n"
+                 "cell.resolution = 16\n", 1, id="2d"),
+])
+def test_cell_artifact_round_trips_through_the_cache_reader(tmp_path, capsys,
+                                                            text, level):
+    # the artifact is a one-sample slab, so the cache reader is its reader
+    from reiterate.cache import load_correctors
+    from reiterate.cascade import tabulate_cells
+    from reiterate.cell import CellProblem, solve_corrector
+    from reiterate.config import parse_config
+    from reiterate.grid import Grid, GridFunction
+
+    cfg_path, out = setup(tmp_path, text)
+    assert run(["cell", "--config", cfg_path], capsys)[0] == 0
+    chi, sidecar = load_correctors(out / f"cell-L{level}")
+    cfg = parse_config(cfg_path)
+    grid = Grid.torus(cfg.d, cfg.cell_resolution)
+    frozen = (0.0,) * (cfg.d * level)
+    values = tabulate_cells(cfg.field, [frozen], grid)[0]
+    alone = solve_corrector(CellProblem(grid, GridFunction(grid, values), frozen,
+                                        cfg.cell_tol))
+    assert chi.shape == (1,) + grid.node_shape + (cfg.d,)
+    assert np.array_equal(chi[0], alone.chi.values)
+    results = json.loads((out / "manifest-cell.json").read_text())["results"]
+    assert sidecar["tensor"] == [results["tensor"]]
+    assert sidecar["frozen"] == [list(frozen)]
+
+
 def test_clean_cache_idempotent(tmp_path, capsys):
     cfg, out = setup(tmp_path, PRODUCT)
     assert run(["cascade", "--config", cfg], capsys)[0] == 0
@@ -311,7 +341,7 @@ def test_solver_failure_exits_3_and_records_manifest(tmp_path, capsys,
     def stagnate(problem):
         raise SolverFailure("PCG stagnated after 100000 iterations")
 
-    monkeypatch.setattr("reiterate.cli.solve_corrector", stagnate)
+    monkeypatch.setattr("reiterate.cli.solve_stack", stagnate)
     cfg, out = setup(tmp_path, SINGLE)
     code, _, err = run(["cell", "--config", cfg], capsys)
     assert code == 3
@@ -603,7 +633,7 @@ def test_run_passes_on_the_status_of_main(tmp_path, capsys, monkeypatch):
     def stagnate(problem):
         raise SolverFailure("PCG stagnated after 100000 iterations")
 
-    monkeypatch.setattr(cli, "solve_corrector", stagnate)
+    monkeypatch.setattr(cli, "solve_stack", stagnate)
     cli.run(["cell", "--config", cfg])
     assert events == ["atexit", 0, "atexit", 2, "atexit", 3]
     captured = capsys.readouterr()

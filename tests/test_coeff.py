@@ -191,31 +191,6 @@ def test_constant_family_and_trivial_scales():
     assert a[0] == pytest.approx(2 * np.eye(2))
 
 
-# ---------------------------------------------------------------------------
-# sampled invariants
-
-
-def test_sampled_ellipticity_report():
-    field = builtin_family("laminate1d(2+sin(2*pi*y1))", 1)
-    report = field.check_ellipticity(seed=42, samples=2000)
-    assert report["ok"]
-    assert report["min_eig"] >= 1.0 - 1e-9 and report["max_eig"] <= 3.0 + 1e-9
-    assert report["seed"] == 42
-
-
-def test_sampled_periodicity_report():
-    field = builtin_family("checkerboard2d(1, 4, 8)", 2)
-    report = field.check_periodicity(seed=5)
-    assert report["ok"]
-
-
-def test_sampled_hoelder_quotient_bounded_by_metadata():
-    field = builtin_family("laminate1d(2+sin(2*pi*y1))", 1)
-    report = field.check_hoelder(seed=9)
-    assert report["ok"]
-    assert report["max_quotient"] <= field.lipschitz * (1 + 1e-6)
-
-
 @settings(max_examples=15, deadline=None)
 @given(eps=st.floats(min_value=0.01, max_value=0.45),
        lam=st.integers(min_value=2, max_value=4))
