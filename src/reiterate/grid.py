@@ -172,10 +172,7 @@ class GridFunction:
 
     def magnitude(self) -> np.ndarray:
         """Pointwise Euclidean (Frobenius) magnitude, shape node_shape."""
-        if self.is_scalar:
-            return np.abs(self.values)
-        axes = tuple(range(self.grid.d, self.values.ndim))
-        return np.sqrt(np.sum(self.values**2, axis=axes))
+        return _magnitude(self.values, self.grid.d)
 
     def _binary(self, other, op):
         if isinstance(other, GridFunction):
@@ -254,22 +251,53 @@ def l2_norm(f: GridFunction, mask: np.ndarray | None = None) -> float:
     return float(np.sqrt(f.grid.cell_volume() * np.sum(mags**2)))
 
 
+def _magnitude(values: np.ndarray, d: int) -> np.ndarray:
+    if values.ndim == d:
+        return np.abs(values)
+    return np.sqrt(np.sum(values**2, axis=tuple(range(d, values.ndim))))
+
+
+def _ball_window(grid: Grid, center, r: float):
+    """Node slices covering B(center, r), and x - center on them.
+
+    Each axis keeps the nodes within r of the center coordinate, widened
+    by one node per side so rounding never drops a node, and clipped to
+    the grid.  The offsets are built from axis_coords exactly as nodes()
+    builds its coordinates, so a ball mask taken on them equals the same
+    mask taken on the whole grid, restricted to the window.
+    """
+    center = np.asarray(center, dtype=float)
+    window = []
+    for axis in range(grid.d):
+        h, n = grid.spacing[axis], grid.node_shape[axis]
+        start = np.floor((center[axis] - r - grid.lo[axis]) / h) - 1
+        stop = np.ceil((center[axis] + r - grid.lo[axis]) / h) + 2
+        window.append(slice(int(np.clip(start, 0, n)), int(np.clip(stop, 0, n))))
+    window = tuple(window)
+    axes = [grid.axis_coords(axis)[window[axis]] for axis in range(grid.d)]
+    delta = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1) - center
+    return window, delta
+
+
 def ball_average(f: GridFunction, center, r: float, p: float = 2.0) -> float:
     """Node p-mean of |f| over the ball B(center, r) intersected with the grid.
 
     Returns (sum |f|^p / count)^(1/p); fails if fewer than 8 nodes fall inside.
     """
+    return _window_average(f, r, *_ball_window(f.grid, center, r), p)
+
+
+def _window_average(f: GridFunction, r: float, window, delta, p: float) -> float:
+    """ball_average on a window from _ball_window."""
     if p <= 0:
         raise ValueError("p must be positive")
-    center = np.asarray(center, dtype=float)
-    nodes = f.grid.nodes().reshape(-1, f.grid.d)
-    inside = np.sum((nodes - center) ** 2, axis=1) <= r * r
+    inside = np.sum(delta**2, axis=-1) <= r * r
     count = int(inside.sum())
     if count < 8:
         raise ResolutionError(
             f"ball of radius {r} holds {count} nodes (< 8); refine below h={max(f.grid.spacing)}"
         )
-    mags = f.magnitude().reshape(-1)[inside]
+    mags = _magnitude(f.values[window], f.grid.d)[inside]
     return float(np.mean(mags**p) ** (1.0 / p))
 
 

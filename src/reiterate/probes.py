@@ -8,6 +8,15 @@ is exact for the penalized objective in one dimension and exact up to
 grid quantization in two, because the second-moment matrix of a ball is
 isotropic.
 
+A ball probe reads only its window: grid._ball_window gives the node
+slices covering B(center, r), widened by one node per side and clipped
+to the grid, with the offsets x - center on them, so no probe scans the
+whole grid.  Each consumer keeps its own membership rule on those
+offsets: ball_average takes |x - center|^2 <= r^2, and affine_fit,
+penalized_affine_excess (oscillation included) and the flat term of
+excess_rows take |x - center| <= r + 1e-12.  excess_rows finds each
+radius's window once and shares it among its ball computations.
+
 Conventions used throughout: ratios with vanishing numerator and
 denominator count as 0, never NaN; radius sequences are dyadic from the
 top radius down to max(finest scale, 8h); the F-term exponent p defaults
@@ -23,7 +32,8 @@ import numpy as np
 
 from .coeff import CoefficientField, ScaleLadder
 from .dirichlet import BVP, cells_per_axis, solve_homogenized, solve_multiscale
-from .grid import Grid, GridFunction, ball_average, gradient, l2_norm
+from .grid import (Grid, GridFunction, _ball_window, _window_average, ball_average,
+                   gradient, l2_norm)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # shrink factors the excess iteration may use, largest first
@@ -229,22 +239,24 @@ class BallFit:
     nodes: int
 
 
-def _ball_mask(grid: Grid, center, r: float) -> np.ndarray:
-    pts = grid.nodes()
-    delta = pts - np.asarray(center, dtype=float)
-    return np.sqrt(np.sum(delta**2, axis=-1)) <= r + 1e-12
+def _node_ball(grid: Grid, center, r: float):
+    """Window, offsets x - center, and the probes' mask |x - center| <= r."""
+    window, delta = _ball_window(grid, center, r)
+    return window, delta, np.sqrt(np.sum(delta**2, axis=-1)) <= r + 1e-12
 
 
 def affine_fit(u: GridFunction, center, r: float) -> BallFit:
     """Least-squares affine fit over the node ball."""
-    grid = u.grid
-    mask = _ball_mask(grid, center, r)
+    return _affine_fit(u, center, r, _node_ball(u.grid, center, r))
+
+
+def _affine_fit(u: GridFunction, center, r: float, ball) -> BallFit:
+    window, delta, mask = ball
     count = int(mask.sum())
-    if count < 3 * grid.d:
+    if count < 3 * u.grid.d:
         raise ValueError(f"ball of radius {r:g} holds only {count} nodes")
-    pts = grid.nodes()[mask] - np.asarray(center, dtype=float)
-    vals = u.values[mask]
-    design = np.concatenate([np.ones((count, 1)), pts], axis=1)
+    vals = u.values[window][mask]
+    design = np.concatenate([np.ones((count, 1)), delta[mask]], axis=1)
     coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
     residual = vals - design @ coef
     return BallFit(center=tuple(float(c) for c in center), radius=float(r),
@@ -278,15 +290,19 @@ def penalized_affine_excess(u: GridFunction, center, r: float, *,
     The slope is shrunk along the least-squares ray; the constant is
     re-optimized in closed form for every candidate.
     """
-    grid = u.grid
-    mask = _ball_mask(grid, center, r)
-    pts = grid.nodes()[mask] - np.asarray(center, dtype=float)
-    vals = u.values[mask]
-    if vals.size < 3 * grid.d:
+    return _penalized_excess(u, r, _node_ball(u.grid, center, r), vartheta,
+                             oscillation)
+
+
+def _penalized_excess(u: GridFunction, r: float, ball, vartheta: float,
+                      oscillation) -> tuple[float, float]:
+    window, delta, mask = ball
+    vals = u.values[window][mask]
+    if vals.size < 3 * u.grid.d:
         raise ValueError(f"ball of radius {r:g} holds only {vals.size} nodes")
-    basis = pts.copy()
+    basis = delta[mask]
     if oscillation is not None:
-        basis = basis + oscillation[mask]
+        basis = basis + oscillation[window][mask]
     design = np.concatenate([np.ones((vals.size, 1)), basis], axis=1)
     coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
     xi = coef[1:]
@@ -315,7 +331,7 @@ def excess_rows(u: GridFunction, center, radii, *, theta: float = 1.0,
     collapse to one number in the homogenized case.  Phi compares with
     constants only.  h is the least-squares slope magnitude.  Forcing
     adds r * (ball p-mean of |F|) to H, Phi, and G, with the regularity
-    exponent capped at 1 - d/p.
+    exponent capped at 1 - d/p.  Each radius finds its ball once.
     """
     grid = u.grid
     d = grid.d
@@ -324,18 +340,22 @@ def excess_rows(u: GridFunction, center, radii, *, theta: float = 1.0,
     vartheta = min(theta, 1.0 - d / p) if p > d else theta
     rows = []
     for r in radii:
+        ball = _node_ball(grid, center, r)
+        window, delta, mask = ball
         force_term = 0.0
         if forcing is not None:
-            force_term = r * ball_average(forcing, center, r, p=p)
-        H, _ = penalized_affine_excess(u, center, r, vartheta=vartheta,
-                                       oscillation=oscillation)
+            if forcing.grid == grid:
+                force_term = r * _window_average(forcing, r, window, delta, p)
+            else:
+                force_term = r * ball_average(forcing, center, r, p=p)
+        H, _ = _penalized_excess(u, r, ball, vartheta, oscillation)
         if oscillation is None:
             G = H
         else:
-            G, _ = penalized_affine_excess(u, center, r, vartheta=vartheta)
-        fit = affine_fit(u, center, r)
-        mask = _ball_mask(grid, center, r)
-        flat = float(np.sqrt(np.mean((u.values[mask] - u.values[mask].mean()) ** 2)))
+            G, _ = _penalized_excess(u, r, ball, vartheta, None)
+        fit = _affine_fit(u, center, r, ball)
+        vals = u.values[window][mask]
+        flat = float(np.sqrt(np.mean((vals - vals.mean()) ** 2)))
         rows.append({
             "r": float(r),
             "H": H + force_term,
@@ -445,19 +465,27 @@ def calibrate_t(corpus, radii, *, candidates=T_CANDIDATES,
     a None ratio and cannot qualify.
     """
     report = {"ok": False, "t": None, "ratios": {}}
+    excess = {}  # (corpus index, radius) -> G, or None if unresolvable
+
+    def G(k: int, u: GridFunction, center, r: float, vartheta: float):
+        if (k, r) not in excess:
+            try:
+                excess[k, r] = penalized_affine_excess(u, center, r,
+                                                       vartheta=vartheta)[0]
+            except ValueError:
+                excess[k, r] = None
+        return excess[k, r]
+
     for t in sorted(candidates, reverse=True):
         worst = 0.0
-        for u, center in corpus:
+        for k, (u, center) in enumerate(corpus):
             d = u.grid.d
             pp = p if p is not None else d + 1.0
             vartheta = min(theta, 1.0 - d / pp) if pp > d else theta
             for r in radii:
-                try:
-                    g_r, _ = penalized_affine_excess(u, center, r,
-                                                     vartheta=vartheta)
-                    g_tr, _ = penalized_affine_excess(u, center, t * r,
-                                                      vartheta=vartheta)
-                except ValueError:
+                g_r = G(k, u, center, r, vartheta)
+                g_tr = None if g_r is None else G(k, u, center, t * r, vartheta)
+                if g_tr is None:
                     worst = None
                     break
                 worst = max(worst, _safe_ratio(g_tr, g_r))
@@ -481,8 +509,9 @@ def iteration_defects(u: GridFunction, center, radii, eps1: float, t: float, *,
     The defect is what the separation term C (eps1/r)^rho must absorb; a
     zero driving excess with zero defect counts as 0.
     """
-    rows = excess_rows(u, center,
-                       list(radii) + [t * r for r in radii] + [2 * r for r in radii],
+    # dyadic r, t r and 2 r overlap; each distinct radius is probed once
+    wanted = list(radii) + [t * r for r in radii] + [2 * r for r in radii]
+    rows = excess_rows(u, center, list(dict.fromkeys(float(r) for r in wanted)),
                        theta=theta, p=p, forcing=forcing, oscillation=oscillation)
     table = {row["r"]: row for row in rows}
     out = []

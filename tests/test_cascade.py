@@ -12,9 +12,8 @@ import pytest
 
 from reiterate.cache import CorrectorCache
 from reiterate import cascade
-from reiterate.cascade import (Axis, CorrectorTable, TensorField, box_axis,
-                               descend, homogenize_all,
-                               multilinear, periodic_axis, point_axis)
+from reiterate.cascade import (box_axis, descend, homogenize_all, multilinear,
+                               periodic_axis, point_axis)
 from reiterate.cell import CellProblem, effective_tensor, solve_corrector
 from reiterate.coeff import ScaleLadder, builtin_family
 

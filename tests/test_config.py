@@ -1,8 +1,6 @@
-import numpy as np
 import pytest
 
 from reiterate.config import (
-    ExperimentConfig,
     parse_config,
     parse_number,
     parse_number_list,

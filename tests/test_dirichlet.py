@@ -17,7 +17,7 @@ from reiterate.dirichlet import (BVP, Cutoff, boundary_layer_mask, error_report,
                                  smoothstep5, solve_homogenized, solve_multiscale,
                                  two_scale_expansion)
 from reiterate.errors import ResolutionError
-from reiterate.grid import Grid, GridFunction, gradient, l2_norm
+from reiterate.grid import Grid, gradient
 
 
 def exact_two_point(a_fn, f_fn, alpha, beta, n=40_001):

@@ -1,7 +1,9 @@
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +37,26 @@ def test_unknown_attribute_raises():
         reiterate.no_such_name
     with pytest.raises(ImportError):
         from reiterate import no_such_name  # noqa: F401
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names a module's top-level imports bind and nothing in it reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / "src" / "reiterate").glob("*.py")) + sorted(
+        (root / "tests").glob("*.py"))
+    unread = {str(p.relative_to(root)): names for p in paths
+              if (names := _unread_imports(p))}
+    assert unread == {}
