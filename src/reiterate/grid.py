@@ -284,13 +284,9 @@ def ball_average(f: GridFunction, center, r: float, p: float = 2.0) -> float:
 
     Returns (sum |f|^p / count)^(1/p); fails if fewer than 8 nodes fall inside.
     """
-    return _window_average(f, r, *_ball_window(f.grid, center, r), p)
-
-
-def _window_average(f: GridFunction, r: float, window, delta, p: float) -> float:
-    """ball_average on a window from _ball_window."""
     if p <= 0:
         raise ValueError("p must be positive")
+    window, delta = _ball_window(f.grid, center, r)
     inside = np.sum(delta**2, axis=-1) <= r * r
     count = int(inside.sum())
     if count < 8:

@@ -14,8 +14,7 @@ to the grid, with the offsets x - center on them, so no probe scans the
 whole grid.  Each consumer keeps its own membership rule on those
 offsets: ball_average takes |x - center|^2 <= r^2, and affine_fit,
 penalized_affine_excess (oscillation included) and the flat term of
-excess_rows take |x - center| <= r + 1e-12.  excess_rows finds each
-radius's window once and shares it among its ball computations.
+excess_rows take |x - center| <= r + 1e-12.
 
 Conventions used throughout: ratios with vanishing numerator and
 denominator count as 0, never NaN; radius sequences are dyadic from the
@@ -32,8 +31,7 @@ import numpy as np
 
 from .coeff import CoefficientField, ScaleLadder
 from .dirichlet import BVP, cells_per_axis, solve_homogenized, solve_multiscale
-from .grid import (Grid, GridFunction, _ball_window, _window_average, ball_average,
-                   gradient, l2_norm)
+from .grid import Grid, GridFunction, _ball_window, ball_average, gradient, l2_norm
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # shrink factors the excess iteration may use, largest first
@@ -247,11 +245,7 @@ def _node_ball(grid: Grid, center, r: float):
 
 def affine_fit(u: GridFunction, center, r: float) -> BallFit:
     """Least-squares affine fit over the node ball."""
-    return _affine_fit(u, center, r, _node_ball(u.grid, center, r))
-
-
-def _affine_fit(u: GridFunction, center, r: float, ball) -> BallFit:
-    window, delta, mask = ball
+    window, delta, mask = _node_ball(u.grid, center, r)
     count = int(mask.sum())
     if count < 3 * u.grid.d:
         raise ValueError(f"ball of radius {r:g} holds only {count} nodes")
@@ -290,13 +284,7 @@ def penalized_affine_excess(u: GridFunction, center, r: float, *,
     The slope is shrunk along the least-squares ray; the constant is
     re-optimized in closed form for every candidate.
     """
-    return _penalized_excess(u, r, _node_ball(u.grid, center, r), vartheta,
-                             oscillation)
-
-
-def _penalized_excess(u: GridFunction, r: float, ball, vartheta: float,
-                      oscillation) -> tuple[float, float]:
-    window, delta, mask = ball
+    window, delta, mask = _node_ball(u.grid, center, r)
     vals = u.values[window][mask]
     if vals.size < 3 * u.grid.d:
         raise ValueError(f"ball of radius {r:g} holds only {vals.size} nodes")
@@ -331,7 +319,7 @@ def excess_rows(u: GridFunction, center, radii, *, theta: float = 1.0,
     collapse to one number in the homogenized case.  Phi compares with
     constants only.  h is the least-squares slope magnitude.  Forcing
     adds r * (ball p-mean of |F|) to H, Phi, and G, with the regularity
-    exponent capped at 1 - d/p.  Each radius finds its ball once.
+    exponent capped at 1 - d/p.
     """
     grid = u.grid
     d = grid.d
@@ -340,20 +328,17 @@ def excess_rows(u: GridFunction, center, radii, *, theta: float = 1.0,
     vartheta = min(theta, 1.0 - d / p) if p > d else theta
     rows = []
     for r in radii:
-        ball = _node_ball(grid, center, r)
-        window, delta, mask = ball
         force_term = 0.0
         if forcing is not None:
-            if forcing.grid == grid:
-                force_term = r * _window_average(forcing, r, window, delta, p)
-            else:
-                force_term = r * ball_average(forcing, center, r, p=p)
-        H, _ = _penalized_excess(u, r, ball, vartheta, oscillation)
+            force_term = r * ball_average(forcing, center, r, p=p)
+        H, _ = penalized_affine_excess(u, center, r, vartheta=vartheta,
+                                       oscillation=oscillation)
         if oscillation is None:
             G = H
         else:
-            G, _ = _penalized_excess(u, r, ball, vartheta, None)
-        fit = _affine_fit(u, center, r, ball)
+            G, _ = penalized_affine_excess(u, center, r, vartheta=vartheta)
+        fit = affine_fit(u, center, r)
+        window, _, mask = _node_ball(grid, center, r)
         vals = u.values[window][mask]
         flat = float(np.sqrt(np.mean((vals - vals.mean()) ** 2)))
         rows.append({
@@ -509,9 +494,8 @@ def iteration_defects(u: GridFunction, center, radii, eps1: float, t: float, *,
     The defect is what the separation term C (eps1/r)^rho must absorb; a
     zero driving excess with zero defect counts as 0.
     """
-    # dyadic r, t r and 2 r overlap; each distinct radius is probed once
-    wanted = list(radii) + [t * r for r in radii] + [2 * r for r in radii]
-    rows = excess_rows(u, center, list(dict.fromkeys(float(r) for r in wanted)),
+    rows = excess_rows(u, center,
+                       list(radii) + [t * r for r in radii] + [2 * r for r in radii],
                        theta=theta, p=p, forcing=forcing, oscillation=oscillation)
     table = {row["r"]: row for row in rows}
     out = []

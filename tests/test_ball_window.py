@@ -317,32 +317,3 @@ def test_calibrate_t_memo_keeps_failures_per_entry():
     corpus = corpus + [(GridFunction(coarse, x[..., 0] ** 2), (0.5, 0.5))]
     assert probes.calibrate_t(corpus, radii) == old_calibrate_t(corpus, radii)
 
-
-def test_iteration_defects_probe_each_radius_once(monkeypatch):
-    grid = Grid.box(0.0, 1.0, 1024)
-    x = grid.nodes()[..., 0]
-    u = GridFunction(grid, x + 0.01 * np.sin(64 * np.pi * x))
-    forcing = GridFunction(grid, np.ones(grid.node_shape))
-    radii, t = [1 / 16, 1 / 8, 1 / 4], 1 / 16
-    inner = probes.excess_rows
-    seen = []
-
-    def recorded(u, center, rs, **kw):
-        seen.append(list(rs))
-        return inner(u, center, rs, **kw)
-
-    monkeypatch.setattr(probes, "excess_rows", recorded)
-    got = probes.iteration_defects(u, (0.5,), radii, 1 / 32, t, forcing=forcing)
-    (probed,) = seen
-    assert len(probed) == len(set(probed)) == 7  # 9 radii, 2r repeats r twice
-    # the old table: every radius probed, duplicates included
-    rows = inner(u, (0.5,), radii + [t * r for r in radii] + [2 * r for r in radii],
-                 forcing=forcing)
-    table = {row["r"]: row for row in rows}
-    want = []
-    for r in radii:
-        lhs, half, phi = table[t * r]["H"], 0.5 * table[r]["H"], table[2 * r]["Phi"]
-        want.append({"r": r, "eps_over_r": (1 / 32) / r, "H_tr": lhs, "H_r": 2 * half,
-                     "Phi_2r": phi,
-                     "defect": probes._safe_ratio(max(lhs - half, 0.0), phi)})
-    assert got == want
