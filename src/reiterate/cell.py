@@ -108,9 +108,8 @@ def _check_symmetric(tensor: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class FluxData:
-    """Flux matrix B, potentials f_ij, and correctors phi_kij with residual report."""
+    """Potentials f_ij and correctors phi_kij of a flux matrix, with residual report."""
 
-    B: GridFunction  # matrix components b_ij
     potentials: np.ndarray  # (d, d, *nodes)
     phi: np.ndarray  # (d, d, d, *nodes), phi[k, i, j]
     residuals: dict = field(compare=False)
@@ -284,7 +283,7 @@ def flux_correctors(B: GridFunction, tol: float = 1e-10) -> FluxData:
         "max_reconstruction_l2": float(recon.max()),
         "skew_defect": 0.0,  # exact: phi_kij = -phi_ikj by construction
     }
-    return FluxData(B=B, potentials=potentials, phi=phi, residuals=residuals)
+    return FluxData(potentials=potentials, phi=phi, residuals=residuals)
 
 
 def row_divergence_residual(B: GridFunction) -> float:

@@ -3,9 +3,12 @@
 Everything here measures discrete solutions and reports dimensionless
 ratios against the behaviour the theory predicts.  Ball quantities use
 node balls.  Affine competitors come from a least-squares fit whose
-slope is then shrunk along its own ray by a golden-section search, which
-is exact for the penalized objective in one dimension and exact up to
-grid quantization in two, because the second-moment matrix of a ball is
+slope is then shrunk along its own ray.  The fit residual is orthogonal
+to every design column, so the penalized objective along the ray is
+sqrt(E + C (1-t)^2) + t P, and its minimizer over t in [0, 1] has a
+closed form (penalized_affine_excess).  Searching along the ray only is
+exact for the penalized objective in one dimension and exact up to grid
+quantization in two, because the second-moment matrix of a ball is
 isotropic.
 
 A ball probe reads only its window: grid._ball_window gives the node
@@ -33,7 +36,6 @@ from .coeff import CoefficientField, ScaleLadder
 from .dirichlet import BVP, cells_per_axis, solve_homogenized, solve_multiscale
 from .grid import Grid, GridFunction, _ball_window, ball_average, gradient, l2_norm
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # shrink factors the excess iteration may use, largest first
 T_CANDIDATES = (1 / 16, 1 / 32, 1 / 64)
 
@@ -75,7 +77,6 @@ class RateRow:
 class RateSweep:
     rows: tuple
     exponent: float
-    intercept: float
     warnings: tuple
 
     def errors(self) -> np.ndarray:
@@ -131,16 +132,14 @@ def rate_sweep(field: CoefficientField, eps_values, ladder_for, *, effective,
         rows.append(RateRow(eps=eps, rate_expr=rate_expr, resolution=needed,
                             l2_error=float(err), slope_so_far=float(slope)))
     exponent = 0.0
-    intercept = 0.0
     if len(rows) >= 2:
         xs = np.log([row.rate_expr for row in rows])
         ys = np.log([max(row.l2_error, 1e-300) for row in rows])
-        exponent, intercept = (float(v) for v in np.polyfit(xs, ys, 1))
+        exponent = float(np.polyfit(xs, ys, 1)[0])
         if len(rows) < 4:
             warnings.append(f"exponent fitted over only {len(rows)} scales; "
                             "4 or more give a trustworthy slope")
-    return RateSweep(rows=tuple(rows), exponent=exponent, intercept=intercept,
-                     warnings=tuple(warnings))
+    return RateSweep(rows=tuple(rows), exponent=exponent, warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -258,31 +257,19 @@ def affine_fit(u: GridFunction, center, r: float) -> BallFit:
                    residual_l2=float(np.sqrt(np.mean(residual**2))), nodes=count)
 
 
-def _golden_minimize(fn, lo: float, hi: float, iters: int = 60) -> float:
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 def penalized_affine_excess(u: GridFunction, center, r: float, *,
                             vartheta: float, oscillation=None) -> tuple[float, float]:
     """(1/r) inf_P [rms(u - P) + r^(1+vartheta) |grad P|], slope of the infimum.
 
     P ranges over affines c + xi . (x - center), optionally corrected by
     the sampled oscillation profile (one column per slope component).
-    The slope is shrunk along the least-squares ray; the constant is
-    re-optimized in closed form for every candidate.
+    The slope is shrunk to t xi along the least-squares slope xi, with
+    the constant re-optimized for every t.  The fit residual e = v0 - g
+    (v0 and g the centred data and fitted part) is orthogonal to g, so
+    the objective is sqrt(E + C (1-t)^2) + t P with E = mean(e^2),
+    C = mean(g^2) and P = r^(1+vartheta) |xi|, convex on [0, 1] and
+    minimized at t* = max(0, 1 - P sqrt(E / (C (C - P^2)))) when
+    P^2 < C and at t* = 0 otherwise.
     """
     window, delta, mask = _node_ball(u.grid, center, r)
     vals = u.values[window][mask]
@@ -299,14 +286,13 @@ def penalized_affine_excess(u: GridFunction, center, r: float, *,
     g = basis @ xi
     g = g - g.mean()
     penalty = r ** (1.0 + vartheta) * slope_norm
-
-    def objective(t: float) -> float:
-        return float(np.sqrt(np.mean((v0 - t * g) ** 2))) + t * penalty
-
-    t_star = _golden_minimize(objective, 0.0, 1.0)
-    if objective(0.0) <= objective(t_star):
-        t_star = 0.0
-    return objective(t_star) / r, t_star * slope_norm
+    C = float(np.mean(g**2))
+    E = float(np.mean((v0 - g) ** 2))
+    t_star = 0.0
+    if penalty**2 < C:
+        t_star = max(0.0, 1.0 - penalty * math.sqrt(E / (C * (C - penalty**2))))
+    rms = float(np.sqrt(np.mean((v0 - t_star * g) ** 2)))
+    return (rms + t_star * penalty) / r, t_star * slope_norm
 
 
 def excess_rows(u: GridFunction, center, radii, *, theta: float = 1.0,

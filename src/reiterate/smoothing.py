@@ -72,37 +72,21 @@ def smooth(f: GridFunction, eps: float) -> GridFunction:
 # two-scale products
 
 
-class TwoScaleSampler:
-    """Grid functions x -> slow(x) * fast(x / eps) with unit-cell statistics."""
-
-    def __init__(self, slow, fast, eps: float):
-        self.slow = slow
-        self.fast = fast
-        self.eps = eps
-
-    def on(self, grid: Grid) -> GridFunction:
-        x = grid.nodes()
-        vals = np.asarray(self.slow(x)) * np.asarray(self.fast((x / self.eps) % 1.0))
-        return GridFunction(grid, vals)
-
-    def fast_l2(self, samples: int = 512) -> float:
-        """L2 norm of the fast factor over one periodic cell, by quadrature."""
-        d = 1 if np.isscalar(samples) else len(samples)
-        cell = Grid.torus(d, samples)
-        vals = np.asarray(self.fast(cell.nodes()))
-        return float(np.sqrt(np.mean(vals**2)))
-
-
 def l2_bound_ratios(grid: Grid, slow, fast, eps_values) -> list[float]:
-    """||S_eps(slow * fast(./eps))|| / (||slow|| * cell L2 of fast) per eps."""
+    """||S_eps(slow * fast(./eps))|| / (||slow|| * cell L2 of fast) per eps.
+
+    The cell L2 of fast is the rms over the d-dimensional torus with
+    grid.shape[0] nodes per axis; it does not depend on eps.
+    """
+    x = grid.nodes()
+    slow_vals = np.asarray(slow(x))
+    cell = Grid.torus(grid.d, grid.shape[0])
+    fast_l2 = float(np.sqrt(np.mean(np.asarray(fast(cell.nodes())) ** 2)))
+    denom = l2_norm(GridFunction(grid, slow_vals)) * fast_l2
     ratios = []
     for eps in eps_values:
-        sampler = TwoScaleSampler(slow, fast, eps)
-        f = sampler.on(grid)
-        smoothed = smooth(f, eps)
-        denom = l2_norm(GridFunction(grid, np.asarray(slow(grid.nodes()))))
-        denom *= sampler.fast_l2(samples=grid.shape[0])
-        ratios.append(float(l2_norm(smoothed) / denom))
+        f = GridFunction(grid, slow_vals * np.asarray(fast((x / eps) % 1.0)))
+        ratios.append(float(l2_norm(smooth(f, eps)) / denom))
     return ratios
 
 

@@ -4,7 +4,9 @@ The oracles below are the full-grid implementations the probes used
 before they learned to read only the window around their ball: each
 builds grid.nodes() for the whole grid and masks it.  Every windowed
 result must equal its oracle bit for bit, and every failure must carry
-the same type and message.
+the same type and message.  The penalized excess oracle takes its shrink
+factor in closed form; the golden-section search it replaced stays here
+as a reference that the closed form must match.
 """
 
 import numpy as np
@@ -56,7 +58,8 @@ def full_affine_fit(u, center, r):
                           nodes=count)
 
 
-def full_penalized_affine_excess(u, center, r, *, vartheta, oscillation=None):
+def _full_excess_parts(u, center, r, oscillation):
+    """Centred ball data v0, centred fitted part g and the slope norm |xi|."""
     grid = u.grid
     mask = full_ball_mask(grid, center, r)
     pts = grid.nodes()[mask] - np.asarray(center, dtype=float)
@@ -69,16 +72,52 @@ def full_penalized_affine_excess(u, center, r, *, vartheta, oscillation=None):
     design = np.concatenate([np.ones((vals.size, 1)), basis], axis=1)
     coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
     xi = coef[1:]
-    slope_norm = float(np.linalg.norm(xi))
     v0 = vals - vals.mean()
     g = basis @ xi
-    g = g - g.mean()
+    return v0, g - g.mean(), float(np.linalg.norm(xi))
+
+
+def full_penalized_affine_excess(u, center, r, *, vartheta, oscillation=None):
+    v0, g, slope_norm = _full_excess_parts(u, center, r, oscillation)
+    penalty = r ** (1.0 + vartheta) * slope_norm
+    C = float(np.mean(g**2))
+    E = float(np.mean((v0 - g) ** 2))
+    t_star = 0.0
+    if penalty**2 < C:
+        t_star = max(0.0, 1.0 - penalty * np.sqrt(E / (C * (C - penalty**2))))
+    rms = float(np.sqrt(np.mean((v0 - t_star * g) ** 2)))
+    return (rms + t_star * penalty) / r, t_star * slope_norm
+
+
+GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_minimize(fn, lo, hi, iters=60):
+    a, b = lo, hi
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
+
+
+def golden_penalized_affine_excess(u, center, r, *, vartheta, oscillation=None):
+    """The shrink factor found by golden-section search instead of in closed form."""
+    v0, g, slope_norm = _full_excess_parts(u, center, r, oscillation)
     penalty = r ** (1.0 + vartheta) * slope_norm
 
     def objective(t):
         return float(np.sqrt(np.mean((v0 - t * g) ** 2))) + t * penalty
 
-    t_star = probes._golden_minimize(objective, 0.0, 1.0)
+    t_star = _golden_minimize(objective, 0.0, 1.0)
     if objective(0.0) <= objective(t_star):
         t_star = 0.0
     return objective(t_star) / r, t_star * slope_norm
@@ -232,6 +271,23 @@ def test_affine_fits_and_excess_equal_full_grid_scan(grid_name, center_name):
             want = _outcome(full_penalized_affine_excess, u, center, r,
                             vartheta=0.5, oscillation=oscillation)
             assert _same(got, want), (r, oscillation is None, got, want)
+
+
+@pytest.mark.parametrize("grid_name,center_name", CASES)
+def test_closed_form_excess_matches_golden_section_search(grid_name, center_name):
+    grid = GRIDS[grid_name]
+    center = _centers(grid)[center_name]
+    u = _fields(grid)["scalar"]
+    ripple = 0.01 * np.sin(40 * grid.nodes())
+    for r in _radii(grid):
+        for oscillation in (None, ripple):
+            got = _outcome(full_penalized_affine_excess, u, center, r,
+                           vartheta=0.5, oscillation=oscillation)
+            ref = _outcome(golden_penalized_affine_excess, u, center, r,
+                           vartheta=0.5, oscillation=oscillation)
+            assert got[0] == ref[0], (r, got, ref)
+            if got[0] == "ok":
+                assert got[1][0] == pytest.approx(ref[1][0], rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("grid_name,center_name", CASES)

@@ -60,3 +60,15 @@ def test_no_module_imports_a_name_it_never_reads():
     unread = {str(p.relative_to(root)): names for p in paths
               if (names := _unread_imports(p))}
     assert unread == {}
+
+
+def test_benchmark_tracer_installs_on_the_package():
+    # perfbench/tracer.py wraps package functions by name; a source change
+    # that deletes one makes every traced benchmark op fail at start-up
+    root = Path(__file__).resolve().parent.parent
+    script = ("import sys\n"
+              f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+              "import tracer\n"
+              "tracer.Tracer().install()\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -135,6 +135,45 @@ def test_penalized_excess_affine_oracle():
     assert slope == pytest.approx(3.0, rel=1e-6)
 
 
+def _affine_plus_bump(a):
+    # u = 1 + 2 (x - 1/2) + a e on 256 cells, e = (x - 1/2)^2 made orthogonal
+    # to {1, x - 1/2} on the nodes of the ball B(1/2, 1/8)
+    grid = Grid.box(0.0, 1.0, 256)
+    delta = grid.nodes()[..., 0] - 0.5
+    ball = np.abs(delta) <= 0.125 + 1e-12
+    design = np.stack([np.ones(int(ball.sum())), delta[ball]], axis=1)
+    coef, *_ = np.linalg.lstsq(design, delta[ball] ** 2, rcond=None)
+    e = delta**2 - coef[0] - coef[1] * delta
+    return GridFunction(grid, 1.0 + 2.0 * delta + a * e), delta[ball], e[ball]
+
+
+@pytest.mark.parametrize("a", [0.3, 3.0, 30.0])
+def test_penalized_excess_closed_form_on_affine_plus_orthogonal_bump(a):
+    r, vartheta = 0.125, 0.5
+    u, delta, e = _affine_plus_bump(a)
+    E = a**2 * np.mean(e**2)
+    C = 4.0 * np.mean((delta - delta.mean()) ** 2)
+    P = r ** (1.0 + vartheta) * 2.0
+    t = 1.0 - P * np.sqrt(E / (C * (C - P**2)))
+    assert 0.0 < t < 1.0
+    H, slope = probes.penalized_affine_excess(u, (0.5,), r, vartheta=vartheta)
+    assert H == pytest.approx((np.sqrt(E + C * (1 - t) ** 2) + t * P) / r,
+                              rel=1e-12, abs=0.0)
+    assert slope == pytest.approx(2.0 * t, rel=1e-12, abs=0.0)
+
+
+def test_penalized_excess_keeps_constants_when_the_penalty_dominates():
+    # P^2 >= C: every shrink of the slope costs more than it saves
+    r = 0.125
+    u, delta, _ = _affine_plus_bump(3.0)
+    assert (r * 2.0) ** 2 >= 4.0 * np.mean(delta**2)
+    vals = u.values[np.abs(u.grid.nodes()[..., 0] - 0.5) <= r + 1e-12]
+    H, slope = probes.penalized_affine_excess(u, (0.5,), r, vartheta=0.0)
+    assert slope == 0.0
+    assert H == pytest.approx(np.sqrt(np.mean((vals - vals.mean()) ** 2)) / r,
+                              rel=1e-14, abs=0.0)
+
+
 def test_excess_rows_affine_slope_column():
     grid = Grid.box(0.0, 1.0, 512)
     u = GridFunction(grid, 1.0 - 2.0 * grid.nodes()[..., 0])

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from reiterate.grid import Grid, GridFunction, l2_norm
-from reiterate.smoothing import (TwoScaleSampler, bump, commutator_ratios,
-                                 l2_bound_ratios, smooth, smoothing_weights)
+from reiterate.smoothing import (bump, commutator_ratios, l2_bound_ratios, smooth,
+                                 smoothing_weights)
 
 
 def test_bump_profile_shape():
@@ -84,14 +84,35 @@ def test_oscillation_at_kernel_scale_is_damped():
     assert l2_norm(smooth(f, eps)) < 0.5 * l2_norm(f)
 
 
-def test_two_scale_sampler_statistics():
-    sampler = TwoScaleSampler(slow=lambda x: np.ones(x.shape[:-1]),
-                              fast=lambda y: 2 + np.sin(2 * np.pi * y[..., 0]),
-                              eps=1 / 16)
+def _symbol(eps, h, freq):
+    """Factor by which smooth() scales a cosine of the given frequency."""
+    w = smoothing_weights(eps, h)
+    k = np.arange(w.size) - w.size // 2
+    return float(np.sum(w * np.cos(2 * np.pi * freq * k * h)))
+
+
+def test_bound_ratio_divides_by_the_cell_l2_of_the_fast_factor():
+    # 2 + sin(2 pi x / eps) smooths to 2 + m sin(2 pi x / eps), of L2 norm
+    # sqrt(4 + m^2/2); the cell L2 of the fast factor is sqrt(4.5)
     grid = Grid.torus(1, 256)
-    f = sampler.on(grid)
-    assert f.values.shape == (256,)
-    assert sampler.fast_l2(samples=4096) == pytest.approx(np.sqrt(4.5), rel=1e-6)
+    eps = 1 / 16
+    ratios = l2_bound_ratios(grid, lambda x: np.ones(x.shape[:-1]),
+                             lambda y: 2 + np.sin(2 * np.pi * y[..., 0]), [eps])
+    m = _symbol(eps, 1 / 256, 16)
+    assert ratios[0] == pytest.approx(np.sqrt(4 + m**2 / 2) / np.sqrt(4.5), rel=1e-12)
+
+
+def test_bound_ratios_read_every_fast_coordinate_in_2d():
+    # the fast factor's cell L2 is taken on the 2D torus, so a factor
+    # reading y[..., 1] works; on the torus each axis scales it by m
+    fast = lambda y: np.sin(2 * np.pi * y[..., 0]) * np.sin(2 * np.pi * y[..., 1])
+    ones = lambda x: np.ones(x.shape[:-1])
+    eps_values = [1 / 4, 1 / 8]
+    torus = l2_bound_ratios(Grid.torus(2, 64), ones, fast, eps_values)
+    for eps, ratio in zip(eps_values, torus):
+        assert ratio == pytest.approx(_symbol(eps, 1 / 64, 1 / eps) ** 2, rel=1e-12)
+    box = l2_bound_ratios(Grid.box((0.0, 0.0), (1.0, 1.0), 64), ones, fast, eps_values)
+    assert all(0.0 < ratio <= 1.0 for ratio in box)
 
 
 def test_bound_ratios_stay_flat_as_scales_separate():
