@@ -17,12 +17,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "BVP": "dirichlet",
     "CascadeResult": "cascade",
-    "CellProblem": "cell",
+    "CellStack": "cell",
     "CoefficientField": "coeff",
     "CoefficientSpec": "coeff",
     "CompatibilityError": "errors",
     "ConfigError": "errors",
-    "CorrectorSet": "cell",
     "EffectiveTensor": "cell",
     "ExperimentConfig": "config",
     "Grid": "grid",

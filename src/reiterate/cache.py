@@ -40,20 +40,22 @@ def _entry_key(level: int, frozen_rows, resolution, tol: float, d: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-def save_slab(stem, stack, solved, tensors, spectra) -> None:
-    """Write one slab at stem: the CellStack, its StackSolution, and its
-    (samples, d, d) tensors and (samples, 2) spectra.  stem.bin holds the
-    correctors as raw little-endian f8, shaped (samples, *cell nodes, d);
-    the stem.json sidecar lands last and marks the slab complete."""
+def save_slab(stem, stack, chi, iterations, tensors, spectra) -> None:
+    """Write one slab at stem: the CellStack with the correctors
+    (samples, *cell nodes, d) and iterations (samples, d) that
+    cell.solve_corrector returns for it, and its (samples, d, d) tensors
+    and (samples, 2) spectra from cell.effective_tensor.  stem.bin holds
+    the correctors as raw little-endian f8; the stem.json sidecar lands
+    last and marks the slab complete."""
     grid = stack.grid
-    chi = np.ascontiguousarray(solved.chi, dtype="<f8")
+    chi = np.ascontiguousarray(chi, dtype="<f8")
     atomic_bytes(f"{stem}.bin", chi.tobytes())
     sidecar = {
         "frozen": np.asarray(stack.frozen, dtype=float).tolist(),
         "tol": stack.tol,
         "resolution": list(grid.shape),
         "shape": list(chi.shape),
-        "iterations": solved.iterations.tolist(),
+        "iterations": iterations.tolist(),
         "tensor": tensors.tolist(),
         "spectrum": spectra.tolist(),
     }
@@ -110,7 +112,7 @@ class CorrectorCache:
         self.hits += len(rows)
         return chi, sidecar
 
-    def store(self, field_digest: str, level: int, stack, solved, tensors,
+    def store(self, field_digest: str, level: int, stack, chi, iterations, tensors,
               spectra) -> Path:
         """Write one slab entry through save_slab; returns its stem."""
         grid = stack.grid
@@ -118,7 +120,7 @@ class CorrectorCache:
         stem = self._stem(field_digest, level,
                           _entry_key(level, rows, grid.shape, stack.tol, grid.d))
         stem.parent.mkdir(parents=True, exist_ok=True)
-        save_slab(stem, stack, solved, tensors, spectra)
+        save_slab(stem, stack, chi, iterations, tensors, spectra)
         self.stores += 1
         return stem
 

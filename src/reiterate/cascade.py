@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from .cell import (CELL_METHOD, DEFAULT_RESOLUTION, CellStack, EffectiveTensor,
-                   effective_stack, solve_stack)
+                   effective_tensor, solve_corrector)
 from .coeff import CoefficientField, ScaleLadder
 from .grid import Grid
 
@@ -156,14 +156,6 @@ class CorrectorTable:
     cell_grid: Grid
     values: np.ndarray  # (*slower dims, *cell nodes, d)
 
-    @classmethod
-    def from_correctors(cls, correctors) -> "CorrectorTable":
-        """Wrap a single cell solve as the n = 1 table (no slower arguments)."""
-        grid = correctors.problem.grid
-        d = grid.d
-        return cls(d=d, level=1, slower_axes=tuple(point_axis() for _ in range(d)),
-                   cell_grid=grid, values=correctors.chi.values[(None,) * d])
-
     def sample(self, x: np.ndarray, ladder: ScaleLadder) -> np.ndarray:
         """chi_j(x, x/eps_1, ..., x/eps_level) for each row of x, shape (m, d)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -278,13 +270,12 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
         else:
             misses += len(frozen)
             stack = CellStack(cell_grid, tabulate_cells(field, frozen, cell_grid), frozen, tol)
-            solved = solve_stack(stack)
-            values[part], spectra[part] = effective_stack(stack, solved.chi, mu=field.mu)
+            chi, iters, residuals = solve_corrector(stack)
+            values[part], spectra[part] = effective_tensor(stack, chi, mu=field.mu)
             if cached:
-                cache.store(digest, level, stack, solved, values[part], spectra[part])
-            chi = solved.chi
-            iterations += int(solved.iterations.sum())
-            worst = float(solved.residuals.max())
+                cache.store(digest, level, stack, chi, iters, values[part], spectra[part])
+            iterations += int(iters.sum())
+            worst = float(residuals.max())
             max_residual = worst if max_residual is None else max(max_residual, worst)
         if retain_correctors:
             chi_table[part] = chi

@@ -12,12 +12,15 @@ torus Poisson solves Delta f_ij = b_ij; their skew symmetry in (k, i) is
 exact by construction, while the reconstruction sum_k d_k phi_kij = b_ij
 holds up to a stencil commutator of order h^2 for smooth fields.
 
-Cells are solved in stacks: a CellStack holds many frozen samples on one
-torus grid with a leading sample axis, and a single cell is a stack of
-one.  In d=1 the discrete corrector has a closed form (the face flux is
-the harmonic mean q of the faces, so D+chi = q/a - 1 and chi is its
-centered running sum); in d=2 every sample of the stack runs the same
-Jacobi-preconditioned conjugate gradient with its own convergence test.
+A cell problem is a CellStack: many frozen samples on one torus grid
+with a leading sample axis, and a single cell is a stack of one
+(CellStack.from_sampler).  There is one solve path: solve_corrector
+solves every sample of a stack and effective_tensor reduces its
+correctors to tensors.  In d=1 the discrete corrector has a closed form
+(the face flux is the harmonic mean q of the faces, so D+chi = q/a - 1
+and chi is its centered running sum); in d=2 every sample of the stack
+runs the same Jacobi-preconditioned conjugate gradient with its own
+convergence test.
 """
 
 from __future__ import annotations
@@ -38,52 +41,6 @@ from .grid import (
 )
 
 DEFAULT_RESOLUTION = {1: 256, 2: 128}
-
-
-@dataclass(frozen=True)
-class CellProblem:
-    """Tabulated coefficient on a periodic grid with frozen slow arguments."""
-
-    grid: Grid
-    coefficient: GridFunction
-    frozen: tuple = ()
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.grid.periodic:
-            raise ValueError("cell problems live on periodic grids")
-        if self.coefficient.component_shape != (self.grid.d,) * 2:
-            raise ValueError("coefficient must be a matrix GridFunction")
-
-    @classmethod
-    def from_sampler(cls, sampler, d: int, resolution: int | None = None,
-                     frozen: tuple = (), tol: float = 1e-10) -> "CellProblem":
-        """Tabulate y -> A(y) (d x d) at the nodes of a fresh torus grid."""
-        n = resolution or DEFAULT_RESOLUTION[d]
-        grid = Grid.torus(d, n)
-        pts = grid.nodes().reshape(-1, d)
-        vals = np.asarray(sampler(pts), dtype=float).reshape(grid.node_shape + (d, d))
-        return cls(grid=grid, coefficient=GridFunction(grid, vals), frozen=frozen, tol=tol)
-
-
-@dataclass(frozen=True)
-class CorrectorSet:
-    """Zero-mean correctors chi_1..chi_d stored as one vector field."""
-
-    problem: CellProblem
-    chi: GridFunction  # vector components chi_j
-    iterations: tuple[int, ...]
-
-    def component(self, j: int) -> np.ndarray:
-        return self.chi.values[..., j]
-
-    @property
-    def energy(self) -> float:
-        """max_j mean(|D+ chi_j|^2 + chi_j^2), which the energy estimate bounds by C(d, mu)."""
-        grid, chi = self.problem.grid, self.chi.values
-        grad_sq = sum(((np.roll(chi, -1, axis=k) - chi) / grid.spacing[k]) ** 2
-                      for k in range(grid.d))
-        return float(np.mean(grad_sq + chi**2, axis=tuple(range(grid.d))).max())
 
 
 @dataclass(frozen=True)
@@ -115,7 +72,7 @@ class FluxData:
     residuals: dict = field(compare=False)
 
 
-# how solve_stack solves the corrector problems of a cell in each dimension
+# how solve_corrector solves the corrector problems of a cell in each dimension
 CELL_METHOD = {1: "closed-form", 2: "jacobi-pcg"}
 
 
@@ -128,27 +85,20 @@ class CellStack:
     frozen: np.ndarray | tuple  # one row of frozen slow arguments per sample
     tol: float
 
+    def __post_init__(self):
+        if not self.grid.periodic:
+            raise ValueError("cell problems live on periodic grids")
+        if np.shape(self.values)[1:] != self.grid.node_shape + (self.grid.d,) * 2:
+            raise ValueError("cell values must be shaped (samples, *nodes, d, d)")
+
     @classmethod
-    def of(cls, problem: CellProblem) -> "CellStack":
-        return cls(problem.grid, problem.coefficient.values[None],
-                   (problem.frozen,), problem.tol)
-
-    def problem(self, s: int) -> CellProblem:
-        return CellProblem(self.grid, GridFunction(self.grid, self.values[s]),
-                           self.frozen[s], self.tol)
-
-
-@dataclass(frozen=True)
-class StackSolution:
-    """Correctors of every sample of a stack, with per-sample solve records."""
-
-    chi: np.ndarray  # (samples, *nodes, d)
-    iterations: np.ndarray  # (samples, d)
-    residuals: np.ndarray  # (samples,) worst final relative residual over j
-
-    def corrector_set(self, s: int, problem: CellProblem) -> CorrectorSet:
-        return CorrectorSet(problem=problem, chi=GridFunction(problem.grid, self.chi[s]),
-                            iterations=tuple(int(n) for n in self.iterations[s]))
+    def from_sampler(cls, sampler, d: int, resolution: int | None = None,
+                     frozen: tuple = (), tol: float = 1e-10) -> "CellStack":
+        """The stack of one cell: y -> A(y) (d x d) at the nodes of a fresh torus grid."""
+        grid = Grid.torus(d, resolution or DEFAULT_RESOLUTION[d])
+        pts = grid.nodes().reshape(-1, d)
+        vals = np.asarray(sampler(pts), dtype=float).reshape((1,) + grid.node_shape + (d, d))
+        return cls(grid, vals, (frozen,), tol)
 
 
 def _relative_residuals(stencil: FluxStencil, chi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -158,11 +108,15 @@ def _relative_residuals(stencil: FluxStencil, chi: np.ndarray, rhs: np.ndarray) 
     return np.divide(res, norm, out=np.zeros_like(res), where=norm > 0)
 
 
-def solve_stack(stack: CellStack) -> StackSolution:
+def solve_corrector(stack: CellStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the d corrector problems of every sample in a stack.
 
-    d=1 uses the exact discrete corrector, so no iterations and no
-    tolerance; its recorded residual is that of one operator application.
+    Returns (chi, iterations, residuals), shaped (samples, *nodes, d),
+    (samples, d) and (samples,): the zero-mean correctors chi_j, the
+    iterations of each solve and each sample's worst final relative
+    residual over j.  d=1 uses the exact discrete corrector, so no
+    iterations and no tolerance; its recorded residual is that of one
+    operator application.
     """
     grid = stack.grid
     d = grid.d
@@ -193,16 +147,16 @@ def solve_stack(stack: CellStack) -> StackSolution:
             iters.append(np.array(info["sample_iterations"]))
             resid.append(np.array([hist[-1] if hist else 0.0
                                    for hist in info["sample_residuals"]]))
-    return StackSolution(chi=np.stack(comps, axis=-1), iterations=np.stack(iters, axis=-1),
-                         residuals=np.max(resid, axis=0))
+    return np.stack(comps, axis=-1), np.stack(iters, axis=-1), np.max(resid, axis=0)
 
 
-def effective_stack(stack: CellStack, chi: np.ndarray,
-                    mu: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def effective_tensor(stack: CellStack, chi: np.ndarray,
+                     mu: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean-flux effective tensors (samples, d, d) and spectra (samples, 2)
-    of every sample: the extreme eigenvalues of each symmetric part, checked
-    against [mu, 1/mu] when mu is given, and each tensor checked for
-    symmetry as EffectiveTensor checks it."""
+    of every sample, from the correctors chi that solve_corrector returns:
+    the extreme eigenvalues of each symmetric part, checked against
+    [mu, 1/mu] when mu is given, and each tensor checked for symmetry as
+    EffectiveTensor checks it."""
     stencil = FluxStencil(stack)
     d = stack.grid.d
     tensor = np.stack([stencil.mean_flux(chi[..., j], affine_axis=j) for j in range(d)],
@@ -220,31 +174,20 @@ def effective_stack(stack: CellStack, chi: np.ndarray,
     return tensor, spectra
 
 
-def solve_corrector(problem: CellProblem) -> CorrectorSet:
-    """Solve the d corrector problems of one cell (a stack of one)."""
-    return solve_stack(CellStack.of(problem)).corrector_set(0, problem)
-
-
-def effective_tensor(problem: CellProblem, correctors: CorrectorSet,
-                     mu: float | None = None) -> EffectiveTensor:
-    """Mean-flux effective tensor; spectrum checked against [mu, 1/mu] when mu is given."""
-    tensors, spectra = effective_stack(CellStack.of(problem), correctors.chi.values[None], mu)
-    spectrum = tuple(spectra[0].tolist())
-    return EffectiveTensor(tensor=tensors[0], mu=mu if mu is not None else spectrum[0],
-                           spectrum=spectrum)
-
-
-def flux_matrix(problem: CellProblem, correctors: CorrectorSet,
-                effective: EffectiveTensor) -> GridFunction:
-    """Nodal B = A(I + grad chi) - A_eff, assembled from face fluxes (mean-free)."""
-    stencil = FluxStencil(problem.coefficient)
-    grid = problem.grid
+def flux_matrix(stack: CellStack, chi: np.ndarray, tensors: np.ndarray) -> GridFunction:
+    """Nodal B = A(I + grad chi) - A_eff of a stack of one, assembled from
+    face fluxes (mean-free); chi and tensors as solve_corrector and
+    effective_tensor return them."""
+    if len(stack.values) != 1:
+        raise ValueError("flux_matrix takes a stack of one cell")
+    stencil = FluxStencil(stack)
+    grid = stack.grid
     d = grid.d
     vals = np.empty(grid.node_shape + (d, d))
     for j in range(d):
-        comps = stencil.flux(correctors.component(j), affine_axis=j)
+        comps = stencil.flux(chi[..., j], affine_axis=j)
         for i in range(d):
-            vals[..., i, j] = comps[i] - effective.tensor[i, j]
+            vals[..., i, j] = comps[i][0] - tensors[0, i, j]
     return GridFunction(grid, vals)
 
 
@@ -284,15 +227,3 @@ def flux_correctors(B: GridFunction, tol: float = 1e-10) -> FluxData:
         "skew_defect": 0.0,  # exact: phi_kij = -phi_ikj by construction
     }
     return FluxData(potentials=potentials, phi=phi, residuals=residuals)
-
-
-def row_divergence_residual(B: GridFunction) -> float:
-    """l2 size of sum_i d_i b_ij with the centered nodal divergence (order h^2)."""
-    grid = B.grid
-    worst = 0.0
-    for j in range(grid.d):
-        s = np.zeros(grid.node_shape)
-        for i in range(grid.d):
-            s += _axis_derivative(grid, B.values[..., i, j], i)
-        worst = max(worst, float(np.sqrt(np.mean(s**2))))
-    return worst

@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__, probes
 from .cache import CorrectorCache, save_slab
 from .cascade import tabulate_cells
-from .cell import DEFAULT_RESOLUTION, CellStack, effective_stack, solve_stack
+from .cell import DEFAULT_RESOLUTION, CellStack, effective_tensor, solve_corrector
 from .coeff import check_separation
 from .config import ExperimentConfig, parse_config
 from .dirichlet import solve_homogenized, solve_multiscale
@@ -144,12 +144,12 @@ def cmd_cell(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> Non
     grid = Grid.torus(field.d, cfg.cell_resolution or DEFAULT_RESOLUTION[field.d])
     with manifest.stage("cell"):
         stack = CellStack(grid, tabulate_cells(field, frozen, grid), frozen, cfg.cell_tol)
-        solved = solve_stack(stack)
-        tensors, spectra = effective_stack(stack, solved.chi, mu=field.mu)
+        chi, iterations, _ = solve_corrector(stack)
+        tensors, spectra = effective_tensor(stack, chi, mu=field.mu)
     # the artifact is a one-sample cache slab, read by cache.load_correctors
     stem = out / f"cell-L{level}"
-    save_slab(stem, stack, solved, tensors, spectra)
-    manifest.data["residuals"]["cell_iterations"] = solved.iterations[0].tolist()
+    save_slab(stem, stack, chi, iterations, tensors, spectra)
+    manifest.data["residuals"]["cell_iterations"] = iterations[0].tolist()
     manifest.data["results"]["tensor"] = tensors[0].tolist()
     manifest.data["results"]["spectrum"] = spectra[0].tolist()
     _say(f"level {level} cell tensor at the origin: {_tensor_text(tensors[0])}")

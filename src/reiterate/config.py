@@ -250,6 +250,10 @@ def parse_config(path: str) -> ExperimentConfig:
     lambdas = _take(pairs, "lambdas", parse_number_list, errors)
     explicit = _take(pairs, "scales", parse_number_list, errors)
     separation_n = _take(pairs, "separation_n", parse_int, errors)
+    if separation_n is not None and separation_n < 1:
+        errors.append(f"key 'separation_n': got {separation_n}; expected "
+                      f"{KNOWN_KEYS['separation_n']}")
+        separation_n = None
 
     if eps_values is not None and explicit is not None:
         errors.append("key 'scales': conflicts with 'eps'; give explicit scales "

@@ -14,8 +14,8 @@ laminates) and a matrix-free preconditioned conjugate gradient with one
 of two preconditioners:
 
 * Jacobi (the stencil diagonal) on periodic 2D cells, in the stacked
-  corrector solve of ``cell``, and in solve_periodic_elliptic.  Cells
-  are small, so a cheap apply wins.
+  corrector solve of ``cell`` (cell.solve_corrector), and in
+  solve_periodic_elliptic.  Cells are small, so a cheap apply wins.
 * The exact inverse of the mean-coefficient Laplacian, applied by a
   DST-I along each axis (laplacian_inverse), on 2D boxes in
   solve_box_dirichlet.  Its iteration count depends on the coefficient
@@ -699,27 +699,21 @@ def save_gridfunction(f: GridFunction, path):
 
 
 def load_gridfunction(path, grid: Grid | None = None) -> GridFunction:
-    """Read the binary node-field format; the stored grid must match a supplied one.
-
-    Version 1 files carry no corners and load on the unit cell or box.
-    """
+    """Read the binary node-field format; the stored grid must match a supplied one."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16 or raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a grid-function file")
     version, d, code, topo = struct.unpack_from("<HBBB7x", raw, 4)
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
     if d not in (1, 2) or code not in _SHAPE_CODES:
         raise ValueError(f"{path}: corrupt header")
-    offset = 16 + 4 * d + (16 * d if version == 2 else 0)
+    offset = 16 + 20 * d
     if len(raw) < offset:
         raise ValueError(f"{path}: truncated header")
     counts = struct.unpack_from(f"<{d}I", raw, 16)
-    if version == 2:
-        corners = struct.unpack_from(f"<{2 * d}d", raw, 16 + 4 * d)
-    else:
-        corners = (0.0,) * d + (1.0,) * d
+    corners = struct.unpack_from(f"<{2 * d}d", raw, 16 + 4 * d)
     comp = (d,) * code
     expected = int(np.prod(counts)) * int(np.prod(comp, dtype=int))
     data = np.frombuffer(raw, dtype="<f8", offset=offset)

@@ -16,7 +16,7 @@ import pytest
 from reiterate import probes
 from reiterate.cascade import homogenize_all
 from reiterate.cell import (
-    CellProblem,
+    CellStack,
     effective_tensor,
     flux_correctors,
     flux_matrix,
@@ -137,11 +137,11 @@ def test_criterion_03_flux_corrector_identities():
     cb2 = builtin_family("checkerboard2d(1, 4, 8)", 2)
 
     def cell_flux(field, d, n):
-        problem = CellProblem.from_sampler(
+        stack = CellStack.from_sampler(
             lambda y: field(np.zeros_like(y), [y]), d=d, resolution=n, tol=1e-11)
-        correctors = solve_corrector(problem)
-        eff = effective_tensor(problem, correctors)
-        return flux_matrix(problem, correctors, eff)
+        chi, _, _ = solve_corrector(stack)
+        tensors, _ = effective_tensor(stack, chi)
+        return flux_matrix(stack, chi, tensors)
 
     worst_mean = 0.0
     for field, d, n in ((LAM1, 1, 256), (lam2, 2, 64), (cb2, 2, 64)):

@@ -14,7 +14,7 @@ from reiterate.cache import CorrectorCache
 from reiterate import cascade
 from reiterate.cascade import (box_axis, descend, homogenize_all, multilinear,
                                periodic_axis, point_axis)
-from reiterate.cell import CellProblem, effective_tensor, solve_corrector
+from reiterate.cell import CellStack, effective_tensor, solve_corrector
 from reiterate.coeff import ScaleLadder, builtin_family
 
 SQRT3 = np.sqrt(3.0)
@@ -110,10 +110,10 @@ def test_dummy_slot_leaves_single_scale_answer_unchanged():
 def test_single_scale_cascade_agrees_with_direct_cell_solve():
     field = builtin_family("checkerboard2d(1, 4, 8)", 2)
     result = homogenize_all(field, ScaleLadder((1 / 8,)), resolution=32, tol=1e-11)
-    problem = CellProblem.from_sampler(lambda y: field(np.zeros_like(y), [y]), d=2,
-                                       resolution=32, tol=1e-11)
-    eff = effective_tensor(problem, solve_corrector(problem))
-    assert np.array_equal(result.effective.tensor, eff.tensor)
+    stack = CellStack.from_sampler(lambda y: field(np.zeros_like(y), [y]), d=2,
+                                   resolution=32, tol=1e-11)
+    tensors, _ = effective_tensor(stack, solve_corrector(stack)[0])
+    assert np.array_equal(result.effective.tensor, tensors[0])
 
 
 def test_cascade_spectrum_stays_inside_ellipticity_window():
@@ -209,15 +209,15 @@ def test_slabbed_level_matches_per_sample_solves(tmp_path, monkeypatch):
                 for k in range(0, 33, 10)]
     total = 0
     for i, frozen in enumerate(rows):
-        problem = CellProblem.from_sampler(
+        alone = CellStack.from_sampler(
             lambda y: field(np.broadcast_to(frozen, y.shape), [y]), d=2,
             resolution=8, frozen=frozen, tol=1e-11)
-        alone = solve_corrector(problem)
-        eff = effective_tensor(problem, alone, mu=field.mu)
+        chi, iterations, _ = solve_corrector(alone)
+        tensor = effective_tensor(alone, chi, mu=field.mu)[0][0]
         got = record.tensor_field.values[i, 0]
-        assert np.max(np.abs(got - eff.tensor)) <= 1e-13 * np.max(np.abs(eff.tensor))
-        assert tuple(sidecars[i // 10]["iterations"][i % 10]) == alone.iterations
-        total += sum(alone.iterations)
+        assert np.max(np.abs(got - tensor)) <= 1e-13 * np.max(np.abs(tensor))
+        assert sidecars[i // 10]["iterations"][i % 10] == iterations[0].tolist()
+        total += int(iterations.sum())
     assert record.iterations == total
     assert record.method == "jacobi-pcg" and 0.0 < record.max_residual <= 1e-11
 
@@ -270,10 +270,10 @@ def test_corrector_table_matches_separable_structure():
     assert table.values.shape == (1, 128, 128, 1)  # (x, y1 sample, cell, component)
     spread = np.max(np.abs(table.values - table.values[:, :1]))
     assert spread < 1e-9
-    problem = CellProblem.from_sampler(
+    stack = CellStack.from_sampler(
         lambda y: builtin_family("laminate1d(2+sin(2*pi*y1))", 1)(np.zeros_like(y), [y]),
         d=1, resolution=128, tol=1e-12)
-    chi = solve_corrector(problem).component(0)
+    chi = solve_corrector(stack)[0][0, :, 0]
     assert np.max(np.abs(table.values[0, 0, :, 0] - chi)) < 1e-9
 
 

@@ -14,29 +14,56 @@ import numpy as np
 import pytest
 
 from reiterate.cell import (
-    CellProblem,
     CellStack,
-    effective_stack,
     effective_tensor,
     flux_correctors,
     flux_matrix,
-    row_divergence_residual,
     solve_corrector,
-    solve_stack,
 )
 from reiterate.cache import load_correctors, save_slab
 from reiterate.cascade import tabulate_cells
 from reiterate.coeff import builtin_family
 from reiterate.errors import CompatibilityError, SolverFailure
-from reiterate.grid import FluxStencil, Grid, GridFunction, mean, pcg
+from reiterate.grid import FluxStencil, Grid, GridFunction, _axis_derivative, mean, pcg
 
 SQRT3 = np.sqrt(3.0)
 
 
-def laminate_problem(n=256, tol=1e-11):
-    field = builtin_family("laminate1d(2+sin(2*pi*y1))", 1)
-    return CellProblem.from_sampler(lambda y: field(np.zeros_like(y), [y]), d=1,
-                                    resolution=n, tol=tol)
+def one_cell(field, d, n, tol=1e-10):
+    """The stack of one cell of a field with one fast slot, x frozen at 0."""
+    return CellStack.from_sampler(lambda y: field(np.zeros_like(y), [y]), d=d,
+                                  resolution=n, tol=tol)
+
+
+def laminate_stack(n=256, tol=1e-11):
+    return one_cell(builtin_family("laminate1d(2+sin(2*pi*y1))", 1), 1, n, tol)
+
+
+def cell_flux(stack):
+    """The flux matrix B of a stack of one."""
+    chi, _, _ = solve_corrector(stack)
+    tensors, _ = effective_tensor(stack, chi)
+    return flux_matrix(stack, chi, tensors)
+
+
+def row_divergence_residual(B):
+    """l2 size of sum_i d_i b_ij with the centered nodal divergence (order h^2)."""
+    grid = B.grid
+    worst = 0.0
+    for j in range(grid.d):
+        s = np.zeros(grid.node_shape)
+        for i in range(grid.d):
+            s += _axis_derivative(grid, B.values[..., i, j], i)
+        worst = max(worst, float(np.sqrt(np.mean(s**2))))
+    return worst
+
+
+def corrector_energy(grid, chi):
+    """max_j mean(|D+ chi_j|^2 + chi_j^2) of one cell's correctors (*nodes, d),
+    which the energy estimate bounds by C(d, mu)."""
+    grad_sq = sum(((np.roll(chi, -1, axis=k) - chi) / grid.spacing[k]) ** 2
+                  for k in range(grid.d))
+    return float(np.mean(grad_sq + chi**2, axis=tuple(range(grid.d))).max())
 
 
 def oracle_corrector_1d(a_fn, n=200_000):
@@ -51,20 +78,32 @@ def oracle_corrector_1d(a_fn, n=200_000):
 
 
 def test_effective_coefficient_is_harmonic_mean_1d():
-    problem = laminate_problem()
-    correctors = solve_corrector(problem)
-    eff = effective_tensor(problem, correctors, mu=1 / 3)
-    assert eff.tensor[0, 0] == pytest.approx(SQRT3, abs=1e-9)
+    stack = laminate_stack()
+    chi, _, _ = solve_corrector(stack)
+    tensors, _ = effective_tensor(stack, chi, mu=1 / 3)
+    assert tensors[0, 0, 0] == pytest.approx(SQRT3, abs=1e-9)
+
+
+def test_cell_stack_rejects_a_box_grid_and_a_wrong_component_shape():
+    torus = Grid.torus(2, 8)
+    eye = np.broadcast_to(np.eye(2), (1,) + torus.node_shape + (2, 2))
+    frozen = np.zeros((1, 2))
+    assert CellStack(torus, eye, frozen, tol=1e-10).values.shape == (1, 8, 8, 2, 2)
+    box = Grid.box((0.0, 0.0), (1.0, 1.0), 8)
+    with pytest.raises(ValueError, match="periodic grids"):
+        CellStack(box, np.broadcast_to(np.eye(2), (1, 9, 9, 2, 2)), frozen, tol=1e-10)
+    for values in (eye[..., 0], eye[0], np.ones((1,) + torus.node_shape + (1, 1))):
+        with pytest.raises(ValueError, match=r"\(samples, \*nodes, d, d\)"):
+            CellStack(torus, values, frozen, tol=1e-10)
 
 
 def test_harmonic_mean_exact_at_any_resolution():
     # the discrete mean flux equals the node harmonic mean at every n
     for n in (32, 64, 128):
-        problem = laminate_problem(n=n)
-        correctors = solve_corrector(problem)
-        eff = effective_tensor(problem, correctors)
-        a = problem.coefficient.values[:, 0, 0]
-        assert eff.tensor[0, 0] == pytest.approx(1.0 / np.mean(1.0 / a), abs=1e-9)
+        stack = laminate_stack(n=n)
+        tensors, _ = effective_tensor(stack, solve_corrector(stack)[0])
+        a = stack.values[0, :, 0, 0]
+        assert tensors[0, 0, 0] == pytest.approx(1.0 / np.mean(1.0 / a), abs=1e-9)
 
 
 def test_corrector_matches_quadrature_oracle_1d():
@@ -73,30 +112,31 @@ def test_corrector_matches_quadrature_oracle_1d():
     y_ref, chi_ref, _ = oracle_corrector_1d(lambda y: 2 + np.sin(2 * np.pi * y))
     errs = []
     for n in (128, 256):
-        problem = laminate_problem(n=n)
-        correctors = solve_corrector(problem)
-        chi_interp = np.interp(problem.grid.axis_coords(0), y_ref, chi_ref)
-        errs.append(np.max(np.abs(correctors.component(0) - chi_interp)))
-        assert abs(correctors.component(0).mean()) < 1e-12
+        stack = laminate_stack(n=n)
+        chi = solve_corrector(stack)[0][0, :, 0]
+        chi_interp = np.interp(stack.grid.axis_coords(0), y_ref, chi_ref)
+        errs.append(np.max(np.abs(chi - chi_interp)))
+        assert abs(chi.mean()) < 1e-12
     assert errs[1] < 1.2e-5
     assert errs[0] / errs[1] > 3.5
 
 
 def test_corrector_energy_recorded_and_bounded():
-    correctors = solve_corrector(laminate_problem())
-    assert 0 < correctors.energy < 10.0  # C(d, mu) witness for this field
+    stack = laminate_stack()
+    chi, _, _ = solve_corrector(stack)
+    assert 0 < corrector_energy(stack.grid, chi[0]) < 10.0  # C(d, mu) witness for this field
 
 
 def test_closed_form_corrector_solves_the_flux_form_operator():
     # a product of two laminate factors at incommensurate frequencies
     field = builtin_family("laminate1d(2+sin(2*pi*y1), exp(sin(2*pi*y2)))", 1)
     for n in (64, 256):
-        problem = CellProblem.from_sampler(lambda y: field(np.zeros_like(y), [y, 3 * y]),
-                                           d=1, resolution=n)
-        correctors = solve_corrector(problem)
-        assert correctors.iterations == (0,)
-        chi = correctors.component(0)
-        stencil = FluxStencil(problem.coefficient)
+        stack = CellStack.from_sampler(lambda y: field(np.zeros_like(y), [y, 3 * y]),
+                                       d=1, resolution=n)
+        chi, iterations, _ = solve_corrector(stack)
+        assert iterations.tolist() == [[0]]
+        chi = chi[0, :, 0]
+        stencil = FluxStencil(GridFunction(stack.grid, stack.values[0]))
         rhs = stencil.affine_rhs(0)
         assert np.linalg.norm(stencil.apply(chi) - rhs) <= 1e-12 * np.linalg.norm(rhs)
         diag = stencil.diagonal()
@@ -114,17 +154,17 @@ def test_stacked_2d_solve_matches_each_sample_alone():
     frozen = tuple((x1, 0.0) for x1 in np.linspace(0.0, 1.0, 7))
     values = np.stack([field(np.broadcast_to(f, y.shape), [y]) for f in frozen])
     stack = CellStack(grid, values, frozen, tol=1e-11)
-    solved = solve_stack(stack)
-    tensors, _ = effective_stack(stack, solved.chi, mu=field.mu)
-    assert len(set(solved.iterations[:, 0])) > 2
+    chi, iterations, residuals = solve_corrector(stack)
+    tensors, _ = effective_tensor(stack, chi, mu=field.mu)
+    assert len(set(iterations[:, 0])) > 2
     for s in range(len(frozen)):
-        problem = stack.problem(s)
-        alone = solve_corrector(problem)
-        assert tuple(solved.iterations[s]) == alone.iterations
-        eff = effective_tensor(problem, alone, mu=field.mu)
-        scale = np.max(np.abs(eff.tensor))
-        assert np.max(np.abs(tensors[s] - eff.tensor)) <= 1e-13 * scale
-    assert np.all(solved.residuals <= 1e-11)
+        alone = CellStack(grid, values[s:s + 1], frozen[s:s + 1], tol=1e-11)
+        chi_alone, iterations_alone, _ = solve_corrector(alone)
+        assert np.array_equal(iterations[s], iterations_alone[0])
+        tensor, _ = effective_tensor(alone, chi_alone, mu=field.mu)
+        scale = np.max(np.abs(tensor))
+        assert np.max(np.abs(tensors[s] - tensor[0])) <= 1e-13 * scale
+    assert np.all(residuals <= 1e-11)
 
 
 def test_effective_stack_equals_each_sample_alone_bitwise():
@@ -133,14 +173,14 @@ def test_effective_stack_equals_each_sample_alone_bitwise():
     grid = Grid.torus(2, 8)
     frozen = np.array([(x1, x2) for x1 in (0.0, 0.3, 0.7) for x2 in (0.1, 0.55)])
     stack = CellStack(grid, tabulate_cells(field, frozen, grid), frozen, tol=1e-11)
-    solved = solve_stack(stack)
-    tensors, spectra = effective_stack(stack, solved.chi, mu=field.mu)
+    chi, _, _ = solve_corrector(stack)
+    tensors, spectra = effective_tensor(stack, chi, mu=field.mu)
     assert tensors.shape == (6, 2, 2) and spectra.shape == (6, 2)
     for s in range(len(frozen)):
-        problem = stack.problem(s)
-        alone = effective_tensor(problem, solved.corrector_set(s, problem), mu=field.mu)
-        assert np.array_equal(tensors[s], alone.tensor)
-        assert np.array_equal(spectra[s], alone.spectrum)
+        alone = CellStack(grid, stack.values[s:s + 1], frozen[s:s + 1], tol=1e-11)
+        tensor, spectrum = effective_tensor(alone, chi[s:s + 1], mu=field.mu)
+        assert np.array_equal(tensors[s], tensor[0])
+        assert np.array_equal(spectra[s], spectrum[0])
 
 
 def test_effective_stack_rejects_the_first_spectrum_outside_the_window():
@@ -151,10 +191,10 @@ def test_effective_stack_rejects_the_first_spectrum_outside_the_window():
                                       for c in levels]), np.zeros((3, 2)), tol=1e-10)
     chi = np.zeros((3,) + grid.node_shape + (2,))
     with pytest.raises(SolverFailure) as err:
-        effective_stack(stack, chi, mu=0.5)
+        effective_tensor(stack, chi, mu=0.5)
     assert str(err.value) == ("effective spectrum (3.0, 3.0) escapes [0.5, 2]; "
                               "discretization failure")
-    _, spectra = effective_stack(stack, chi, mu=0.25)
+    _, spectra = effective_tensor(stack, chi, mu=0.25)
     assert spectra.tolist() == [[c, c] for c in levels]
 
 
@@ -172,7 +212,7 @@ def test_effective_stack_rejects_the_first_asymmetric_tensor():
     asym = np.max(np.abs(tensor[1] - tensor[1].T))
     assert np.array_equal(tensor[0], tensor[0].T) and asym > 1e-3
     with pytest.raises(SolverFailure) as err:
-        effective_stack(stack, chi)
+        effective_tensor(stack, chi)
     assert str(err.value) == f"effective tensor asymmetric by {asym:g}; refine the cell grid"
 
 
@@ -180,37 +220,32 @@ def test_dimensional_reduction_2d_laminate():
     # A(y) = diag(a(y1), a(y1)): chi_1 is the 1D corrector, chi_2 = 0,
     # effective tensor diag(harmonic mean, arithmetic mean)
     field = builtin_family("laminate1d(2+sin(2*pi*y1))", 2)
-    problem = CellProblem.from_sampler(lambda y: field(np.zeros_like(y), [y]), d=2,
-                                       resolution=64, tol=1e-11)
-    correctors = solve_corrector(problem)
-    assert np.max(np.abs(correctors.component(1))) < 1e-9
+    stack = one_cell(field, 2, 64, tol=1e-11)
+    chi, _, _ = solve_corrector(stack)
+    assert np.max(np.abs(chi[..., 1])) < 1e-9
     y_ref, chi_ref, _ = oracle_corrector_1d(lambda y: 2 + np.sin(2 * np.pi * y))
-    chi1 = correctors.component(0)[:, 0]
-    chi_interp = np.interp(problem.grid.axis_coords(0), y_ref, chi_ref)
+    chi1 = chi[0, :, 0, 0]
+    chi_interp = np.interp(stack.grid.axis_coords(0), y_ref, chi_ref)
     assert np.max(np.abs(chi1 - chi_interp)) < 1e-4
-    eff = effective_tensor(problem, correctors, mu=1 / 3)
-    assert eff.tensor[0, 0] == pytest.approx(SQRT3, abs=1e-8)
-    assert eff.tensor[1, 1] == pytest.approx(2.0, abs=1e-8)  # arithmetic mean
-    assert abs(eff.tensor[0, 1]) < 1e-9
+    tensor = effective_tensor(stack, chi, mu=1 / 3)[0][0]
+    assert tensor[0, 0] == pytest.approx(SQRT3, abs=1e-8)
+    assert tensor[1, 1] == pytest.approx(2.0, abs=1e-8)  # arithmetic mean
+    assert abs(tensor[0, 1]) < 1e-9
 
 
 def test_checkerboard_duality_modest_resolution():
     field = builtin_family("checkerboard2d(1, 4, 8)", 2)
-    problem = CellProblem.from_sampler(lambda y: field(np.zeros_like(y), [y]), d=2,
-                                       resolution=64, tol=1e-10)
-    correctors = solve_corrector(problem)
-    eff = effective_tensor(problem, correctors, mu=1 / 4)
-    assert np.allclose(eff.tensor, 2.0 * np.eye(2), rtol=0.05)
+    stack = one_cell(field, 2, 64)
+    tensors, _ = effective_tensor(stack, solve_corrector(stack)[0], mu=1 / 4)
+    assert np.allclose(tensors[0], 2.0 * np.eye(2), rtol=0.05)
 
 
 def test_effective_tensor_symmetric_and_inside_spectrum_bounds():
     field = builtin_family("matrix2d(2+sin(2*pi*y1), 0.3*sin(2*pi*y1)*sin(2*pi*y2), 2+cos(2*pi*y2))", 2)
-    problem = CellProblem.from_sampler(lambda y: field(np.zeros_like(y), [y]), d=2,
-                                       resolution=48, tol=1e-10)
-    correctors = solve_corrector(problem)
-    eff = effective_tensor(problem, correctors, mu=field.mu)
-    assert abs(eff.tensor[0, 1] - eff.tensor[1, 0]) < 1e-9
-    assert field.mu <= eff.spectrum[0] <= eff.spectrum[1] <= 1 / field.mu
+    stack = one_cell(field, 2, 48)
+    tensors, spectra = effective_tensor(stack, solve_corrector(stack)[0], mu=field.mu)
+    assert abs(tensors[0, 0, 1] - tensors[0, 1, 0]) < 1e-9
+    assert field.mu <= spectra[0, 0] <= spectra[0, 1] <= 1 / field.mu
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +255,11 @@ def test_effective_tensor_symmetric_and_inside_spectrum_bounds():
 @pytest.fixture(scope="module")
 def checkerboard_flux():
     field = builtin_family("checkerboard2d(1, 4, 8)", 2)
-    problem = CellProblem.from_sampler(lambda y: field(np.zeros_like(y), [y]), d=2,
-                                       resolution=64, tol=1e-11)
-    correctors = solve_corrector(problem)
-    eff = effective_tensor(problem, correctors)
-    B = flux_matrix(problem, correctors, eff)
-    return problem, B
+    return cell_flux(one_cell(field, 2, 64, tol=1e-11))
 
 
 def test_flux_matrix_mean_free_to_machine_precision(checkerboard_flux):
-    _, B = checkerboard_flux
+    B = checkerboard_flux
     assert np.max(np.abs(mean(B))) < 1e-10
 
 
@@ -237,35 +267,27 @@ def test_flux_rows_exactly_divergence_free_for_laminate():
     # laminate in d=2: the flux of each corrector is constant along the
     # lamination axis, so every row of B has identically zero divergence
     field = builtin_family("laminate1d(2+sin(2*pi*y1))", 2)
-    problem = CellProblem.from_sampler(lambda y: field(np.zeros_like(y), [y]), d=2,
-                                       resolution=64, tol=1e-12)
-    correctors = solve_corrector(problem)
-    eff = effective_tensor(problem, correctors)
-    assert row_divergence_residual(flux_matrix(problem, correctors, eff)) < 1e-9
+    assert row_divergence_residual(cell_flux(one_cell(field, 2, 64, tol=1e-12))) < 1e-9
 
 
 def test_flux_row_divergence_decays_with_resolution():
     field = builtin_family("checkerboard2d(1, 4, 8)", 2)
     res = []
     for n in (64, 128):
-        problem = CellProblem.from_sampler(lambda y: field(np.zeros_like(y), [y]), d=2,
-                                           resolution=n, tol=1e-11)
-        correctors = solve_corrector(problem)
-        eff = effective_tensor(problem, correctors)
-        res.append(row_divergence_residual(flux_matrix(problem, correctors, eff)))
+        res.append(row_divergence_residual(cell_flux(one_cell(field, 2, n, tol=1e-11))))
     assert res[1] < 0.06  # steep internal layers carry a large constant
     assert res[0] / res[1] > 3.0
 
 
 def test_flux_corrector_skew_symmetry_exact(checkerboard_flux):
-    _, B = checkerboard_flux
+    B = checkerboard_flux
     data = flux_correctors(B, tol=1e-10)
     assert np.array_equal(data.phi[0, 1], -data.phi[1, 0])
     assert np.array_equal(data.phi[0, 0], np.zeros_like(data.phi[0, 0]))
 
 
 def test_flux_corrector_zero_mean(checkerboard_flux):
-    _, B = checkerboard_flux
+    B = checkerboard_flux
     data = flux_correctors(B, tol=1e-10)
     assert np.max(np.abs(data.phi.mean(axis=(-1, -2)))) < 1e-11
 
@@ -308,11 +330,7 @@ def test_reconstruction_residual_decays_at_second_order():
     field = builtin_family("laminate1d(2+sin(2*pi*y1))", 2)
     residuals = []
     for n in (32, 64, 128):
-        problem = CellProblem.from_sampler(lambda y: field(np.zeros_like(y), [y]), d=2,
-                                           resolution=n, tol=1e-12)
-        correctors = solve_corrector(problem)
-        eff = effective_tensor(problem, correctors)
-        B = flux_matrix(problem, correctors, eff)
+        B = cell_flux(one_cell(field, 2, n, tol=1e-12))
         residuals.append(flux_correctors(B, tol=1e-10).residuals["max_reconstruction_l2"])
     assert residuals[0] / residuals[1] >= 3.5
     assert residuals[1] / residuals[2] >= 3.5
@@ -326,10 +344,7 @@ def test_flux_correctors_reject_nonzero_mean_input():
 
 
 def test_flux_correctors_trivial_in_1d():
-    problem = laminate_problem(n=64)
-    correctors = solve_corrector(problem)
-    eff = effective_tensor(problem, correctors)
-    B = flux_matrix(problem, correctors, eff)
+    B = cell_flux(laminate_stack(n=64))
     # 1D flux a(1 + chi') is constant, so B vanishes identically
     assert np.max(np.abs(B.values)) < 1e-9
     data = flux_correctors(B)
@@ -337,15 +352,14 @@ def test_flux_correctors_trivial_in_1d():
 
 
 def test_corrector_persistence_roundtrip(tmp_path):
-    problem = laminate_problem(n=64)
-    stack = CellStack.of(problem)
-    solved = solve_stack(stack)
-    tensors, spectra = effective_stack(stack, solved.chi)
+    stack = laminate_stack(n=64)
+    solved, iterations, _ = solve_corrector(stack)
+    tensors, spectra = effective_tensor(stack, solved)
     stem = tmp_path / "cell"
-    save_slab(stem, stack, solved, tensors, spectra)
+    save_slab(stem, stack, solved, iterations, tensors, spectra)
     chi, sidecar = load_correctors(stem)
-    assert np.array_equal(chi, solved.chi)
-    assert np.array_equal(chi[0], solve_corrector(problem).chi.values)
+    assert np.array_equal(chi, solved)
+    assert sidecar["iterations"] == [[0]] and sidecar["frozen"] == [[]]
     assert np.array_equal(sidecar["tensor"], tensors)
     assert np.array_equal(sidecar["spectrum"], spectra)
     assert sidecar["resolution"] == [64] and sidecar["shape"] == [1, 64, 1]

@@ -285,9 +285,9 @@ def test_cell_artifact_round_trips_through_the_cache_reader(tmp_path, capsys,
     # the artifact is a one-sample slab, so the cache reader is its reader
     from reiterate.cache import load_correctors
     from reiterate.cascade import tabulate_cells
-    from reiterate.cell import CellProblem, solve_corrector
+    from reiterate.cell import CellStack, solve_corrector
     from reiterate.config import parse_config
-    from reiterate.grid import Grid, GridFunction
+    from reiterate.grid import Grid
 
     cfg_path, out = setup(tmp_path, text)
     assert run(["cell", "--config", cfg_path], capsys)[0] == 0
@@ -295,11 +295,10 @@ def test_cell_artifact_round_trips_through_the_cache_reader(tmp_path, capsys,
     cfg = parse_config(cfg_path)
     grid = Grid.torus(cfg.d, cfg.cell_resolution)
     frozen = (0.0,) * (cfg.d * level)
-    values = tabulate_cells(cfg.field, [frozen], grid)[0]
-    alone = solve_corrector(CellProblem(grid, GridFunction(grid, values), frozen,
-                                        cfg.cell_tol))
+    values = tabulate_cells(cfg.field, [frozen], grid)
+    alone, _, _ = solve_corrector(CellStack(grid, values, [frozen], cfg.cell_tol))
     assert chi.shape == (1,) + grid.node_shape + (cfg.d,)
-    assert np.array_equal(chi[0], alone.chi.values)
+    assert np.array_equal(chi, alone)
     results = json.loads((out / "manifest-cell.json").read_text())["results"]
     assert sidecar["tensor"] == [results["tensor"]]
     assert sidecar["frozen"] == [list(frozen)]
@@ -338,10 +337,10 @@ def test_solver_failure_exits_3_and_records_manifest(tmp_path, capsys,
                                                      monkeypatch):
     from reiterate.errors import SolverFailure
 
-    def stagnate(problem):
+    def stagnate(stack):
         raise SolverFailure("PCG stagnated after 100000 iterations")
 
-    monkeypatch.setattr("reiterate.cli.solve_stack", stagnate)
+    monkeypatch.setattr("reiterate.cli.solve_corrector", stagnate)
     cfg, out = setup(tmp_path, SINGLE)
     code, _, err = run(["cell", "--config", cfg], capsys)
     assert code == 3
@@ -393,16 +392,16 @@ def test_every_exit_with_a_manifest_records_cache_counters(tmp_path, capsys,
     from reiterate.errors import SolverFailure
 
     monkeypatch.setattr(cascade, "_SLAB_NODES", 10 * 64)  # 33 samples, 4 slabs
-    solve_stack = cascade.solve_stack
+    solve_corrector = cascade.solve_corrector
     calls = []
 
     def third_slab_fails(stack):
         calls.append(stack)
         if len(calls) == 3:
             raise SolverFailure("PCG stagnated after 7 iterations")
-        return solve_stack(stack)
+        return solve_corrector(stack)
 
-    monkeypatch.setattr(cascade, "solve_stack", third_slab_fails)
+    monkeypatch.setattr(cascade, "solve_corrector", third_slab_fails)
     cfg, out = setup(tmp_path, GRADED)
     assert run(["cascade", "--config", cfg], capsys)[0] == 3
     manifest = json.loads((out / "manifest-cascade.json").read_text())
@@ -410,7 +409,7 @@ def test_every_exit_with_a_manifest_records_cache_counters(tmp_path, capsys,
     cache = manifest["timing"]["cache"]
     assert (cache["hits"], cache["misses"], cache["stores"]) == (0, 30, 2)
 
-    monkeypatch.setattr(cascade, "solve_stack", solve_stack)
+    monkeypatch.setattr(cascade, "solve_corrector", solve_corrector)
     assert run(["cascade", "--config", cfg], capsys)[0] == 0
     cache = json.loads((out / "manifest-cascade.json").read_text())["timing"]["cache"]
     assert (cache["hits"], cache["misses"], cache["stores"]) == (20, 13, 2)
@@ -630,10 +629,10 @@ def test_run_passes_on_the_status_of_main(tmp_path, capsys, monkeypatch):
     bad, _ = setup(tmp_path, SINGLE + "bogus = 1\n", name="bad.cfg")
     cli.run(["cell", "--config", bad])
 
-    def stagnate(problem):
+    def stagnate(stack):
         raise SolverFailure("PCG stagnated after 100000 iterations")
 
-    monkeypatch.setattr(cli, "solve_stack", stagnate)
+    monkeypatch.setattr(cli, "solve_corrector", stagnate)
     cli.run(["cell", "--config", cfg])
     assert events == ["atexit", 0, "atexit", 2, "atexit", 3]
     captured = capsys.readouterr()

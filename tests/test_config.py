@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from reiterate.config import (
@@ -102,6 +104,19 @@ field = constant(3)
 dim = 1
 scales = 1/4, 1/2
 """))
+
+
+@pytest.mark.parametrize("ladder, n", [
+    pytest.param("eps = 1/4", 0, id="eps"),
+    pytest.param("scales = 1/4, 1/16", -2, id="scales"),
+])
+def test_invalid_separation_n_is_blamed_on_itself(tmp_path, ladder, n):
+    text = f"field = laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y2))\ndim = 1\n{ladder}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(write(tmp_path, text + f"separation_n = {n}\n"))
+    message = str(err.value)
+    assert f"key 'separation_n': got {n}; expected integer >= 1" in message
+    assert re.findall(r"key '([^']+)'", message) == ["separation_n"]
 
 
 def test_scales_conflict_with_eps(tmp_path):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from reiterate.cascade import CorrectorTable
-from reiterate.cell import CellProblem, EffectiveTensor, solve_corrector
+from reiterate.cascade import CorrectorTable, point_axis
+from reiterate.cell import CellStack, EffectiveTensor, solve_corrector
 from reiterate.coeff import ScaleLadder, builtin_family
 from reiterate.dirichlet import (BVP, Cutoff, boundary_layer_mask, error_report,
                                  multiscale_coefficient, require_resolved,
@@ -168,10 +168,11 @@ def expansion_case(eps, cells_per_eps=32):
     grid = Grid.box(0.0, 1.0, n)
     bvp = BVP.on(grid, rhs=1.0)
     u_eps = solve_multiscale(bvp, field, ladder)
-    problem = CellProblem.from_sampler(
+    stack = CellStack.from_sampler(
         lambda y: field(np.zeros_like(y), [y]), d=1, resolution=256, tol=1e-12)
-    correctors = solve_corrector(problem)
-    table = CorrectorTable.from_correctors(correctors)
+    # the n = 1 table: one cell's correctors, no slower arguments
+    table = CorrectorTable(d=1, level=1, slower_axes=(point_axis(),), cell_grid=stack.grid,
+                           values=solve_corrector(stack)[0])
     u0 = solve_homogenized(bvp, np.array([[np.sqrt(3.0)]]))
     u1 = two_scale_expansion(u0, table, ladder)
     return u_eps, u0, u1

@@ -479,17 +479,16 @@ def test_binary_roundtrip_bit_exact(shape_case, periodic, seed, tmp_path_factory
         load_gridfunction(path, shifted)
 
 
-def test_version_1_file_loads_on_the_unit_box(tmp_path):
-    # v1 layout: header, node counts, values; no corners
+def test_version_1_file_is_rejected(tmp_path):
+    # v1 layout: header, node counts, values; no corners, so no domain
     values = np.arange(5.0)
     p = tmp_path / "v1.bin"
     p.write_bytes(b"RHGF" + struct.pack("<HBBB7x", 1, 1, 0, 1)
                   + struct.pack("<I", 5) + values.astype("<f8").tobytes())
-    f = load_gridfunction(p)
-    assert f.grid == Grid.box(0.0, 1.0, 4)
-    assert np.array_equal(f.values, values)
-    with pytest.raises(ValueError, match="does not match"):
-        load_gridfunction(p, Grid.box(0.0, 2.0, 4))
+    with pytest.raises(ValueError, match="unsupported format version 1"):
+        load_gridfunction(p)
+    with pytest.raises(ValueError, match="unsupported format version 1"):
+        load_gridfunction(p, Grid.box(0.0, 1.0, 4))
 
 
 def test_load_rejects_corrupt_header(tmp_path):

@@ -72,3 +72,21 @@ def test_benchmark_tracer_installs_on_the_package():
               "tracer.Tracer().install()\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_books_the_cascade_cell_solves_as_cell_time():
+    # the tracer's cell spans wrap cell.solve_corrector and cell.effective_tensor;
+    # a cascade that solved its cells by another name would report none
+    root = Path(__file__).resolve().parent.parent
+    script = ("import sys\n"
+              f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+              "import tracer\n"
+              "t = tracer.Tracer()\n"
+              "t.install()\n"
+              "from reiterate import builtin_family, homogenize_all\n"
+              "homogenize_all(builtin_family("
+              "'laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y2))', 1), resolution=16)\n"
+              "print(t.report()['cell.solves'])\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == 2  # one slab per level
