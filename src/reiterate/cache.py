@@ -7,7 +7,12 @@ and, for every sample, the frozen row, tensor, spectrum and iterations.
 Entries are keyed by the coefficient field digest, the cascade level, the
 slab's frozen rows, the cell resolution, the solver tolerance and d, so a
 repeated run replays tensors and correctors instead of solving again.
-A slab hits or misses as a whole; the hit and miss counters count samples.
+A slab hits or misses as a whole; the hit and miss counters count the
+samples an entry serves.  A collapsed cascade level (a field that
+declares A = scale * fast) is one entry: the single cell of its fast
+factor, keyed by that factor's digest and looked up with serves set to
+the level's sample count.  A cache filled before levels collapsed misses
+once on product fields, and its slab entries stay until clean-cache.
 Each file of an entry lands whole through a temporary file and
 os.replace, and the sidecar lands last, so a reader either sees a
 complete entry or none.  Corrupt or truncated entries, and sidecars that
@@ -86,15 +91,18 @@ class CorrectorCache:
         return self.root / field_digest / f"L{level}" / key
 
     def lookup(self, field_digest: str, level: int, frozen_rows, resolution,
-               tol: float, d: int):
+               tol: float, d: int, serves: int | None = None):
         """Return (chi stack, sidecar) for a slab or None; evicts entries
-        that are unreadable or describe another slab."""
+        that are unreadable or describe another slab.  The counters book
+        the samples the entry serves: serves when given (a collapsed
+        level's one cell serves the whole level), else its rows."""
         rows = np.asarray(frozen_rows, dtype=float).tolist()
+        served = len(rows) if serves is None else serves
         resolution = list(np.atleast_1d(resolution).tolist())
         stem = self._stem(field_digest, level,
                           _entry_key(level, rows, resolution, tol, d))
         if not (stem.with_suffix(".json").exists() and stem.with_suffix(".bin").exists()):
-            self.misses += len(rows)
+            self.misses += served
             return None
         try:
             chi, sidecar = load_correctors(stem)
@@ -107,9 +115,9 @@ class CorrectorCache:
             ok = False
         if not ok:
             self.evict(stem)
-            self.misses += len(rows)
+            self.misses += served
             return None
-        self.hits += len(rows)
+        self.hits += served
         return chi, sidecar
 
     def store(self, field_digest: str, level: int, stack, chi, iterations, tensors,

@@ -16,6 +16,15 @@ most _SLAB_NODES cell nodes, which bounds their memory.  Each slab is one
 cache entry: it is looked up whole, and on a miss it is tabulated by one
 coefficient call, solved by one stacked cell solve (a leading sample
 axis), reduced to tensors in one pass, checked and stored whole.
+
+A level collapses instead when the field declares a split
+A = scale(x, y_1..y_{n-1}) * fast(y_n) and has more than one sample: the
+cell equation does not change when A is multiplied by a positive number
+that is constant over the cell, so every sample has fast's corrector and
+the tensor scale * fast_hat.  Such a level solves one cell, the fast
+field's own cache entry (keyed by its digest, serving every sample of the
+level), and scales its tensor and spectrum by the scale at each sample
+row; the spectrum and symmetry checks still run on every scaled sample.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from itertools import product
 import numpy as np
 
 from .cell import (CELL_METHOD, DEFAULT_RESOLUTION, CellStack, EffectiveTensor,
-                   effective_tensor, solve_corrector)
+                   check_tensors, effective_tensor, solve_corrector)
 from .coeff import CoefficientField, ScaleLadder
 from .grid import Grid
 
@@ -177,13 +186,14 @@ class CascadeLevel:
     tensor_field: TensorField
     field: CoefficientField = dc_field(repr=False)
     resolution: int
-    samples: int
+    samples: int  # table entries
+    distinct_solves: int  # cell problems behind them: 1 when the level collapses
     cache_hits: int
     cache_misses: int
     iterations: int
     spectrum: tuple[float, float]
     method: str  # CELL_METHOD of the cell dimension
-    max_residual: float | None  # over the samples solved here; None if all were cached
+    max_residual: float | None  # over the cells solved here; None if all were cached
     constant: EffectiveTensor | None = None
 
 
@@ -221,6 +231,30 @@ def tabulate_cells(field: CoefficientField, frozen, grid: Grid) -> np.ndarray:
     return np.asarray(values, dtype=float).reshape((len(frozen),) + grid.node_shape + (d, d))
 
 
+def _entry(field: CoefficientField, frozen, grid: Grid, tol: float, cache,
+           mu: float | None, serves: int | None = None):
+    """The cells of field at the frozen rows as one cache entry: replayed
+    when cached, else tabulated, solved, checked against mu and stored.
+
+    Returns (chi, tensors, spectra, iterations, max residual), the residual
+    None when the entry came from the cache.
+    """
+    level = field.n_scales
+    digest = field.digest() if cache is not None else None
+    if digest is not None:
+        entry = cache.lookup(digest, level, frozen, grid.shape, tol, grid.d, serves=serves)
+        if entry is not None:
+            chi, sidecar = entry
+            return (chi, sidecar["tensor"], sidecar["spectrum"],
+                    int(np.sum(sidecar["iterations"])), None)
+    stack = CellStack(grid, tabulate_cells(field, frozen, grid), frozen, tol)
+    chi, iters, residuals = solve_corrector(stack)
+    tensors, spectra = effective_tensor(stack, chi, mu=mu)
+    if digest is not None:
+        cache.store(digest, level, stack, chi, iters, tensors, spectra)
+    return chi, tensors, spectra, int(iters.sum()), float(residuals.max())
+
+
 def descend(field: CoefficientField, *, resolution: int | None = None,
             tol: float = 1e-10, x_resolution: int | None = None,
             slot_resolution: int | None = None, cache=None,
@@ -242,47 +276,56 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
 
     axes = _slower_axes(field, level, x_resolution, slot_resolution)
     dims = tuple(a.n for a in axes)
-    digest = field.digest()
-    cached = cache is not None and digest is not None
-    key_resolution = (resolution,) * d
     cell_grid = Grid.torus(d, resolution)
+    cell_shape = cell_grid.node_shape + (d,)
 
     samples = int(np.prod(dims))
     # flat tables: row s holds sample s, in np.ndindex order
     rows = np.stack(np.meshgrid(*(a.coords for a in axes), indexing="ij"),
                     axis=-1).reshape(samples, len(axes))
-    values = np.empty((samples, d, d))
-    spectra = np.empty((samples, 2))
-    chi_table = np.empty((samples,) + cell_grid.node_shape + (d,)) if retain_correctors else None
-    iterations = 0
-    misses = 0
-    max_residual = None
-    per_slab = max(1, _SLAB_NODES // int(np.prod(cell_grid.node_shape)))
-    for start in range(0, samples, per_slab):
-        part = slice(start, start + per_slab)
-        frozen = rows[part]
-        entry = cache.lookup(digest, level, frozen, key_resolution, tol, d) if cached else None
-        if entry is not None:
-            chi, sidecar = entry
-            values[part] = sidecar["tensor"]
-            spectra[part] = sidecar["spectrum"]
-            iterations += int(np.sum(sidecar["iterations"]))
-        else:
-            misses += len(frozen)
-            stack = CellStack(cell_grid, tabulate_cells(field, frozen, cell_grid), frozen, tol)
-            chi, iters, residuals = solve_corrector(stack)
-            values[part], spectra[part] = effective_tensor(stack, chi, mu=field.mu)
-            if cached:
-                cache.store(digest, level, stack, chi, iters, values[part], spectra[part])
-            iterations += int(iters.sum())
-            worst = float(residuals.max())
-            max_residual = worst if max_residual is None else max(max_residual, worst)
-        if retain_correctors:
-            chi_table[part] = chi
+    if field.split is not None and samples > 1:
+        # A = s * B with s constant over each cell: every sample has B's
+        # corrector, and its tensor is s times B's
+        scale, fast = field.split
+        s = np.broadcast_to(np.asarray(
+            scale(rows[:, :d], [rows[:, k * d:(k + 1) * d] for k in range(1, level)]),
+            dtype=float), (samples,))
+        positive = np.isfinite(s) & (s > 0)
+        if not positive.all():
+            bad = np.flatnonzero(~positive)[0]
+            raise ValueError(f"split scale {s[bad]:g} at sample {rows[bad].tolist()} "
+                             "is not a finite positive number")
+        chi, tensor, spectrum, iterations, max_residual = _entry(
+            fast, np.zeros((1, d)), cell_grid, tol, cache, mu=None, serves=samples)
+        values = s[:, None, None] * np.asarray(tensor)
+        spectra = s[:, None] * np.asarray(spectrum)
+        check_tensors(values, spectra, field.mu)
+        misses = 0 if max_residual is None else samples
+        distinct = 1
+        chi_table = np.broadcast_to(chi[0], dims + cell_shape) if retain_correctors else None
+    else:
+        values = np.empty((samples, d, d))
+        spectra = np.empty((samples, 2))
+        chi_table = np.empty((samples,) + cell_shape) if retain_correctors else None
+        iterations = 0
+        misses = 0
+        max_residual = None
+        per_slab = max(1, _SLAB_NODES // int(np.prod(cell_grid.node_shape)))
+        for start in range(0, samples, per_slab):
+            part = slice(start, start + per_slab)
+            chi, values[part], spectra[part], iters, worst = _entry(
+                field, rows[part], cell_grid, tol, cache, mu=field.mu)
+            iterations += iters
+            if worst is not None:
+                misses += len(rows[part])
+                max_residual = worst if max_residual is None else max(max_residual, worst)
+            if retain_correctors:
+                chi_table[part] = chi
+        distinct = samples
     values = values.reshape(dims + (d, d))
 
     table = TensorField(d=d, n_slots=level - 1, axes=axes, values=values)
-    child_digest = _descended_digest(digest, level, resolution, tol, dims)
+    child_digest = _descended_digest(field.digest(), level, resolution, tol, dims)
     child = table.as_field(field, child_digest)
 
     spectrum = (float(spectra[:, 0].min()), float(spectra[:, 1].max()))
@@ -293,6 +336,7 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
 
     record = CascadeLevel(level=level, tensor_field=table, field=child,
                           resolution=resolution, samples=samples,
+                          distinct_solves=distinct,
                           cache_hits=samples - misses, cache_misses=misses,
                           iterations=iterations, spectrum=spectrum,
                           method=CELL_METHOD[d], max_residual=max_residual,
@@ -301,7 +345,7 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
     if retain_correctors:
         corrector_table = CorrectorTable(
             d=d, level=level, slower_axes=axes, cell_grid=cell_grid,
-            values=chi_table.reshape(dims + cell_grid.node_shape + (d,)))
+            values=chi_table.reshape(dims + cell_shape))
     return child, record, corrector_table
 
 
@@ -327,6 +371,7 @@ class CascadeResult:
                 "level": lv.level,
                 "resolution": lv.resolution,
                 "samples": lv.samples,
+                "distinct_solves": lv.distinct_solves,
                 "cache_hits": lv.cache_hits,
                 "cache_misses": lv.cache_misses,
                 "iterations": lv.iterations,

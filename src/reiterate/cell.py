@@ -162,6 +162,14 @@ def effective_tensor(stack: CellStack, chi: np.ndarray,
     tensor = np.stack([stencil.mean_flux(chi[..., j], affine_axis=j) for j in range(d)],
                       axis=-1)
     spectra = np.linalg.eigvalsh(0.5 * (tensor + np.swapaxes(tensor, -1, -2)))[:, [0, -1]]
+    check_tensors(tensor, spectra, mu)
+    return tensor, spectra
+
+
+def check_tensors(tensors: np.ndarray, spectra: np.ndarray, mu: float | None = None) -> None:
+    """The checks effective_tensor applies to its (samples, d, d) tensors and
+    (samples, 2) spectra: SolverFailure when a spectrum escapes [mu, 1/mu]
+    (mu given) or a tensor is asymmetric."""
     if mu is not None:
         lo, hi = mu * (1 - 1e-8), (1.0 / mu) * (1 + 1e-8)
         bad = np.flatnonzero((spectra[:, 0] < lo) | (spectra[:, 1] > hi))
@@ -170,8 +178,7 @@ def effective_tensor(stack: CellStack, chi: np.ndarray,
             raise SolverFailure(
                 f"effective spectrum {spectrum} escapes [{mu:g}, {1/mu:g}]; "
                 "discretization failure")
-    _check_symmetric(tensor)
-    return tensor, spectra
+    _check_symmetric(tensors)
 
 
 def flux_matrix(stack: CellStack, chi: np.ndarray, tensors: np.ndarray) -> GridFunction:

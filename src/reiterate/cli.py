@@ -125,6 +125,10 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _count(n: int, noun: str) -> str:
+    return f"{n} {noun}{'' if n == 1 else 's'}"
+
+
 def _tensor_text(tensor: np.ndarray) -> str:
     rows = np.atleast_2d(tensor)
     return "; ".join(" ".join("%.6f" % v for v in row) for row in rows)
@@ -175,7 +179,8 @@ def cmd_cascade(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
     _atomic_bytes(out / "cascade.json",
                   (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
     manifest.data["residuals"]["levels"] = {
-        str(lv["level"]): {key: lv[key] for key in ("method", "iterations", "max_residual")}
+        str(lv["level"]): {key: lv[key] for key in
+                           ("method", "distinct_solves", "iterations", "max_residual")}
         for lv in summary["levels"]}
     # hit counts vary between fresh and replayed runs: volatile block only
     manifest.timing["cache_hit_rate"] = summary["cache_hit_rate"]
@@ -188,7 +193,8 @@ def cmd_cascade(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
         _say("effective coefficient keeps a slow dependence; "
              "tabulated field written to the cascade summary")
     for lv in summary["levels"]:
-        _say(f"  level {lv['level']}: {lv['samples']} cell solves "
+        _say(f"  level {lv['level']}: {_count(lv['samples'], 'sample')}, "
+             f"{_count(lv['distinct_solves'], 'distinct cell solve')} "
              f"({lv['method']}), {lv['cache_hits']} cache hits")
     _say(f"cache hit rate {100.0 * summary['cache_hit_rate']:.1f}% "
          f"({hits}/{total})")

@@ -10,6 +10,12 @@ Periodicity is the expressions' contract: a cell
 solve sees one period on a torus grid, and descended tables wrap their
 slot axes.
 
+A field that is a product A = scale(x, y_1..y_{n-1}) * fast(y_n) by
+construction declares it as its split: a laminate of two or more
+factors, and a slow modulation of such a field or of a one-slot field
+that reads no x.  The cascade then solves one cell per level.  Products
+are never detected from sampled values.
+
 Expression-based families name coordinates slot-major: x1..xd are the
 slow coordinates and y{(k-1)*d + j} is coordinate j of fast slot k, so in
 d=1 the factors read y1..yn while in d=2 the first slot is (y1, y2), the
@@ -165,6 +171,10 @@ class CoefficientField:
     depends_on_x: tuple[int, ...] = ()  # the x axes the field reads (falsy: none)
     spec: CoefficientSpec | None = None
     digest_override: str | None = dc_field(default=None, repr=False)
+    # (scale, fast) when A(x, ys) = scale(x, ys[:-1]) * fast(ys[-1]) exactly:
+    # scale gives one positive number per row from x and the slower slots,
+    # and fast is a one-slot field that reads neither
+    split: tuple | None = dc_field(default=None, repr=False)
 
     def __call__(self, x, ys) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -251,13 +261,30 @@ def _build_laminate(spec: CoefficientSpec, d: int) -> CoefficientField:
     mu = min(lo_all, 1.0 / hi_all)
 
     def evaluator(x, ys, factors=factors, d=d):
-        scalar = np.ones(x.shape[:-1])
-        for k, (var, fn) in enumerate(factors):
-            scalar = scalar * fn(**{var: ys[k][..., 0]})
-        return _identity_times(scalar, d)
+        return _identity_times(_factor_product(factors, x, ys), d)
 
+    split = None
+    if len(factors) > 1:
+        # the last factor alone, read from the one slot of its own field;
+        # lo and hi still hold its range
+        def fast_evaluator(x, ys, last=factors[-1:], d=d):
+            return _identity_times(_factor_product(last, x, ys), d)
+
+        fast = CoefficientField(
+            d=d, n_scales=1, evaluator=fast_evaluator, mu=min(lo, 1.0 / hi),
+            digest_override=hashlib.sha256(f"{spec.digest(d)}|fast".encode()).hexdigest()[:16])
+        split = (lambda x, ys, slower=factors[:-1]: _factor_product(slower, x, ys), fast)
     return CoefficientField(d=d, n_scales=len(factors), evaluator=evaluator, mu=mu,
-                            spec=spec)
+                            spec=spec, split=split)
+
+
+def _factor_product(factors, x, ys) -> np.ndarray:
+    """Product of laminate factors, factor k read from the first coordinate
+    of ys[k]: one number per row of x."""
+    scalar = np.ones(x.shape[:-1])
+    for (var, fn), y in zip(factors, ys):
+        scalar = scalar * fn(**{var: y[..., 0]})
+    return scalar
 
 
 def _build_checkerboard(spec: CoefficientSpec, d: int) -> CoefficientField:
@@ -299,14 +326,22 @@ def _build_slow_modulated(spec: CoefficientSpec, d: int) -> CoefficientField:
     hi = offset + abs(amplitude)
     mu = min(base.mu * lo, 1.0 / ((1.0 / base.mu) * hi))
 
-    def evaluator(x, ys, base=base, offset=offset, amplitude=amplitude, kvec=kvec):
-        slow = offset + amplitude * np.sin(2 * np.pi * (x @ kvec))
-        return base.evaluator(x, ys) * slow[..., None, None]
+    def modulation(x, offset=offset, amplitude=amplitude, kvec=kvec):
+        return offset + amplitude * np.sin(2 * np.pi * (x @ kvec))
 
+    def evaluator(x, ys, base=base):
+        return base.evaluator(x, ys) * modulation(x)[..., None, None]
+
+    split = None
+    if base.split is not None:
+        base_scale, fast = base.split
+        split = (lambda x, ys: modulation(x) * base_scale(x, ys), fast)
+    elif base.n_scales == 1 and not base.depends_on_x:
+        split = (lambda x, ys: modulation(x), base)
     return CoefficientField(d=d, n_scales=base.n_scales, evaluator=evaluator, mu=mu,
                             depends_on_x=tuple(sorted(set(base.depends_on_x)
                                                       | set(np.flatnonzero(kvec).tolist()))),
-                            spec=spec)
+                            spec=spec, split=split)
 
 
 def _scan_slots(sources: Sequence[str], d: int) -> tuple[list[str], int]:

@@ -6,6 +6,7 @@ exactly, and integrating out y1 gives the constant 3.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +17,14 @@ from reiterate.cascade import (box_axis, descend, homogenize_all, multilinear,
                                periodic_axis, point_axis)
 from reiterate.cell import CellStack, effective_tensor, solve_corrector
 from reiterate.coeff import ScaleLadder, builtin_family
+from reiterate.errors import SolverFailure
 
 SQRT3 = np.sqrt(3.0)
 PRODUCT = "laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y2))"
 LADDER2 = ScaleLadder.power(1 / 16, [1, 2])
+# fields that declare no split, so every level takes the slab path
+NONPRODUCT = "expr(2+sin(2*pi*(y1+y2)))"  # d = 1, two slots
+NONPRODUCT_2D = "expr(3+sin(2*pi*(x1+y1))*sin(2*pi*y2))"  # 33 x1-samples
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +164,6 @@ SLOW_2D = "slow_modulated(checkerboard2d(1, 4, 8), amplitude=0.5, k1=1)"
 
 
 def test_slow_field_samples_only_the_x_axes_it_reads():
-    from dataclasses import replace
-
     field = builtin_family(SLOW_2D, 2)
     assert field.depends_on_x == (0,)
     _, record, _ = descend(field, resolution=8, tol=1e-11)
@@ -177,8 +180,9 @@ def test_slow_field_samples_only_the_x_axes_it_reads():
     ("slow_modulated(checkerboard2d(1, 4, 8), amplitude=0.5, k1=1, k2=2)", 2)])
 def test_descend_freezes_rows_in_ndindex_order(monkeypatch, text, d):
     # the rows key the cache entries, so they must match the per-index tuples
-    # of np.ndindex value for value
-    field = builtin_family(text, d)
+    # of np.ndindex value for value; without its split the field takes the
+    # slab path, which tabulates every sample
+    field = replace(builtin_family(text, d), split=None)
     seen = []
 
     def recording(field, frozen, grid):
@@ -199,7 +203,7 @@ def test_descend_freezes_rows_in_ndindex_order(monkeypatch, text, d):
 def test_slabbed_level_matches_per_sample_solves(tmp_path, monkeypatch):
     # ten samples per slab do not divide the 33 samples of the level
     monkeypatch.setattr(cascade, "_SLAB_NODES", 10 * 64)
-    field = builtin_family(SLOW_2D, 2)
+    field = builtin_family(NONPRODUCT_2D, 2)
     store = CorrectorCache(tmp_path / "store")
     _, record, _ = descend(field, resolution=8, tol=1e-11, cache=store)
     assert record.samples == 33 and store.stores == 4  # slabs of 10, 10, 10, 3
@@ -225,7 +229,7 @@ def test_slabbed_level_matches_per_sample_solves(tmp_path, monkeypatch):
 def test_cold_level_writes_one_entry_per_slab(tmp_path, monkeypatch):
     monkeypatch.setattr(cascade, "_SLAB_NODES", 10 * 64)
     store = CorrectorCache(tmp_path / "store")
-    _, record, _ = descend(builtin_family(SLOW_2D, 2), resolution=8, tol=1e-11,
+    _, record, _ = descend(builtin_family(NONPRODUCT_2D, 2), resolution=8, tol=1e-11,
                            cache=store)
     files = [p for p in store.root.rglob("*") if p.is_file()]
     assert len(files) == 2 * -(-record.samples // 10) == 8
@@ -234,16 +238,27 @@ def test_cold_level_writes_one_entry_per_slab(tmp_path, monkeypatch):
 
 def test_cascade_2d_field_writes_36_cache_files(tmp_path):
     # 33^2 x-samples on 8^2 cells: 64 samples per slab, 18 slabs
-    field = builtin_family(
-        "slow_modulated(checkerboard2d(1, 4, 8), amplitude=0.5, k1=1, k2=1)", 2)
+    field = builtin_family("expr(3+sin(2*pi*(x1+y1))*sin(2*pi*(x2+y2)))", 2)
     store = CorrectorCache(tmp_path / "store")
     result = homogenize_all(field, resolution=8, tol=1e-10, cache=store)
     assert sum(lv.samples for lv in result.levels) == 1089
     assert len([p for p in store.root.rglob("*") if p.is_file()]) == 36
 
 
+def test_cascade_2d_product_field_writes_one_entry(tmp_path):
+    # the benchmark's cascade-2d field: 33^2 x-samples of one cell problem
+    field = builtin_family(
+        "slow_modulated(checkerboard2d(1, 4, 8), amplitude=0.5, k1=1, k2=1)", 2)
+    store = CorrectorCache(tmp_path / "store")
+    result = homogenize_all(field, resolution=8, tol=1e-10, cache=store)
+    (level,) = result.levels
+    assert (level.samples, level.distinct_solves, level.cache_misses) == (1089, 1, 1089)
+    assert store.misses == 1089 and store.stores == 1
+    assert len([p for p in store.root.rglob("*") if p.is_file()]) == 2
+
+
 def test_changed_slab_size_misses_never_misserves(tmp_path, monkeypatch):
-    field = builtin_family(SLOW_2D, 2)
+    field = builtin_family(NONPRODUCT_2D, 2)
     store = CorrectorCache(tmp_path / "store")
     monkeypatch.setattr(cascade, "_SLAB_NODES", 10 * 64)
     _, first, _ = descend(field, resolution=8, tol=1e-11, cache=store)
@@ -253,6 +268,113 @@ def test_changed_slab_size_misses_never_misserves(tmp_path, monkeypatch):
     assert again.hits == 0 and again.misses == 33 and again.stores == 5
     assert second.cache_hits == 0 and second.cache_misses == 33
     assert np.array_equal(first.tensor_field.values, second.tensor_field.values)
+
+
+# ---------------------------------------------------------------------------
+# collapsed levels: one cell solve scaled by the split's scale
+
+
+def _counting_solves(monkeypatch):
+    calls = []
+    solve_corrector = cascade.solve_corrector
+
+    def counting(stack):
+        calls.append(len(stack.values))
+        return solve_corrector(stack)
+
+    monkeypatch.setattr(cascade, "solve_corrector", counting)
+    return calls
+
+
+@pytest.mark.parametrize("text, d, resolution", [
+    ("slow_modulated(checkerboard2d(1, 4, 8))", 2, 8),
+    ("slow_modulated(checkerboard2d(1, 4, 8))", 2, 32),
+    (PRODUCT, 1, 64),
+    ("laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y3))", 2, 8),
+    ("slow_modulated(laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y2)), amplitude=0.5, k1=1)", 1, 64)])
+def test_collapsed_level_matches_the_per_sample_oracle(monkeypatch, text, d, resolution):
+    field = builtin_family(text, d)
+    assert field.split is not None
+    kwargs = dict(resolution=resolution, tol=1e-11)
+    calls = _counting_solves(monkeypatch)
+    _, collapsed, _ = descend(field, **kwargs)
+    assert calls == [1]
+    # the oracle: the same field without its split solves every sample
+    _, oracle, _ = descend(replace(field, split=None), **kwargs)
+    assert sum(calls[1:]) == oracle.samples == collapsed.samples > 1
+    assert (collapsed.distinct_solves, oracle.distinct_solves) == (1, oracle.samples)
+    got, want = collapsed.tensor_field.values, oracle.tensor_field.values
+    scale = np.max(np.abs(want), axis=(-2, -1))
+    assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 1e-14 * scale)
+    assert np.allclose(collapsed.spectrum, oracle.spectrum, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("text", [
+    "matrix2d(2+sin(2*pi*(x1+y1)), 0.5*sin(2*pi*(y1+y2)), 2+cos(2*pi*y2))",
+    "expr(3+sin(2*pi*y1)*cos(2*pi*y3)+cos(2*pi*y2)*sin(2*pi*y4)+0.5*sin(2*pi*(y3+y4)))"])
+def test_fields_without_a_split_solve_every_sample(monkeypatch, text):
+    field = builtin_family(text, 2)
+    assert field.split is None
+    kwargs = dict(resolution=8, tol=1e-11, slot_resolution=4)
+    calls = _counting_solves(monkeypatch)
+    _, record, _ = descend(field, **kwargs)
+    assert sum(calls) == record.samples == record.distinct_solves > 1
+    # a per-sample run: one cell per slab
+    monkeypatch.setattr(cascade, "_SLAB_NODES", 1)
+    _, alone, _ = descend(field, **kwargs)
+    assert calls[-record.samples:] == [1] * record.samples
+    assert np.array_equal(record.tensor_field.values, alone.tensor_field.values)
+    assert (record.iterations, record.max_residual) == (alone.iterations, alone.max_residual)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_split_scale_that_is_not_positive_raises(bad):
+    field = builtin_family(SLOW_2D, 2)
+    scale, fast = field.split
+
+    def broken(x, ys):
+        return np.where(x[:, 0] > 0.5, bad, scale(x, ys))
+
+    with pytest.raises(ValueError, match="not a finite positive number"):
+        descend(replace(field, split=(broken, fast)), resolution=8, tol=1e-11)
+
+
+def test_scaled_spectrum_outside_the_ellipticity_window_raises():
+    # every scaled sample keeps the [mu, 1/mu] check effective_tensor applies
+    field = builtin_family(SLOW_2D, 2)
+    scale, fast = field.split
+    inflated = replace(field, split=(lambda x, ys: 1e3 * scale(x, ys), fast))
+    with pytest.raises(SolverFailure, match="escapes"):
+        descend(inflated, resolution=8, tol=1e-11)
+
+
+def test_collapsed_level_shares_one_corrector_across_samples():
+    field = builtin_family(SLOW_2D, 2)
+    _, record, table = descend(field, resolution=8, tol=1e-11, retain_correctors=True)
+    _, oracle, want = descend(replace(field, split=None), resolution=8, tol=1e-11,
+                              retain_correctors=True)
+    assert table.values.shape == want.values.shape == (33, 1) + (8, 8, 2)
+    assert table.values.strides[0] == 0  # a broadcast of the one solve, not copies
+    assert np.max(np.abs(table.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+
+
+def test_collapsed_entry_replays_and_is_evicted_whole(tmp_path):
+    field = builtin_family(SLOW_2D, 2)
+    store = CorrectorCache(tmp_path / "store")
+    _, first, _ = descend(field, resolution=8, tol=1e-11, cache=store)
+    (stem,) = [p.with_suffix("") for p in store.root.rglob("*.json")]
+    again = CorrectorCache(tmp_path / "store")
+    _, replay, _ = descend(field, resolution=8, tol=1e-11, cache=again)
+    assert (again.hits, again.misses, again.stores) == (33, 0, 0)
+    assert (replay.cache_hits, replay.distinct_solves, replay.max_residual) == (33, 1, None)
+    assert replay.iterations == first.iterations
+    assert np.array_equal(first.tensor_field.values, replay.tensor_field.values)
+    stem.with_suffix(".bin").write_bytes(b"not a grid function")
+    damaged = CorrectorCache(tmp_path / "store")
+    _, resolved, _ = descend(field, resolution=8, tol=1e-11, cache=damaged)
+    assert (damaged.hits, damaged.misses, damaged.stores) == (0, 33, 1)
+    assert resolved.cache_misses == 33
+    assert np.array_equal(first.tensor_field.values, resolved.tensor_field.values)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +457,7 @@ def _slab_samples(stem) -> int:
 
 def _replay_without(tmp_path, damage):
     """Fill a cache, damage one entry, then check the replay entry by entry."""
-    field = builtin_family(PRODUCT, 1)
+    field = builtin_family(NONPRODUCT, 1)
     cache = CorrectorCache(tmp_path / "store")
     reference = homogenize_all(field, LADDER2, resolution=64, cache=cache)
     stem = sorted(cache.root.rglob("*.json"))[0].with_suffix("")

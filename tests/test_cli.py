@@ -434,7 +434,45 @@ def test_cascade_records_method_and_residual_per_level(tmp_path, capsys):
             assert 0.0 <= lv["max_residual"] <= 1e-10
             assert (lv["iterations"] == 0) == (method == "closed-form")
             assert levels[str(lv["level"])] == {
-                key: lv[key] for key in ("method", "iterations", "max_residual")}
+                key: lv[key] for key in
+                ("method", "distinct_solves", "iterations", "max_residual")}
+
+
+# the benchmark's rate-1d and cascade-2d configs at seed 0
+RATE_1D = """field = laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y2))
+dim = 1
+eps = 1/4, 1/8, 1/16, 1/32, 1/64
+bvp.rhs = 1
+bvp.boundary = x1
+"""
+
+CASCADE_2D = """field = slow_modulated(checkerboard2d(1, 4, 8), amplitude=0.5, k1=1, k2=1)
+dim = 2
+eps = 1/8
+cell.resolution = 8
+"""
+
+
+def test_warm_rate_books_every_sample_its_cache_serves(tmp_path, capsys):
+    # one cached cell serves the 256 samples of level 2, one more level 1
+    cfg, out = setup(tmp_path, RATE_1D)
+    assert run(["rate", "--config", cfg], capsys)[0] == 0
+    assert run(["rate", "--config", cfg], capsys)[0] == 0
+    cache = json.loads((out / "manifest-rate.json").read_text())["timing"]["cache"]
+    assert (cache["hits"], cache["misses"]) == (257, 0)
+
+
+def test_cold_cascade_2d_counts_samples_and_one_distinct_solve(tmp_path, capsys):
+    cfg, out = setup(tmp_path, CASCADE_2D)
+    code, stdout, _ = run(["cascade", "--config", cfg], capsys)
+    assert code == 0
+    (level,) = json.loads((out / "cascade.json").read_text())["levels"]
+    assert (level["samples"], level["cache_misses"], level["distinct_solves"]) == (1089, 1089, 1)
+    lo, hi = level["spectrum"]
+    assert hi / lo == pytest.approx(5 / 3, abs=1e-9)
+    manifest = json.loads((out / "manifest-cascade.json").read_text())
+    assert manifest["residuals"]["levels"]["1"]["distinct_solves"] == 1
+    assert "level 1: 1089 samples, 1 distinct cell solve (jacobi-pcg), 0 cache hits" in stdout
 
 
 def test_exact_1d_tensor_prints_no_tolerance(tmp_path, capsys):

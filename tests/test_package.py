@@ -90,3 +90,23 @@ def test_benchmark_tracer_books_the_cascade_cell_solves_as_cell_time():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) == 2  # one slab per level
+
+
+def test_benchmark_tracer_books_a_collapsed_level_as_one_cell_solve():
+    # the cascade-2d field is one cell problem scaled over 33^2 x-samples:
+    # the tracer sees one cell solve and still counts every table entry
+    root = Path(__file__).resolve().parent.parent
+    script = ("import sys\n"
+              f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+              "import tracer\n"
+              "t = tracer.Tracer()\n"
+              "t.install()\n"
+              "from reiterate import builtin_family\n"
+              "from reiterate.cascade import descend\n"
+              "descend(builtin_family('slow_modulated(checkerboard2d(1, 4, 8), "
+              "amplitude=0.5, k1=1, k2=1)', 2), resolution=8)\n"
+              "report = t.report()\n"
+              "print(report['cell.solves'], report['cascade.samples'])\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert [float(v) for v in proc.stdout.split()] == [1, 1089]
