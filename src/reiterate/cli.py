@@ -161,8 +161,8 @@ def cmd_cell(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> Non
 
 
 def cmd_cascade(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> None:
-    ladder = cfg.ladders()[0]
-    if cfg.separation_n is not None and ladder.n > 1:
+    ladder = cfg.ladders[0]
+    if ladder.N is not None and ladder.n > 1:
         report = check_separation(ladder)
         manifest.data["results"]["separation"] = {
             "satisfied": report.satisfied, "slack": list(report.slack)}
@@ -202,7 +202,7 @@ def cmd_cascade(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
 
 def cmd_solve(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> None:
     rows = []
-    for idx, ladder in enumerate(cfg.ladders()):
+    for idx, ladder in enumerate(cfg.ladders):
         grid = cfg.grid_for(ladder)
         bvp = cfg.bvp_for(grid)
         with manifest.stage(f"solve-{idx}"):
@@ -227,9 +227,8 @@ def _ladder_map(cfg: ExperimentConfig):
     A sweep labels each ladder by its eps; explicit scales give one ladder,
     labelled by its coarsest scale.
     """
-    ladders = cfg.ladders()
-    eps_values = list(cfg.eps_values) or [ladders[0].scales[0]]
-    return eps_values, dict(zip(eps_values, ladders)).__getitem__
+    eps_values = list(cfg.eps_values) or [cfg.ladders[0].scales[0]]
+    return eps_values, dict(zip(eps_values, cfg.ladders)).__getitem__
 
 
 def _record_solve(manifest: Manifest, stage: str, layer: str,
@@ -280,7 +279,7 @@ def cmd_rate(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> Non
 
 
 def cmd_excess(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> None:
-    ladder = cfg.ladders()[0]
+    ladder = cfg.ladders[0]
     grid = cfg.grid_for(ladder)
     bvp = cfg.bvp_for(grid)
     with manifest.stage("solve"):
@@ -305,7 +304,7 @@ def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
     top = cfg.probe_radius()
     t_shrink = cfg.probe.t
     rows = []
-    for idx, ladder in enumerate(cfg.ladders()):
+    for idx, ladder in enumerate(cfg.ladders):
         grid = cfg.grid_for(ladder)
         bvp = cfg.bvp_for(grid)
         with manifest.stage(f"solve-{idx}"):

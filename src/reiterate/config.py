@@ -5,13 +5,16 @@ blank lines are ignored.  Numbers accept integers, decimals, fractions
 like 3/4, and dyadic powers like 2^-5.  Lists are comma separated.  The
 bvp.* values are arithmetic expressions in x1..xd.
 
-The ladder law is one of two shapes: ``scales = s1, s2, ...`` fixes every
-scale explicitly for a single run, or ``eps = e1, e2, ...`` sweeps the
-power ladder eps^lambda_k with exponents from ``lambdas``.  Validation
-collects every violation before reporting, each naming the offending key
-and the expected form, and checks per-run grid feasibility: spacing at
-most an eighth of the finest scale, and a memory estimate under
-MEMORY_LIMIT_BYTES.
+``SCHEMA`` holds one row per key: its expected form, parser, check on the
+parsed value and dim, and default; one loop parses and checks them all.
+``parse_config`` then applies the rules that read several keys: dim and
+field are required; exactly one of ``eps`` and ``scales`` is given, and the
+ladders are the explicit scales or eps^lambda_k for every eps, ``lambdas``
+defaulting to 1, 2, ... per fast slot; a ladder has one scale per fast slot;
+``resolution`` and ``cells_per_scale`` exclude each other; 1D rejects the
+solver tolerances; bvp.* compile in x1..xd; probe.center lies inside the
+domain; and every grid resolves its finest scale within MEMORY_LIMIT_BYTES.
+Every violation is collected and reported together, naming its key.
 """
 
 from __future__ import annotations
@@ -64,47 +67,55 @@ def parse_int(text: str) -> int:
 
 @dataclass(frozen=True)
 class ProbeParams:
-    p: float | None = None  # defaults to d + 1 at use sites
-    theta: float = 1.0
-    center: tuple | None = None  # defaults to the domain midpoint
-    radius: float | None = None  # defaults to a quarter of the domain width
-    rho: float = 0.5
-    t: float | None = None  # calibrated when absent
+    p: float | None  # defaults to d + 1 at use sites
+    theta: float
+    center: tuple | None  # defaults to the domain midpoint
+    radius: float | None  # defaults to a quarter of the domain width
+    rho: float
+    t: float | None  # calibrated when absent
 
 
-# key -> (expected form, default shown in --help and error messages)
-KNOWN_KEYS = {
-    "field": "coefficient family, e.g. laminate1d(2+sin(2*pi*y1))",
-    "dim": "1 or 2",
-    "eps": "comma list of scale parameters in (0, 1)",
-    "lambdas": "comma list of increasing exponents, one per fast slot",
-    "scales": "comma list, strictly decreasing in (0, 1)",
-    "separation_n": "integer >= 1",
-    "domain": "two numbers lo, hi with lo < hi",
-    "resolution": "cells per axis, integer >= 2",
-    "cells_per_scale": "integer >= 8",
-    "cell.resolution": "cells per axis for cell problems, integer >= 8",
-    "cell.tol": "solver tolerance in (0, 1e-4], dim = 2 only",
-    "bvp.rhs": "expression in x1..xd",
-    "bvp.boundary": "expression in x1..xd",
-    "probe.p": "integrability exponent > dim",
-    "probe.theta": "number in (0, 1]",
-    "probe.center": "dim numbers inside the domain",
-    "probe.radius": "number > 0",
-    "probe.rho": "number > 0",
-    "probe.t": "one of 1/16, 1/32, 1/64",
-    "tol.solver": "solver tolerance in (0, 1e-4], dim = 2 only",
-    "out": "output directory path",
-    "cache": "cache directory path",
+# key -> (expected form, parser, check on (value, dim) or None, default).
+# dim comes first, so the checks after it can read it.
+SCHEMA = {
+    "dim": ("1 or 2", parse_int, lambda v, d: v in (1, 2), None),
+    "field": ("coefficient family, e.g. laminate1d(2+sin(2*pi*y1))", str, None, ""),
+    "eps": ("comma list of scale parameters in (0, 1)", parse_number_list,
+            lambda v, d: all(0.0 < e < 1.0 for e in v), None),
+    "lambdas": ("comma list of increasing exponents, one per fast slot",
+                parse_number_list,
+                lambda v, d: v[0] > 0 and all(a < b for a, b in zip(v, v[1:])), None),
+    "scales": ("comma list, strictly decreasing in (0, 1)", parse_number_list,
+               None, None),
+    "separation_n": ("integer >= 1", parse_int, lambda v, d: v >= 1, None),
+    "domain": ("two finite numbers lo, hi with lo < hi", parse_number_list,
+               lambda v, d: len(v) == 2 and v[0] < v[1] and np.isfinite(v).all(),
+               (0.0, 1.0)),
+    "resolution": ("cells per axis, integer >= 2", parse_int, lambda v, d: v >= 2, None),
+    "cells_per_scale": ("integer >= 8, so the spacing is at most an eighth of "
+                        "the finest scale", parse_int, lambda v, d: v >= 8, 16),
+    "cell.resolution": ("cells per axis for cell problems, integer >= 8",
+                        parse_int, lambda v, d: v >= 8, None),
+    "cell.tol": ("solver tolerance in (0, 1e-4], dim = 2 only", parse_number,
+                 lambda v, d: 0.0 < v <= 1e-4, 1e-11),
+    "bvp.rhs": ("expression in x1..xd", str, None, "1"),
+    "bvp.boundary": ("expression in x1..xd", str, None, "0"),
+    "probe.p": ("integrability exponent > dim", parse_number,
+                lambda v, d: d is None or v > d, None),
+    "probe.theta": ("number in (0, 1]", parse_number, lambda v, d: 0.0 < v <= 1.0,
+                    1.0),
+    "probe.center": ("dim numbers inside the domain", parse_number_list,
+                     lambda v, d: d is None or len(v) == d, None),
+    "probe.radius": ("finite number > 0", parse_number, lambda v, d: 0 < v < np.inf,
+                     None),
+    "probe.rho": ("number > 0", parse_number, lambda v, d: v > 0, 0.5),
+    "probe.t": ("one of 1/16, 1/32, 1/64", parse_number,
+                lambda v, d: any(abs(v - c) < 1e-12 for c in T_CANDIDATES), None),
+    "tol.solver": ("solver tolerance in (0, 1e-4], dim = 2 only", parse_number,
+                   lambda v, d: 0.0 < v <= 1e-4, 1e-10),
+    "out": ("output directory path", str, None, "runs"),
+    "cache": ("cache directory path", str, None, None),
 }
-
-
-def _ladders(explicit, eps_values, lambdas, N) -> list[ScaleLadder]:
-    """The ladder law: the explicit scales as one ladder, else eps^lambda_k
-    for every eps of the sweep."""
-    if explicit is not None:
-        return [ScaleLadder(explicit, N=N)]
-    return [ScaleLadder.power(e, lambdas, N=N) for e in eps_values]
 
 
 @dataclass(frozen=True)
@@ -113,9 +124,7 @@ class ExperimentConfig:
     field: CoefficientField
     d: int
     eps_values: tuple[float, ...]
-    lambdas: tuple[float, ...] | None
-    explicit_scales: tuple[float, ...] | None
-    separation_n: int | None
+    ladders: tuple[ScaleLadder, ...]  # one per eps, or the explicit scales
     domain: tuple[float, float]
     resolution: int | None
     cells_per_scale: int
@@ -129,13 +138,9 @@ class ExperimentConfig:
     cache_dir: str | None
     items: tuple[tuple[str, str], ...]  # normalized pairs, hashed for the manifest
 
-    def ladders(self) -> list[ScaleLadder]:
-        return _ladders(self.explicit_scales, self.eps_values, self.lambdas,
-                        self.separation_n)
-
     def homogenize(self, cache=None) -> CascadeResult:
         """The one cascade every subcommand reads its effective tensor from."""
-        return homogenize_all(self.field, self.ladders()[0],
+        return homogenize_all(self.field, self.ladders[0],
                               resolution=self.cell_resolution, tol=self.cell_tol,
                               cache=cache)
 
@@ -200,25 +205,15 @@ def _read_pairs(path: str, errors: list[str]) -> dict[str, str]:
                               "assignment")
                 continue
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in KNOWN_KEYS:
+            if key not in SCHEMA:
                 errors.append(f"key {key!r}: unknown (known keys: "
-                              f"{', '.join(sorted(KNOWN_KEYS))})")
+                              f"{', '.join(sorted(SCHEMA))})")
                 continue
             if key in pairs:
                 errors.append(f"key {key!r}: assigned twice (line {lineno})")
                 continue
             pairs[key] = value
     return pairs
-
-
-def _take(pairs, key, parser, errors, default=None):
-    if key not in pairs:
-        return default
-    try:
-        return parser(pairs[key])
-    except (ValueError, ConfigError) as exc:
-        errors.append(f"key {key!r}: {exc}; expected {KNOWN_KEYS[key]}")
-        return default
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -229,161 +224,90 @@ def parse_config(path: str) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
 
-    d = _take(pairs, "dim", parse_int, errors)
-    if "dim" not in pairs:
-        errors.append(f"key 'dim': required; expected {KNOWN_KEYS['dim']}")
-    elif d is not None and d not in (1, 2):
-        errors.append(f"key 'dim': got {d}; expected {KNOWN_KEYS['dim']}")
-        d = None
-
-    field = None
-    field_source = pairs.get("field", "")
-    if "field" not in pairs:
-        errors.append(f"key 'field': required; expected {KNOWN_KEYS['field']}")
-    elif d is not None:
+    values = {}
+    for key, (form, parse, check, default) in SCHEMA.items():
+        values[key] = default
         try:
-            field = builtin_family(CoefficientSpec.parse(field_source), d)
+            if key in pairs:
+                value = parse(pairs[key])
+                if check is not None and not check(value, values["dim"]):
+                    raise ValueError(value)
+                values[key] = value
+        except (ValueError, OverflowError):  # int() of an infinity overflows
+            errors.append(f"key {key!r}: got {pairs[key]}; expected {form}")
+    d = values["dim"]
+
+    for key in ("dim", "field"):
+        if key not in pairs:
+            errors.append(f"key {key!r}: required; expected {SCHEMA[key][0]}")
+    field = None
+    if "field" in pairs and d is not None:
+        try:
+            field = builtin_family(CoefficientSpec.parse(values["field"]), d)
         except (ValueError, ConfigError) as exc:
-            errors.append(f"key 'field': {exc}; expected {KNOWN_KEYS['field']}")
+            errors.append(f"key 'field': {exc}; expected {SCHEMA['field'][0]}")
 
-    eps_values = _take(pairs, "eps", parse_number_list, errors)
-    lambdas = _take(pairs, "lambdas", parse_number_list, errors)
-    explicit = _take(pairs, "scales", parse_number_list, errors)
-    separation_n = _take(pairs, "separation_n", parse_int, errors)
-    if separation_n is not None and separation_n < 1:
-        errors.append(f"key 'separation_n': got {separation_n}; expected "
-                      f"{KNOWN_KEYS['separation_n']}")
-        separation_n = None
-
-    if eps_values is not None and explicit is not None:
+    eps_values, lambdas, explicit = values["eps"], values["lambdas"], values["scales"]
+    if "eps" in pairs and "scales" in pairs:
         errors.append("key 'scales': conflicts with 'eps'; give explicit scales "
                       "or a sweep, not both")
         explicit = None
-    if eps_values is None and explicit is None and "eps" not in pairs \
-            and "scales" not in pairs:
+    elif "eps" not in pairs and "scales" not in pairs:
         errors.append("key 'eps': required unless 'scales' is given; expected "
-                      f"{KNOWN_KEYS['eps']}")
-    if eps_values is not None:
-        bad = [e for e in eps_values if not 0.0 < e < 1.0]
-        if bad:
-            errors.append(f"key 'eps': values {bad} outside (0, 1); expected "
-                          f"{KNOWN_KEYS['eps']}")
-            eps_values = None
-    if lambdas is not None:
-        if explicit is not None:
-            errors.append("key 'lambdas': meaningless with explicit 'scales'")
-        elif list(lambdas) != sorted(lambdas) or lambdas[0] <= 0:
-            errors.append(f"key 'lambdas': got {list(lambdas)}; expected "
-                          f"{KNOWN_KEYS['lambdas']}")
-            lambdas = None
-    if eps_values is not None and lambdas is None and "lambdas" not in pairs:
+                      f"{SCHEMA['eps'][0]}")
+    if "lambdas" in pairs and explicit is not None:
+        errors.append("key 'lambdas': meaningless with explicit 'scales'")
+    elif "lambdas" not in pairs:
         n_slots = field.n_scales if field is not None else 1
         lambdas = tuple(float(k) for k in range(1, max(n_slots, 1) + 1))
 
-    ladders: list[ScaleLadder] = []
-    if explicit is not None or (eps_values is not None and lambdas is not None):
-        try:
-            ladders = _ladders(explicit, eps_values, lambdas, separation_n)
-        except ValueError as exc:
-            if explicit is not None:
-                errors.append(f"key 'scales': {exc}")
-                explicit = None
-            else:
-                errors.append(f"key 'eps': ladder eps^lambda_k invalid: {exc}")
-    if field is not None and field.n_scales > 0 and ladders:
-        if ladders[0].n != field.n_scales:
-            errors.append(f"key 'lambdas': ladder has {ladders[0].n} scales but "
-                          f"the field has {field.n_scales} fast slots")
-            ladders = []
+    N = values["separation_n"]
+    ladders: tuple[ScaleLadder, ...] = ()
+    try:
+        if explicit is not None:
+            ladders = (ScaleLadder(explicit, N=N),)
+        elif eps_values is not None and lambdas is not None:
+            ladders = tuple(ScaleLadder.power(e, lambdas, N=N) for e in eps_values)
+    except ValueError as exc:
+        errors.append(f"key 'scales': {exc}" if explicit is not None
+                      else f"key 'eps': ladder eps^lambda_k invalid: {exc}")
+    if ladders and field is not None and 0 < field.n_scales != ladders[0].n:
+        # the key that built the ladder; eps alone gets one rung per slot
+        key = "scales" if explicit is not None else "lambdas"
+        errors.append(f"key {key!r}: ladder has {ladders[0].n} scales but the "
+                      f"field has {field.n_scales} fast slots")
+        ladders = ()
 
-    domain = _take(pairs, "domain", parse_number_list, errors, default=(0.0, 1.0))
-    if domain is not None and (len(domain) != 2 or domain[0] >= domain[1]):
-        errors.append(f"key 'domain': got {list(domain)}; expected "
-                      f"{KNOWN_KEYS['domain']}")
-        domain = (0.0, 1.0)
-
-    resolution = _take(pairs, "resolution", parse_int, errors)
-    if resolution is not None and resolution < 2:
-        errors.append(f"key 'resolution': got {resolution}; expected "
-                      f"{KNOWN_KEYS['resolution']}")
-        resolution = None
-    cells_per_scale = _take(pairs, "cells_per_scale", parse_int, errors, default=16)
-    if cells_per_scale is not None and cells_per_scale < 8:
-        errors.append(f"key 'cells_per_scale': got {cells_per_scale}; spacing "
-                      "must not exceed an eighth of the finest scale; expected "
-                      f"{KNOWN_KEYS['cells_per_scale']}")
-        cells_per_scale = 16
-    cell_resolution = _take(pairs, "cell.resolution", parse_int, errors)
-    if cell_resolution is not None and cell_resolution < 8:
-        errors.append(f"key 'cell.resolution': got {cell_resolution}; expected "
-                      f"{KNOWN_KEYS['cell.resolution']}")
-        cell_resolution = None
-    cell_tol = _take(pairs, "cell.tol", parse_number, errors, default=1e-11)
-    solver_tol = _take(pairs, "tol.solver", parse_number, errors, default=1e-10)
-    for key, value in (("cell.tol", cell_tol), ("tol.solver", solver_tol)):
-        if value is not None and not 0.0 < value <= 1e-4:
-            errors.append(f"key {key!r}: got {value:g}; expected "
-                          f"{KNOWN_KEYS[key]}")
+    if "resolution" in pairs and "cells_per_scale" in pairs:
+        errors.append("key 'cells_per_scale': conflicts with 'resolution'; give "
+                      "resolution or cells_per_scale, not both")
     for key, problem in (("cell.tol", "cell"), ("tol.solver", "box")):
         if d == 1 and key in pairs:
             errors.append(f"key {key!r}: 1D {problem} problems are solved exactly, "
                           "so a tolerance changes nothing; remove the key")
-
-    rhs_source = pairs.get("bvp.rhs", "1")
-    boundary_source = pairs.get("bvp.boundary", "0")
     if d is not None:
         names = [f"x{i + 1}" for i in range(d)]
-        for key, src in (("bvp.rhs", rhs_source), ("bvp.boundary", boundary_source)):
+        for key in ("bvp.rhs", "bvp.boundary"):
             try:
-                compile_expression(src, names)
+                compile_expression(values[key], names)
             except ConfigError as exc:
-                errors.append(f"key {key!r}: {exc}; expected {KNOWN_KEYS[key]}")
-
-    probe_p = _take(pairs, "probe.p", parse_number, errors)
-    if probe_p is not None and d is not None and probe_p <= d:
-        errors.append(f"key 'probe.p': got {probe_p:g}; expected "
-                      f"{KNOWN_KEYS['probe.p']}")
-        probe_p = None
-    theta = _take(pairs, "probe.theta", parse_number, errors, default=1.0)
-    if theta is not None and not 0.0 < theta <= 1.0:
-        errors.append(f"key 'probe.theta': got {theta:g}; expected "
-                      f"{KNOWN_KEYS['probe.theta']}")
-    center = _take(pairs, "probe.center", parse_number_list, errors)
-    if center is not None and d is not None:
-        if len(center) != d or any(not domain[0] < c < domain[1] for c in center):
-            errors.append(f"key 'probe.center': got {list(center)}; expected "
-                          f"{KNOWN_KEYS['probe.center']}")
-            center = None
-    radius = _take(pairs, "probe.radius", parse_number, errors)
-    if radius is not None and radius <= 0:
-        errors.append(f"key 'probe.radius': got {radius:g}; expected "
-                      f"{KNOWN_KEYS['probe.radius']}")
-        radius = None
-    rho = _take(pairs, "probe.rho", parse_number, errors, default=0.5)
-    if rho is not None and rho <= 0:
-        errors.append(f"key 'probe.rho': got {rho:g}; expected "
-                      f"{KNOWN_KEYS['probe.rho']}")
-        rho = 0.5
-    t_shrink = _take(pairs, "probe.t", parse_number, errors)
-    if t_shrink is not None and not any(abs(t_shrink - c) < 1e-12
-                                        for c in T_CANDIDATES):
-        errors.append(f"key 'probe.t': got {t_shrink:g}; expected "
-                      f"{KNOWN_KEYS['probe.t']}")
-        t_shrink = None
+                errors.append(f"key {key!r}: {exc}; expected {SCHEMA[key][0]}")
+    lo, hi = domain = values["domain"]
+    center = values["probe.center"]
+    if center is not None and any(not lo < c < hi for c in center):
+        errors.append(f"key 'probe.center': got {pairs['probe.center']}; "
+                      f"expected {SCHEMA['probe.center'][0]}")
 
     cfg = ExperimentConfig(
-        field_source=field_source, field=field, d=d,
-        eps_values=tuple(eps_values) if eps_values is not None else (),
-        lambdas=tuple(lambdas) if lambdas is not None else None,
-        explicit_scales=tuple(explicit) if explicit is not None else None,
-        separation_n=separation_n, domain=(float(domain[0]), float(domain[1])),
-        resolution=resolution, cells_per_scale=cells_per_scale,
-        cell_resolution=cell_resolution, cell_tol=cell_tol,
-        rhs_source=rhs_source, boundary_source=boundary_source,
-        probe=ProbeParams(p=probe_p, theta=theta, center=center,
-                          radius=radius, rho=rho, t=t_shrink),
-        solver_tol=solver_tol, out=pairs.get("out", "runs"),
-        cache_dir=pairs.get("cache"), items=tuple(sorted(pairs.items())))
+        field_source=values["field"], field=field, d=d,
+        eps_values=eps_values or (), ladders=ladders, domain=domain,
+        resolution=values["resolution"], cells_per_scale=values["cells_per_scale"],
+        cell_resolution=values["cell.resolution"], cell_tol=values["cell.tol"],
+        rhs_source=values["bvp.rhs"], boundary_source=values["bvp.boundary"],
+        probe=ProbeParams(**{key[len("probe."):]: value for key, value
+                             in values.items() if key.startswith("probe.")}),
+        solver_tol=values["tol.solver"], out=values["out"],
+        cache_dir=values["cache"], items=tuple(sorted(pairs.items())))
 
     # feasibility of the grids the solves will use
     for ladder in ladders if d is not None else ():

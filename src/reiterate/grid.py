@@ -174,27 +174,6 @@ class GridFunction:
         """Pointwise Euclidean (Frobenius) magnitude, shape node_shape."""
         return _magnitude(self.values, self.grid.d)
 
-    def _binary(self, other, op):
-        if isinstance(other, GridFunction):
-            if other.grid != self.grid:
-                raise ValueError("grids differ")
-            other = other.values
-        return GridFunction(self.grid, op(self.values, other))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, other):
-        return self._binary(other, np.multiply)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values)
-
 
 # ---------------------------------------------------------------------------
 # discrete calculus
@@ -357,7 +336,6 @@ class FluxStencil:
             self.mixed = off if np.any(off) else None
         else:
             self.mixed = None
-        self.a_values = vals
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         g = self.grid

@@ -68,7 +68,6 @@ def dyadic_radii(top: float, floor: float) -> list[float]:
 class RateRow:
     eps: float
     rate_expr: float  # separation error scale: eps_1 + sum eps_{k+1}/eps_k
-    resolution: int
     l2_error: float
     slope_so_far: float
 
@@ -129,7 +128,7 @@ def rate_sweep(field: CoefficientField, eps_values, ladder_for, *, effective,
                                 math.log(prev.rate_expr / rate_expr))
         else:
             slope = 0.0
-        rows.append(RateRow(eps=eps, rate_expr=rate_expr, resolution=needed,
+        rows.append(RateRow(eps=eps, rate_expr=rate_expr,
                             l2_error=float(err), slope_so_far=float(slope)))
     exponent = 0.0
     if len(rows) >= 2:

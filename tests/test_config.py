@@ -1,8 +1,10 @@
 import re
+from pathlib import Path
 
 import pytest
 
 from reiterate.config import (
+    SCHEMA,
     parse_config,
     parse_number,
     parse_number_list,
@@ -45,7 +47,8 @@ def test_minimal_config_parses(tmp_path):
     cfg = parse_config(write(tmp_path, MINIMAL))
     assert cfg.d == 1
     assert cfg.eps_values == (0.125,)
-    assert cfg.lambdas == (1.0,)  # constant field defaults to a one-rung ladder
+    # a constant field defaults to a one-rung ladder
+    assert [ladder.scales for ladder in cfg.ladders] == [(0.125,)]
     assert cfg.rhs_source == "1"
     assert cfg.boundary_source == "0"
     assert cfg.out == "runs"
@@ -106,17 +109,58 @@ scales = 1/4, 1/2
 """))
 
 
-@pytest.mark.parametrize("ladder, n", [
-    pytest.param("eps = 1/4", 0, id="eps"),
-    pytest.param("scales = 1/4, 1/16", -2, id="scales"),
+SQUARE = """
+field = checkerboard2d(1, 4, 8)
+dim = 2
+eps = 1/8
+"""
+
+
+@pytest.mark.parametrize("base, line", [
+    pytest.param(MINIMAL, "dim = 3", id="dim"),
+    pytest.param(MINIMAL, "dim = two", id="dim-text"),
+    pytest.param(MINIMAL, "eps = 3, 1/8", id="eps"),
+    pytest.param(PRODUCT, "lambdas = 2, 1", id="lambdas"),
+    pytest.param(PRODUCT, "lambdas = 1, 1", id="lambdas-repeated"),
+    pytest.param(PRODUCT, "separation_n = 0", id="separation_n"),
+    pytest.param(PRODUCT.replace("eps = 1/8, 1/16", "scales = 1/4, 1/16"),
+                 "separation_n = -2", id="separation_n-scales"),
+    pytest.param(MINIMAL, "domain = 1, 0", id="domain"),
+    pytest.param(MINIMAL, "domain = 0, inf", id="domain-infinite"),
+    pytest.param(MINIMAL, "resolution = 1", id="resolution"),
+    pytest.param(MINIMAL, "resolution = 1e999", id="resolution-infinite"),
+    pytest.param(MINIMAL, "cells_per_scale = 4", id="cells_per_scale"),
+    pytest.param(MINIMAL, "cell.resolution = 4", id="cell.resolution"),
+    pytest.param(MINIMAL, "probe.p = 1", id="probe.p"),
+    pytest.param(MINIMAL, "probe.theta = 2", id="probe.theta"),
+    pytest.param(MINIMAL, "probe.center = 0.5, 0.5", id="probe.center-count"),
+    pytest.param(MINIMAL, "probe.center = 2", id="probe.center-outside"),
+    pytest.param(MINIMAL, "probe.radius = 0", id="probe.radius"),
+    pytest.param(MINIMAL, "probe.radius = inf", id="probe.radius-infinite"),
+    pytest.param(MINIMAL, "probe.rho = -1", id="probe.rho"),
+    pytest.param(MINIMAL, "probe.t = 1/5", id="probe.t"),
+    pytest.param(SQUARE, "cell.tol = 1", id="cell.tol"),
+    pytest.param(SQUARE, "tol.solver = 0", id="tol.solver"),
 ])
-def test_invalid_separation_n_is_blamed_on_itself(tmp_path, ladder, n):
-    text = f"field = laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y2))\ndim = 1\n{ladder}\n"
+def test_checked_key_is_blamed_on_itself(tmp_path, base, line):
+    key, value = line.split(" = ")
+    # the bad line replaces the base's own assignment of the key
+    kept = [row for row in base.splitlines() if not row.startswith(key + " =")]
     with pytest.raises(ConfigError) as err:
-        parse_config(write(tmp_path, text + f"separation_n = {n}\n"))
+        parse_config(write(tmp_path, "\n".join(kept + [line]) + "\n"))
     message = str(err.value)
-    assert f"key 'separation_n': got {n}; expected integer >= 1" in message
-    assert re.findall(r"key '([^']+)'", message) == ["separation_n"]
+    assert f"key {key!r}: got {value}; expected {SCHEMA[key][0]}" in message
+    assert re.findall(r"key '([^']+)'", message) == [key]
+
+
+def test_cells_per_scale_rejected_with_resolution(tmp_path):
+    # with resolution set, the grid never reads cells_per_scale
+    with pytest.raises(ConfigError) as err:
+        parse_config(write(tmp_path, MINIMAL + "resolution = 256\n"
+                                                "cells_per_scale = 32\n"))
+    message = str(err.value)
+    assert "give resolution or cells_per_scale, not both" in message
+    assert re.findall(r"key '([^']+)'", message) == ["cells_per_scale"]
 
 
 def test_scales_conflict_with_eps(tmp_path):
@@ -126,15 +170,23 @@ def test_scales_conflict_with_eps(tmp_path):
 
 def test_lambdas_default_to_slot_count(tmp_path):
     cfg = parse_config(write(tmp_path, PRODUCT))
-    assert cfg.lambdas == (1.0, 2.0)
-    ladders = cfg.ladders()
-    assert len(ladders) == 2
-    assert ladders[0].scales == (1 / 8, 1 / 64)
+    # lambdas = 1, 2: scale k is eps^k
+    assert [ladder.scales for ladder in cfg.ladders] == [(1 / 8, 1 / 64),
+                                                         (1 / 16, 1 / 256)]
 
 
 def test_lambdas_must_match_slots(tmp_path):
     with pytest.raises(ConfigError, match="2 fast slots"):
         parse_config(write(tmp_path, PRODUCT + "lambdas = 1\n"))
+
+
+def test_scales_must_match_slots(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        parse_config(write(tmp_path, "field = laminate1d(2+sin(2*pi*y1))\n"
+                                     "dim = 1\nscales = 0.5, 0.25\n"))
+    message = str(err.value)
+    assert "ladder has 2 scales but the field has 1 fast slots" in message
+    assert re.findall(r"key '([^']+)'", message) == ["scales"]
 
 
 def test_rhs_expression_evaluates(tmp_path):
@@ -174,7 +226,7 @@ eps = 2^-14
 def test_feasibility_precomputed(tmp_path):
     cfg = parse_config(write(tmp_path, PRODUCT))
     # 16 cells across the finest scale 1/64
-    assert cfg.resolution_for(cfg.ladders()[0]) == 1024
+    assert cfg.resolution_for(cfg.ladders[0]) == 1024
 
 
 def test_probe_t_restricted_to_candidates(tmp_path):
@@ -223,3 +275,13 @@ def test_overrides_replace_out(tmp_path):
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError, match="cannot read config"):
         parse_config("/nonexistent/exp.cfg")
+
+
+def test_readme_lists_exactly_the_schema_keys():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    table = text.split("### Config keys", 1)[1].split("\n\n| key", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()[2:]
+    keys = [re.match(r"\| `([^`]+)`", row).group(1) for row in rows]
+    assert sorted(keys) == sorted(SCHEMA)
+    assert len(keys) == len(set(keys))
