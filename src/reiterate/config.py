@@ -309,19 +309,22 @@ def parse_config(path: str) -> ExperimentConfig:
         solver_tol=values["tol.solver"], out=values["out"],
         cache_dir=values["cache"], items=tuple(sorted(pairs.items())))
 
-    # feasibility of the grids the solves will use
+    # feasibility of the grids the solves will use, blamed on the key that
+    # sized them: resolution, else cells_per_scale, else the ladder's key
+    sizer = next((key for key in ("resolution", "cells_per_scale") if key in pairs),
+                 "scales" if explicit is not None else "eps")
     for ladder in ladders if d is not None else ():
         grid = cfg.grid_for(ladder)
         try:
             require_resolved(grid, ladder)
         except ResolutionError as exc:
-            errors.append(f"key 'resolution': {exc}")
+            errors.append(f"key {sizer!r}: {exc}")
             continue
         # node arrays for solution, rhs, boundary, coefficient, pcg workspace
         memory = (4 + d * d) * 8 * (grid.shape[0] + 1) ** d
         if memory > MEMORY_LIMIT_BYTES:
             errors.append(
-                f"key 'resolution': {grid.shape[0]} cells per axis in dimension {d} "
+                f"key {sizer!r}: {grid.shape[0]} cells per axis in dimension {d} "
                 f"needs about {memory / 2**30:.1f} GiB, over the "
                 f"{MEMORY_LIMIT_BYTES / 2**30:.0f} GiB limit")
 

@@ -16,10 +16,11 @@ of two preconditioners:
 * Jacobi (the stencil diagonal) on periodic 2D cells, in the stacked
   corrector solve of ``cell`` (cell.solve_corrector), and in
   solve_periodic_elliptic.  Cells are small, so a cheap apply wins.
-* The exact inverse of the mean-coefficient Laplacian, applied by a
-  DST-I along each axis (laplacian_inverse), on 2D boxes in
-  solve_box_dirichlet.  Its iteration count depends on the coefficient
-  contrast and not on the mesh.
+* The exact inverse of the box operator with its faces averaged along
+  x2, applied by a DST-I along x2 and one tridiagonal sweep along x1 per
+  mode (line_inverse), on 2D boxes in solve_box_dirichlet.  A diagonal
+  coefficient whose faces do not vary along x2 takes one iteration;
+  otherwise the count depends on the contrast and not on the mesh.
 
 The periodic stencils and pcg accept a leading sample axis, so a stack
 of cells is solved by one loop with a per-sample convergence test; a
@@ -353,7 +354,7 @@ class FluxStencil:
         g = self.grid
         if not g.periodic:
             raise ValueError("the Jacobi diagonal is periodic-only; boxes use "
-                             "laplacian_inverse")
+                             "line_inverse")
         h = g.spacing
         diag = 0.0
         for axis in range(g.d):
@@ -420,7 +421,7 @@ def pcg(apply_op, b, precondition, tol=1e-10, maxiter=100_000, project=None,
 
     ``precondition(r)`` returns the preconditioned residual as a new array
     and must be symmetric positive definite.  Periodic cells pass Jacobi,
-    ``r / stencil.diagonal()``; 2D boxes pass ``laplacian_inverse(stencil)``.
+    ``r / stencil.diagonal()``; 2D boxes pass ``line_inverse(stencil)``.
     ``project`` removes a known null-space component (used to pin the mean of
     periodic solutions); it is applied to the initial data and every residual.
 
@@ -508,51 +509,57 @@ def pcg(apply_op, b, precondition, tol=1e-10, maxiter=100_000, project=None,
                   f"{worst:.3e})", active)
 
 
-def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
-    """Unnormalized DST-I along one axis, from the FFT of the odd extension.
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DST-I along the last axis, from the FFT of the odd extension.
 
     Entry k is sum_j x_j sin(pi j k / (m + 1)) for j, k = 1..m; applying it
     twice multiplies by (m + 1) / 2.
     """
-    x = np.moveaxis(x, axis, -1)
     m = x.shape[-1]
     ext = np.zeros(x.shape[:-1] + (2 * m + 2,))
     ext[..., 1:m + 1] = x
     ext[..., m + 2:] = -x[..., ::-1]
-    out = -0.5 * np.fft.rfft(ext, axis=-1)[..., 1:m + 1].imag
-    return np.moveaxis(out, -1, axis)
+    return -0.5 * np.fft.rfft(ext, axis=-1)[..., 1:m + 1].imag
 
 
-def laplacian_inverse(stencil: FluxStencil):
-    """Preconditioner for box solves: the exact inverse of the interior
-    Dirichlet operator of the constant coefficient diag(mean(faces[k])).
+def line_inverse(stencil: FluxStencil):
+    """Preconditioner for 2D box solves: the exact inverse of the interior
+    Dirichlet operator whose faces are averaged along x2.
 
-    A DST-I along each axis diagonalizes that operator, with eigenvalues
-    sum_k a_k (2 - 2 cos(pi i_k / n_k)) / h_k^2.  The preconditioner zeroes
-    the boundary ring and ignores mixed terms, so for a constant diagonal
-    tensor it inverts the box operator exactly.
+    Each x1-face row is averaged over the interior columns and each x2-face
+    row over its columns.  A DST-I along x2 diagonalizes the averaged
+    operator, with eigenvalues (2 - 2 cos(pi k / n2)) / h2^2, and leaves one
+    symmetric, diagonally dominant tridiagonal system along x1 per mode k
+    (Buzbee, Golub & Nielson 1970; Concus & Golub 1973).  Those are factored
+    once without pivoting: only the elimination multipliers and reciprocal
+    pivots live on.  The preconditioner zeroes the boundary ring and ignores
+    mixed terms, so it inverts the box operator exactly when no face varies
+    along x2: a constant diagonal tensor, or a diagonal field of x1 alone.
     """
     g = stencil.grid
-    if g.periodic:
-        raise ValueError("laplacian_inverse expects a box grid")
-    eig = np.zeros(())
-    for axis, n in enumerate(g.shape):
-        wave = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n) / n)
-        eig = np.add.outer(eig, np.mean(stencil.faces[axis]) * wave / g.spacing[axis] ** 2)
-    # the forward and inverse transforms are the same DST-I up to this factor
-    scale = np.prod([2.0 / n for n in g.shape]) / eig
-    inner = (slice(1, -1),) * g.d
+    if g.periodic or g.d != 2:
+        raise ValueError("line_inverse expects a 2D box grid")
+    (n1, n2), (h1, h2) = g.shape, g.spacing
+    ax = stencil.faces[0][:, 1:-1].mean(axis=1) / h1 ** 2
+    ay = stencil.faces[1][1:-1].mean(axis=1) / h2 ** 2
+    wave = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n2) / n2)
+    pivot = (ax[:-1] + ax[1:])[:, None] + np.outer(ay, wave)
+    mult = np.zeros_like(pivot)
+    for i in range(1, n1 - 1):
+        mult[i] = -ax[i] / pivot[i - 1]
+        pivot[i] += mult[i] * ax[i]
+    # the forward and inverse transforms are the same DST-I up to 2 / n2
+    rpivot = np.divide(2.0 / n2, pivot, out=pivot)
 
     def precondition(r: np.ndarray) -> np.ndarray:
-        z = r[inner]
-        for axis in range(g.d):
-            z = _dst1(z, axis)
-        z *= scale
-        for axis in range(g.d):
-            z = _dst1(z, axis)
-        out = np.zeros_like(r)
-        out[inner] = z
-        return out
+        z = _dst1(r[1:-1, 1:-1])
+        for i in range(1, n1 - 1):
+            z[i] -= mult[i] * z[i - 1]
+        z[-1] *= rpivot[-1]
+        for i in range(n1 - 3, -1, -1):
+            z[i] = z[i] * rpivot[i] - mult[i + 1] * z[i + 1]
+        # the zero ring is laid on after the transform, which peaks in memory
+        return np.pad(_dst1(z), 1)
 
     return precondition
 
@@ -588,7 +595,7 @@ def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
     """Solve -div(a grad u) = rhs on a box with u = boundary_values on the faces.
 
     1D boxes are solved exactly in closed form (0 iterations, tolerance 0);
-    2D boxes use PCG preconditioned by laplacian_inverse.  ``meta`` names
+    2D boxes use PCG preconditioned by line_inverse.  ``meta`` names
     the method under "preconditioner".
     """
     grid = a.grid
@@ -620,8 +627,8 @@ def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
             out[mask] = 0.0
             return out
 
-        v, info = pcg(apply_interior, b, laplacian_inverse(stencil), tol=tol)
-        info["preconditioner"] = "laplacian-dst1"
+        v, info = pcg(apply_interior, b, line_inverse(stencil), tol=tol)
+        info["preconditioner"] = "line-dst1"
     u = v + lift
     u[mask] = bv[mask]
     return GridFunction(grid, u, meta=info)

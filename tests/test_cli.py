@@ -211,11 +211,10 @@ def test_certify_manifest_lists_its_box_solves(tmp_path, capsys):
         ("calibrate", "homogenized")]
     for entry in solves:
         assert entry["grid"] == [256, 256]
-        assert entry["preconditioner"] == "laplacian-dst1"
-        assert 1 <= entry["iterations"] <= 30
+        assert entry["preconditioner"] == "line-dst1"
+        # a laminate in y1 and its constant diagonal limit vary along x1 only
+        assert entry["iterations"] == 1
         assert entry["residual"] <= 1e-10
-    # the homogenized tensor of a laminate is constant and diagonal
-    assert all(s["iterations"] <= 2 for s in solves[1:])
 
 
 def test_solve_manifest_records_the_closed_form_solve(tmp_path, capsys):

@@ -215,12 +215,27 @@ resolution = 64
 
 
 def test_memory_limit_guards_huge_grids(tmp_path):
-    with pytest.raises(ConfigError, match="GiB"):
+    with pytest.raises(ConfigError, match="GiB") as err:
         parse_config(write(tmp_path, """
-field = checkerboard(1, 3)
+field = checkerboard2d(1, 4, 8)
 dim = 2
 eps = 2^-14
 """))
+    # eps alone sized the grid: 16 cells across 2^-14
+    assert re.findall(r"key '([^']+)'", str(err.value)) == ["eps"]
+
+
+@pytest.mark.parametrize("lines, key", [
+    pytest.param("eps = 1/8\nresolution = 262144\n", "resolution", id="resolution"),
+    pytest.param("eps = 1/8\ncells_per_scale = 32768\n", "cells_per_scale",
+                 id="cells_per_scale"),
+    pytest.param("scales = 2^-14\n", "scales", id="scales"),
+])
+def test_grid_size_failure_blames_the_key_that_set_the_grid(tmp_path, lines, key):
+    with pytest.raises(ConfigError, match="262144 cells per axis") as err:
+        parse_config(write(tmp_path, "field = checkerboard2d(1, 4, 8)\ndim = 2\n"
+                                     + lines))
+    assert re.findall(r"key '([^']+)'", str(err.value)) == [key]
 
 
 def test_feasibility_precomputed(tmp_path):

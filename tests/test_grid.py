@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reiterate.dirichlet import BVP, solve_homogenized
+from reiterate.coeff import ScaleLadder, builtin_family
+from reiterate.dirichlet import BVP, multiscale_coefficient, solve_homogenized
 from reiterate.errors import CompatibilityError, ResolutionError, SolverFailure
 from reiterate.grid import (
     FluxStencil,
@@ -23,7 +24,7 @@ from reiterate.grid import (
     divergence,
     gradient,
     l2_norm,
-    laplacian_inverse,
+    line_inverse,
     load_gridfunction,
     mean,
     pcg,
@@ -365,15 +366,25 @@ def box_diagonal(stencil):
     return diag
 
 
-@pytest.mark.parametrize("tensor, lo, hi, shape", [
-    pytest.param(np.eye(2) * 1.7, 0.0, 1.0, (24, 24), id="isotropic"),
-    pytest.param(np.diag([np.sqrt(3.0), 2.0]), 0.0, 1.0, (24, 16), id="anisotropic"),
-    pytest.param(np.diag([np.sqrt(3.0), 2.0]), 0.0, 2.0, (20, 28), id="box-0-2"),
+def x1_profile(x):
+    return 2.0 + 1.5 * np.sin(5 * np.pi * x[..., 0])
+
+
+@pytest.mark.parametrize("tensor, lo, hi, shape, profile", [
+    pytest.param(np.eye(2) * 1.7, 0.0, 1.0, (24, 24), None, id="isotropic"),
+    pytest.param(np.diag([np.sqrt(3.0), 2.0]), 0.0, 1.0, (24, 16), None, id="anisotropic"),
+    pytest.param(np.diag([np.sqrt(3.0), 2.0]), 0.0, 2.0, (20, 28), None, id="box-0-2"),
+    pytest.param(np.eye(2), 0.0, 2.0, (20, 28), x1_profile, id="x1-isotropic"),
+    pytest.param(np.diag([np.sqrt(3.0), 2.0]), 0.0, 2.0, (20, 28), x1_profile,
+                 id="x1-anisotropic"),
 ])
-def test_laplacian_inverse_inverts_constant_box_operator(tensor, lo, hi, shape):
+def test_line_inverse_inverts_box_operator_constant_along_x2(tensor, lo, hi, shape, profile):
     g = Grid.box((lo, lo), (hi, hi), shape)
-    stencil = FluxStencil(GridFunction.constant(g, tensor))
-    precondition = laplacian_inverse(stencil)
+    if profile is None:
+        stencil = FluxStencil(GridFunction.constant(g, tensor))
+    else:
+        stencil = FluxStencil(GridFunction(g, profile(g.nodes())[..., None, None] * tensor))
+    precondition = line_inverse(stencil)
     rng = np.random.default_rng(3)
     interior = ~g.boundary_mask()
     v = np.where(interior, rng.standard_normal(g.node_shape), 0.0)
@@ -382,12 +393,27 @@ def test_laplacian_inverse_inverts_constant_box_operator(tensor, lo, hi, shape):
     assert not np.any(precondition(rng.standard_normal(g.node_shape))[~interior])
 
 
+def test_line_inverse_is_symmetric_and_positive_on_a_field_varying_along_x2():
+    g = Grid.box((0.0, 0.0), (1.0, 1.5), (24, 20))
+    rng = np.random.default_rng(5)
+    a = np.zeros(g.node_shape + (2, 2))
+    a[..., 0, 0] = rng.uniform(1.0, 9.0, g.node_shape)
+    a[..., 1, 1] = rng.uniform(1.0, 9.0, g.node_shape)
+    precondition = line_inverse(FluxStencil(GridFunction(g, a)))
+    interior = ~g.boundary_mask()
+    r, s = (np.where(interior, rng.standard_normal(g.node_shape), 0.0) for _ in range(2))
+    pr, ps = precondition(r), precondition(s)
+    scale = np.sqrt(np.sum(pr * pr) * np.sum(s * s))
+    assert abs(np.sum(pr * s) - np.sum(r * ps)) <= 1e-12 * scale
+    assert np.sum(pr * r) > 0 and np.sum(ps * s) > 0
+
+
 def test_constant_tensor_homogenized_solve_takes_two_iterations_at_most():
     g = Grid.box((0.0, 0.0), (1.0, 1.0), 64)
     bvp = BVP.on(g, rhs=lambda x: np.exp(x[..., 0]) * x[..., 1],
                  boundary=lambda x: np.sin(np.pi * x[..., 0]) + x[..., 1])
     u = solve_homogenized(bvp, np.diag([np.sqrt(3.0), 2.0]))
-    assert u.meta["preconditioner"] == "laplacian-dst1"
+    assert u.meta["preconditioner"] == "line-dst1"
     assert 1 <= u.meta["iterations"] <= 2
     assert u.meta["residuals"][-1] <= 1e-10
 
@@ -402,6 +428,40 @@ def test_box_iterations_do_not_grow_with_the_mesh():
         counts.append(solve_box_dirichlet(a, rhs, bv).meta["iterations"])
     assert max(counts) <= 30
     assert max(counts) - min(counts) <= 3
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_box_solve_of_an_x1_field_takes_one_iteration(n):
+    # iteration counts are deterministic: a weaker box preconditioner fails here
+    g = Grid.box((-1.0, 0.5), (2.0, 2.5), n)
+    x = g.nodes()
+    a = np.zeros(g.node_shape + (2, 2))
+    a[..., 0, 0] = 2.0 + np.sin(16 * np.pi * x[..., 0])
+    a[..., 1, 1] = 5.0 + 4.0 * np.cos(6 * np.pi * x[..., 0])
+    rhs = GridFunction.from_callable(g, lambda p: 1.0 + p[:, 0] * p[:, 1])
+    bv = GridFunction.from_callable(g, lambda p: np.sin(np.pi * p[:, 0]) + p[:, 1])
+    u = solve_box_dirichlet(GridFunction(g, a), rhs, bv)
+    assert u.meta["preconditioner"] == "line-dst1"
+    assert u.meta["iterations"] == 1
+    assert u.meta["residuals"][-1] <= 1e-10
+
+
+@pytest.mark.parametrize("field, scales, most", [
+    pytest.param("checkerboard2d(1, 4, 8)", (1 / 16,), 21, id="checkerboard"),
+    pytest.param("matrix2d((6+sin(2*pi*(y1+y2)))/2, (sin(2*pi*(y1+y2))-2)/2, "
+                 "(6+sin(2*pi*(y1+y2)))/2)", (1 / 16,), 19, id="rotated-laminate"),
+    pytest.param("expr(3+sin(2*pi*y1)*cos(2*pi*y3)+cos(2*pi*y2)*sin(2*pi*y4)"
+                 "+0.5*sin(2*pi*(y3+y4)))", (1 / 4, 1 / 32), 27, id="generic-two-slot"),
+    pytest.param("expr(2+sin(2*pi*y2))", (1 / 16,), 17, id="x2-laminate"),
+])
+def test_box_iterations_on_fields_varying_along_x2(field, scales, most):
+    # at most one more than the mean-coefficient Laplacian inverse takes
+    g = Grid.box((0.0, 0.0), (1.0, 1.0), 256)
+    a = multiscale_coefficient(builtin_family(field, 2), ScaleLadder(scales), g)
+    bv = GridFunction.from_callable(g, lambda p: np.sin(np.pi * p[:, 0]))
+    u = solve_box_dirichlet(a, GridFunction.constant(g, 1.0), bv)
+    assert u.meta["iterations"] <= most
+    assert u.meta["residuals"][-1] <= 1e-10
 
 
 def test_box_solve_matches_jacobi_reference():
@@ -439,7 +499,7 @@ def test_box_solve_loads_no_scipy_and_cli_import_no_fft():
         "g = Grid.box((0.0, 0.0), (1.0, 1.0), 32)\n"
         "u = solve_box_dirichlet(GridFunction.constant(g, np.eye(2)),\n"
         "                        GridFunction.constant(g, 1.0), 0.0)\n"
-        "assert u.meta['preconditioner'] == 'laplacian-dst1'\n"
+        "assert u.meta['preconditioner'] == 'line-dst1'\n"
         "g = Grid.box(0.0, 1.0, 64)\n"
         "u = solve_box_dirichlet(GridFunction.constant(g, np.eye(1)),\n"
         "                        GridFunction.constant(g, 1.0), 0.0)\n"

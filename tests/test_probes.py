@@ -5,7 +5,7 @@ from reiterate import probes
 from reiterate.cascade import homogenize_all
 from reiterate.coeff import CoefficientSpec, ScaleLadder, builtin_family
 from reiterate.dirichlet import BVP, solve_multiscale
-from reiterate.grid import Grid, GridFunction
+from reiterate.grid import Grid, GridFunction, solve_box_dirichlet
 
 LAM1 = builtin_family(CoefficientSpec.parse("laminate1d(2+sin(2*pi*y1))"), 1)
 PROD2 = builtin_family(
@@ -268,6 +268,21 @@ def test_certificate_flat_data_is_zero():
     for level in (0.0, 4.2, 4200.0):
         u = GridFunction(grid, np.full(grid.node_shape, level))
         assert probes.lipschitz_certificate(u, (0.5,), 0.5)["certificate"] == 0.0
+
+
+def test_certificate_forcing_scales_with_the_radius():
+    # u = -|x - c|^2 / 4 solves -Lap u = 1 with its own boundary data; its
+    # gradient rms over B(c, R) is R / (2 sqrt 2) and the forcing term is R,
+    # so the top radius certifies to 1 / (1 + 2 sqrt 2) and smaller radii less
+    grid = Grid.box((0.0, 0.0), (1.0, 1.0), 128)
+    c = np.array([0.5, 0.5])
+    exact = -np.sum((grid.nodes() - c) ** 2, axis=-1) / 4.0
+    forcing = GridFunction.constant(grid, 1.0)
+    u = solve_box_dirichlet(GridFunction.constant(grid, np.eye(2)), forcing,
+                            GridFunction(grid, exact))
+    assert np.max(np.abs(u.values - exact)) <= 1e-12
+    rep = probes.lipschitz_certificate(u, c, 0.25, forcing=forcing)
+    assert rep["certificate"] == pytest.approx(1 / (1 + 2 * np.sqrt(2)), abs=2e-3)
 
 
 def test_certificate_radii_respect_scale_floor():
