@@ -130,32 +130,6 @@ def multilinear(axes, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TensorField:
-    """Effective tensors tabulated over (x, y_1..y_k) sample axes."""
-
-    d: int
-    n_slots: int
-    axes: tuple
-    values: np.ndarray  # (*axis dims, d, d)
-
-    def __post_init__(self):
-        if len(self.axes) != self.d * (1 + self.n_slots):
-            raise ValueError("axis count must cover x and every remaining slot")
-
-    def evaluator(self, x, ys) -> np.ndarray:
-        lead = x.shape[:-1]
-        parts = [x.reshape(-1, self.d)]
-        parts += [ys[k].reshape(-1, self.d) for k in range(self.n_slots)]
-        flat = np.concatenate(parts, axis=1)
-        return multilinear(self.axes, self.values, flat).reshape(lead + (self.d, self.d))
-
-    def as_field(self, parent: CoefficientField, digest: str | None) -> CoefficientField:
-        return CoefficientField(d=self.d, n_scales=self.n_slots, evaluator=self.evaluator,
-                                mu=parent.mu, depends_on_x=parent.depends_on_x,
-                                digest_override=digest)
-
-
-@dataclass(frozen=True)
 class CorrectorTable:
     """Finest-level correctors tabulated over the slower sample axes."""
 
@@ -183,7 +157,8 @@ class CascadeLevel:
     """Record of one descent step: solved slot, table, and solve statistics."""
 
     level: int
-    tensor_field: TensorField
+    axes: tuple  # sample axes over (x, y_1..y_{level-1})
+    values: np.ndarray  # (*axis dims, d, d) effective tensors
     field: CoefficientField = dc_field(repr=False)
     resolution: int
     samples: int  # table entries
@@ -194,7 +169,6 @@ class CascadeLevel:
     spectrum: tuple[float, float]
     method: str  # CELL_METHOD of the cell dimension
     max_residual: float | None  # over the cells solved here; None if all were cached
-    constant: EffectiveTensor | None = None
 
 
 def _descended_digest(parent: str | None, level: int, resolution: int, tol: float,
@@ -324,23 +298,24 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
         distinct = samples
     values = values.reshape(dims + (d, d))
 
-    table = TensorField(d=d, n_slots=level - 1, axes=axes, values=values)
-    child_digest = _descended_digest(field.digest(), level, resolution, tol, dims)
-    child = table.as_field(field, child_digest)
+    def evaluator(x, ys):
+        lead = x.shape[:-1]
+        parts = [x.reshape(-1, d)] + [ys[k].reshape(-1, d) for k in range(level - 1)]
+        flat = np.concatenate(parts, axis=1)
+        return multilinear(axes, values, flat).reshape(lead + (d, d))
+
+    child = CoefficientField(
+        d=d, n_scales=level - 1, evaluator=evaluator, mu=field.mu,
+        depends_on_x=field.depends_on_x,
+        digest_override=_descended_digest(field.digest(), level, resolution, tol, dims))
 
     spectrum = (float(spectra[:, 0].min()), float(spectra[:, 1].max()))
-    constant = None
-    if samples == 1:
-        constant = EffectiveTensor(tensor=values.reshape(d, d), mu=field.mu,
-                                   spectrum=spectrum)
-
-    record = CascadeLevel(level=level, tensor_field=table, field=child,
+    record = CascadeLevel(level=level, axes=axes, values=values, field=child,
                           resolution=resolution, samples=samples,
                           distinct_solves=distinct,
                           cache_hits=samples - misses, cache_misses=misses,
                           iterations=iterations, spectrum=spectrum,
-                          method=CELL_METHOD[d], max_residual=max_residual,
-                          constant=constant)
+                          method=CELL_METHOD[d], max_residual=max_residual)
     corrector_table = None
     if retain_correctors:
         corrector_table = CorrectorTable(
@@ -409,8 +384,10 @@ def homogenize_all(field: CoefficientField, ladder: ScaleLadder | None = None, *
             corrector_table = table
 
     effective = None
-    if levels and levels[-1].constant is not None:
-        effective = levels[-1].constant
+    if levels and levels[-1].samples == 1:
+        last = levels[-1]
+        effective = EffectiveTensor(tensor=last.values.reshape(field.d, field.d),
+                                    mu=field.mu, spectrum=last.spectrum)
     elif not levels and not field.depends_on_x:
         tensor = field(np.zeros((1, field.d)), [])[0]
         eigs = np.linalg.eigvalsh(tensor)

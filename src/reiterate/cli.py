@@ -53,9 +53,6 @@ from .errors import ConfigError, ResolutionError, SolverFailure
 from .grid import Grid, GridFunction, gradient, l2_norm, save_gridfunction
 from .grid import atomic_bytes as _atomic_bytes
 
-SUBCOMMANDS = ("cell", "cascade", "solve", "rate", "excess", "certify",
-               "approx", "clean-cache")
-
 
 def _fmt(value) -> str:
     return "%.17g" % float(value)
@@ -163,12 +160,12 @@ def cmd_cell(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> Non
 def cmd_cascade(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> None:
     ladder = cfg.ladders[0]
     if ladder.N is not None and ladder.n > 1:
-        report = check_separation(ladder)
+        satisfied, slack = check_separation(ladder)
         manifest.data["results"]["separation"] = {
-            "satisfied": report.satisfied, "slack": list(report.slack)}
-        if not report.satisfied:
+            "satisfied": satisfied, "slack": list(slack)}
+        if not satisfied:
             manifest.data["warnings"].append(
-                f"scales {list(ladder.scales)} fail the order-{report.N} "
+                f"scales {list(ladder.scales)} fail the order-{ladder.N} "
                 "separation check")
     with manifest.stage("cascade"):
         result = cfg.homogenize(cache)
@@ -203,18 +200,14 @@ def cmd_cascade(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
 def cmd_solve(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> None:
     rows = []
     for idx, ladder in enumerate(cfg.ladders):
-        grid = cfg.grid_for(ladder)
-        bvp = cfg.bvp_for(grid)
-        with manifest.stage(f"solve-{idx}"):
-            u = solve_multiscale(bvp, cfg.field, ladder, tol=cfg.solver_tol)
-        _record_solve(manifest, f"solve-{idx}", "box", u)
+        _, u = _solve_box(cfg, ladder, manifest, f"solve-{idx}")
         path = out / f"u-{idx}.bin"
         save_gridfunction(u, path)
         l2 = l2_norm(u)
         h1 = float(np.sqrt(l2**2 + l2_norm(gradient(u))**2))
         rows.append((ladder.scales[0], ladder.finest,
                      cfg.resolution_for(ladder), l2, h1))
-        _say(f"eps={ladder.scales[0]:g}: {grid.shape} cells, "
+        _say(f"eps={ladder.scales[0]:g}: {u.grid.shape} cells, "
              f"L2={l2:.6g}, H1={h1:.6g} -> {path.name}")
     write_csv(out / "norms.csv",
               ("eps", "finest", "resolution", "l2_norm", "h1_norm"), rows)
@@ -242,11 +235,21 @@ def _record_solve(manifest: Manifest, stage: str, layer: str,
         "residual": info["residuals"][-1] if info["residuals"] else 0.0})
 
 
+def _solve_box(cfg: ExperimentConfig, ladder, manifest: Manifest, stage: str):
+    """The oscillating box solve for one ladder, timed and ledgered under
+    stage; returns (bvp, u)."""
+    bvp = cfg.bvp_for(cfg.grid_for(ladder))
+    with manifest.stage(stage):
+        u = solve_multiscale(bvp, cfg.field, ladder, tol=cfg.solver_tol)
+    _record_solve(manifest, stage, "box", u)
+    return bvp, u
+
+
 def _require_unit_box(cfg: ExperimentConfig, command: str, keys) -> None:
     """Reject keys that a sweep of the unit box would silently ignore."""
     given = {"domain": cfg.domain != (0.0, 1.0),
              "resolution": cfg.resolution is not None,
-             "probe.center": cfg.probe.center is not None}
+             "probe.center": cfg.probe["center"] is not None}
     for key in keys:
         if given[key]:
             raise ConfigError(f"key {key!r}: {command} sweeps the unit box "
@@ -280,16 +283,13 @@ def cmd_rate(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> Non
 
 def cmd_excess(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> None:
     ladder = cfg.ladders[0]
-    grid = cfg.grid_for(ladder)
-    bvp = cfg.bvp_for(grid)
-    with manifest.stage("solve"):
-        u = solve_multiscale(bvp, cfg.field, ladder, tol=cfg.solver_tol)
+    bvp, u = _solve_box(cfg, ladder, manifest, "solve")
     center = cfg.probe_center()
     top = cfg.probe_radius()
-    radii = probes.dyadic_radii(top, max(ladder.finest, 8 * max(grid.spacing)))
+    radii = probes.dyadic_radii(top, max(ladder.finest, 8 * max(u.grid.spacing)))
     with manifest.stage("excess"):
-        rows = probes.excess_rows(u, center, radii, theta=cfg.probe.theta,
-                                  p=cfg.probe.p, forcing=bvp.rhs)
+        rows = probes.excess_rows(u, center, radii, theta=cfg.probe["theta"],
+                                  p=cfg.probe["p"], forcing=bvp.rhs)
     write_csv(out / "excess.csv", ("r", "H", "Phi", "G", "h"),
               [(row["r"], row["H"], row["Phi"], row["G"], row["h"])
                for row in rows])
@@ -302,17 +302,14 @@ def cmd_excess(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> N
 def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> None:
     center = cfg.probe_center()
     top = cfg.probe_radius()
-    t_shrink = cfg.probe.t
+    t_shrink = cfg.probe["t"]
     rows = []
     for idx, ladder in enumerate(cfg.ladders):
-        grid = cfg.grid_for(ladder)
-        bvp = cfg.bvp_for(grid)
-        with manifest.stage(f"solve-{idx}"):
-            u = solve_multiscale(bvp, cfg.field, ladder, tol=cfg.solver_tol)
-        _record_solve(manifest, f"solve-{idx}", "box", u)
+        bvp, u = _solve_box(cfg, ladder, manifest, f"solve-{idx}")
         if t_shrink is None:
             # shrink factor comes from homogenized solutions of the same data
             with manifest.stage("calibrate"):
+                grid = bvp.grid
                 effective = cfg.homogenize(cache).homogenized
                 u0 = solve_homogenized(bvp, effective, tol=cfg.solver_tol)
                 lift = type(bvp)(
@@ -325,7 +322,7 @@ def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
                 _record_solve(manifest, "calibrate", "homogenized", u0_lift)
                 corpus = [(u0, center), (u0_lift, center)]
                 report = probes.calibrate_t(corpus, [top / 2, top],
-                                            theta=cfg.probe.theta, p=cfg.probe.p)
+                                            theta=cfg.probe["theta"], p=cfg.probe["p"])
             manifest.data["results"]["calibrated_t"] = report.get("t")
             manifest.data["results"]["calibration_ratios"] = {
                 _fmt(k): v for k, v in report["ratios"].items()}
@@ -341,7 +338,7 @@ def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
         with manifest.stage(f"certificate-{idx}"):
             rep = probes.lipschitz_certificate(
                 u, center, top, eps_floor=ladder.finest, forcing=bvp.rhs,
-                p=cfg.probe.p)
+                p=cfg.probe["p"])
         rows.append((ladder.scales[0], rep["certificate"]))
         _say(f"eps={ladder.scales[0]:<10g} certificate={rep['certificate']:.6g}")
     write_csv(out / "certificate.csv", ("eps", "certificate"), rows)
@@ -354,7 +351,7 @@ def cmd_approx(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> N
     eps_values, ladder_for = _ladder_map(cfg)
     with manifest.stage("approx"):
         kwargs = dict(effective=cfg.homogenize(cache).homogenized,
-                      r=cfg.probe_radius(), rho=cfg.probe.rho,
+                      r=cfg.probe_radius(), rho=cfg.probe["rho"],
                       rhs=cfg.pointwise(cfg.rhs_source),
                       boundary=cfg.pointwise(cfg.boundary_source),
                       cells_per_scale=cfg.cells_per_scale, tol=cfg.solver_tol)
@@ -383,15 +380,16 @@ def cmd_clean_cache(cfg: ExperimentConfig, cache, out: Path,
     _say(f"removed {removed} cache entries from {cache.root}")
 
 
-HANDLERS = {
-    "cell": cmd_cell,
-    "cascade": cmd_cascade,
-    "solve": cmd_solve,
-    "rate": cmd_rate,
-    "excess": cmd_excess,
-    "certify": cmd_certify,
-    "approx": cmd_approx,
-    "clean-cache": cmd_clean_cache,
+# name -> (handler, help line), in the order --help lists them
+SUBCOMMANDS = {
+    "cell": (cmd_cell, "solve the finest-level cell problem at the origin"),
+    "cascade": (cmd_cascade, "integrate out every fast scale and report the tensor"),
+    "solve": (cmd_solve, "solve the oscillating Dirichlet problem per ladder"),
+    "rate": (cmd_rate, "homogenization error sweep and fitted convergence rate"),
+    "excess": (cmd_excess, "tilt-excess table at the probe center"),
+    "certify": (cmd_certify, "large-scale gradient bound certificates per scale"),
+    "approx": (cmd_approx, "local approximation by the homogenized operator"),
+    "clean-cache": (cmd_clean_cache, "remove every cached cell solve"),
 }
 
 
@@ -401,18 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cascaded periodic homogenization: cell problems, "
                     "effective tensors, and certificate probes.")
     sub = parser.add_subparsers(dest="command", required=True)
-    help_lines = {
-        "cell": "solve the finest-level cell problem at the origin",
-        "cascade": "integrate out every fast scale and report the tensor",
-        "solve": "solve the oscillating Dirichlet problem per ladder",
-        "rate": "homogenization error sweep and fitted convergence rate",
-        "excess": "tilt-excess table at the probe center",
-        "certify": "large-scale gradient bound certificates per scale",
-        "approx": "local approximation by the homogenized operator",
-        "clean-cache": "remove every cached cell solve",
-    }
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_lines[name])
+    for name, (_, help_line) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", help="output directory (default from config)")
         p.add_argument("--cache", help="cache directory (beats REITERATE_CACHE)")
@@ -434,7 +422,7 @@ def main(argv=None) -> int:
     manifest = Manifest(args.command, cfg)
     failure = None
     try:
-        HANDLERS[args.command](cfg, cache, out, manifest)
+        SUBCOMMANDS[args.command][0](cfg, cache, out, manifest)
     except (ConfigError, ResolutionError, ValueError) as exc:
         failure, status, label = exc, 2, "error"
     except SolverFailure as exc:

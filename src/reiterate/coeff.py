@@ -74,15 +74,9 @@ class ScaleLadder:
         return cls(tuple(eps**lam for lam in lambdas), N=N)
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    satisfied: bool
-    slack: tuple[float, ...]
-    N: int
-
-
-def check_separation(ladder: ScaleLadder) -> SeparationReport:
-    """Per-k slack log(eps_k/eps_{k-1}) - N*log(eps_{k+1}/eps_k), nonnegative iff well separated."""
+def check_separation(ladder: ScaleLadder) -> tuple[bool, tuple[float, ...]]:
+    """(satisfied, slack): per-k slack log(eps_k/eps_{k-1}) - N*log(eps_{k+1}/eps_k)
+    with the ladder's N, nonnegative iff well separated."""
     if ladder.N is None:
         raise ValueError("separation check requires the ladder's N")
     eps = (1.0,) + ladder.scales
@@ -90,7 +84,7 @@ def check_separation(ladder: ScaleLadder) -> SeparationReport:
     for k in range(1, ladder.n):
         slack.append(math.log(eps[k] / eps[k - 1]) - ladder.N * math.log(eps[k + 1] / eps[k]))
     slack = tuple(slack)
-    return SeparationReport(satisfied=all(s >= -1e-12 for s in slack), slack=slack, N=ladder.N)
+    return all(s >= -1e-12 for s in slack), slack
 
 
 # ---------------------------------------------------------------------------

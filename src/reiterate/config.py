@@ -65,16 +65,6 @@ def parse_int(text: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class ProbeParams:
-    p: float | None  # defaults to d + 1 at use sites
-    theta: float
-    center: tuple | None  # defaults to the domain midpoint
-    radius: float | None  # defaults to a quarter of the domain width
-    rho: float
-    t: float | None  # calibrated when absent
-
-
 # key -> (expected form, parser, check on (value, dim) or None, default).
 # dim comes first, so the checks after it can read it.
 SCHEMA = {
@@ -132,7 +122,10 @@ class ExperimentConfig:
     cell_tol: float
     rhs_source: str
     boundary_source: str
-    probe: ProbeParams
+    # probe.* values keyed without the prefix: p (None: d + 1 at use
+    # sites), theta, center (None: the domain midpoint), radius (None: a
+    # quarter of the domain width), rho, t (None: calibrated)
+    probe: dict
     solver_tol: float
     out: str
     cache_dir: str | None
@@ -170,14 +163,14 @@ class ExperimentConfig:
                       boundary=self.pointwise(self.boundary_source))
 
     def probe_center(self) -> tuple:
-        if self.probe.center is not None:
-            return self.probe.center
+        if self.probe["center"] is not None:
+            return self.probe["center"]
         mid = 0.5 * (self.domain[0] + self.domain[1])
         return (mid,) * self.d
 
     def probe_radius(self) -> float:
-        if self.probe.radius is not None:
-            return self.probe.radius
+        if self.probe["radius"] is not None:
+            return self.probe["radius"]
         return 0.25 * (self.domain[1] - self.domain[0])
 
     def digest(self) -> str:
@@ -304,8 +297,8 @@ def parse_config(path: str) -> ExperimentConfig:
         resolution=values["resolution"], cells_per_scale=values["cells_per_scale"],
         cell_resolution=values["cell.resolution"], cell_tol=values["cell.tol"],
         rhs_source=values["bvp.rhs"], boundary_source=values["bvp.boundary"],
-        probe=ProbeParams(**{key[len("probe."):]: value for key, value
-                             in values.items() if key.startswith("probe.")}),
+        probe={key[len("probe."):]: value for key, value in values.items()
+               if key.startswith("probe.")},
         solver_tol=values["tol.solver"], out=values["out"],
         cache_dir=values["cache"], items=tuple(sorted(pairs.items())))
 

@@ -102,23 +102,13 @@ def smoothstep5(s: np.ndarray) -> np.ndarray:
     return s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
 
 
-@dataclass(frozen=True)
-class Cutoff:
+def cutoff(grid: Grid, eps: float) -> GridFunction:
     """Quintic ramp in the boundary distance: 0 inside 3*eps, 1 beyond 4*eps.
 
     The ramp slope never exceeds 15/(8*eps), safely below 2/eps.
     """
-
-    grid: Grid
-    eps: float
-
-    @property
-    def gradient_bound(self) -> float:
-        return 15.0 / (8.0 * self.eps)
-
-    def values(self) -> GridFunction:
-        dist = self.grid.distance_to_boundary(self.grid.nodes())
-        return GridFunction(self.grid, smoothstep5((dist - 3.0 * self.eps) / self.eps))
+    dist = grid.distance_to_boundary(grid.nodes())
+    return GridFunction(grid, smoothstep5((dist - 3.0 * eps) / eps))
 
 
 def boundary_layer_mask(grid: Grid, width: float) -> np.ndarray:
@@ -140,19 +130,24 @@ def two_scale_expansion(u0: GridFunction, table: CorrectorTable,
     The cutoff zeroes the slow factor within 3 eps of the boundary, and
     the kernel reaches eps/2 further, so the rebuild keeps the boundary
     data of u0 untouched.
+
+    Only a level-1 table is accepted: a deeper one would need every
+    slower level's corrector term too, which this rebuild does not add.
     """
+    if table.level > 1:
+        raise ValueError(f"two_scale_expansion adds only eps_n chi^n; a level-{table.level} "
+                         "table needs every slower level's corrector too")
     grid = u0.grid
     eps = ladder.finest
     x = grid.nodes().reshape(-1, grid.d)
     chi = table.sample(x, ladder).reshape(grid.node_shape + (grid.d,))
     grad0 = gradient(u0).values
-    cutoff = Cutoff(grid, eps)
-    eta = cutoff.values().values
+    eta = cutoff(grid, eps).values
     slow = np.stack([smooth(GridFunction(grid, eta * grad0[..., j]), eps).values
                      for j in range(grid.d)], axis=-1)
     corrector_term = np.einsum("...j,...j->...", chi, slow)
     return GridFunction(grid, u0.values + eps * corrector_term,
-                        meta={"eps": eps, "cutoff_gradient_bound": cutoff.gradient_bound})
+                        meta={"eps": eps, "cutoff_gradient_bound": 15.0 / (8.0 * eps)})
 
 
 def error_report(u_eps: GridFunction, approx: GridFunction,

@@ -225,24 +225,15 @@ def approximation_sweep(field: CoefficientField, eps_values, ladder_for, *,
 # ball fits and excess functionals
 
 
-@dataclass(frozen=True)
-class BallFit:
-    center: tuple
-    radius: float
-    constant: float
-    slope: np.ndarray
-    residual_l2: float  # root mean square over the ball nodes
-    nodes: int
-
-
 def _node_ball(grid: Grid, center, r: float):
     """Window, offsets x - center, and the probes' mask |x - center| <= r."""
     window, delta = _ball_window(grid, center, r)
     return window, delta, np.sqrt(np.sum(delta**2, axis=-1)) <= r + 1e-12
 
 
-def affine_fit(u: GridFunction, center, r: float) -> BallFit:
-    """Least-squares affine fit over the node ball."""
+def affine_fit(u: GridFunction, center, r: float) -> tuple[float, np.ndarray, float, int]:
+    """Least-squares affine fit over the node ball: (constant, slope,
+    residual_l2, nodes), residual_l2 the root mean square over the nodes."""
     window, delta, mask = _node_ball(u.grid, center, r)
     count = int(mask.sum())
     if count < 3 * u.grid.d:
@@ -251,9 +242,8 @@ def affine_fit(u: GridFunction, center, r: float) -> BallFit:
     design = np.concatenate([np.ones((count, 1)), delta[mask]], axis=1)
     coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
     residual = vals - design @ coef
-    return BallFit(center=tuple(float(c) for c in center), radius=float(r),
-                   constant=float(coef[0]), slope=coef[1:].copy(),
-                   residual_l2=float(np.sqrt(np.mean(residual**2))), nodes=count)
+    return (float(coef[0]), coef[1:].copy(), float(np.sqrt(np.mean(residual**2))),
+            count)
 
 
 def penalized_affine_excess(u: GridFunction, center, r: float, *,
@@ -322,7 +312,7 @@ def excess_rows(u: GridFunction, center, radii, *, theta: float = 1.0,
             G = H
         else:
             G, _ = penalized_affine_excess(u, center, r, vartheta=vartheta)
-        fit = affine_fit(u, center, r)
+        _, slope, _, _ = affine_fit(u, center, r)
         window, _, mask = _node_ball(grid, center, r)
         vals = u.values[window][mask]
         flat = float(np.sqrt(np.mean((vals - vals.mean()) ** 2)))
@@ -331,7 +321,7 @@ def excess_rows(u: GridFunction, center, radii, *, theta: float = 1.0,
             "H": H + force_term,
             "Phi": flat / r + force_term,
             "G": G + force_term,
-            "h": float(np.linalg.norm(fit.slope)),
+            "h": float(np.linalg.norm(slope)),
         })
     return rows
 

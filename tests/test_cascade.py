@@ -82,9 +82,9 @@ def test_midpoint_interpolation_error_is_second_order():
 def test_descend_product_field_matches_scaled_harmonic_mean():
     field = builtin_family(PRODUCT, 1)
     child, record, _ = descend(field, resolution=256, tol=1e-12)
-    y = record.tensor_field.axes[1].coords
+    y = record.axes[1].coords
     oracle = SQRT3 * (2 + np.sin(2 * np.pi * y))
-    table = record.tensor_field.values[0, :, 0, 0]
+    table = record.values[0, :, 0, 0]
     assert np.max(np.abs(table - oracle)) < 1e-9
     assert child.n_scales == 1
     assert record.samples == 256
@@ -171,8 +171,8 @@ def test_slow_field_samples_only_the_x_axes_it_reads():
     # the same field claiming both x axes tabulates every (x1, x2) pair
     _, full, _ = descend(replace(field, depends_on_x=(0, 1)), resolution=8, tol=1e-11)
     assert full.samples == 33 * 33
-    shared = record.tensor_field.values[:, 0]
-    assert np.allclose(full.tensor_field.values, shared[:, None], rtol=1e-13, atol=0)
+    shared = record.values[:, 0]
+    assert np.allclose(full.values, shared[:, None], rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("text, d", [
@@ -193,7 +193,7 @@ def test_descend_freezes_rows_in_ndindex_order(monkeypatch, text, d):
     monkeypatch.setattr(cascade, "tabulate_cells", recording)
     _, record, _ = descend(field, resolution=8, tol=1e-10, x_resolution=5,
                            slot_resolution=3)
-    axes = record.tensor_field.axes
+    axes = record.axes
     expected = [[float(axes[a].coords[i]) for a, i in enumerate(index)]
                 for index in np.ndindex(*(axis.n for axis in axes))]
     assert len(expected) == record.samples > 1
@@ -207,7 +207,7 @@ def test_slabbed_level_matches_per_sample_solves(tmp_path, monkeypatch):
     store = CorrectorCache(tmp_path / "store")
     _, record, _ = descend(field, resolution=8, tol=1e-11, cache=store)
     assert record.samples == 33 and store.stores == 4  # slabs of 10, 10, 10, 3
-    axis = record.tensor_field.axes[0]
+    axis = record.axes[0]
     rows = [(float(x1), 0.0) for x1 in axis.coords]
     sidecars = [store.lookup(field.digest(), 1, rows[k:k + 10], (8, 8), 1e-11, 2)[1]
                 for k in range(0, 33, 10)]
@@ -218,7 +218,7 @@ def test_slabbed_level_matches_per_sample_solves(tmp_path, monkeypatch):
             resolution=8, frozen=frozen, tol=1e-11)
         chi, iterations, _ = solve_corrector(alone)
         tensor = effective_tensor(alone, chi, mu=field.mu)[0][0]
-        got = record.tensor_field.values[i, 0]
+        got = record.values[i, 0]
         assert np.max(np.abs(got - tensor)) <= 1e-13 * np.max(np.abs(tensor))
         assert sidecars[i // 10]["iterations"][i % 10] == iterations[0].tolist()
         total += int(iterations.sum())
@@ -267,7 +267,7 @@ def test_changed_slab_size_misses_never_misserves(tmp_path, monkeypatch):
     _, second, _ = descend(field, resolution=8, tol=1e-11, cache=again)
     assert again.hits == 0 and again.misses == 33 and again.stores == 5
     assert second.cache_hits == 0 and second.cache_misses == 33
-    assert np.array_equal(first.tensor_field.values, second.tensor_field.values)
+    assert np.array_equal(first.values, second.values)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def test_collapsed_level_matches_the_per_sample_oracle(monkeypatch, text, d, res
     _, oracle, _ = descend(replace(field, split=None), **kwargs)
     assert sum(calls[1:]) == oracle.samples == collapsed.samples > 1
     assert (collapsed.distinct_solves, oracle.distinct_solves) == (1, oracle.samples)
-    got, want = collapsed.tensor_field.values, oracle.tensor_field.values
+    got, want = collapsed.values, oracle.values
     scale = np.max(np.abs(want), axis=(-2, -1))
     assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 1e-14 * scale)
     assert np.allclose(collapsed.spectrum, oracle.spectrum, rtol=1e-14, atol=0)
@@ -323,7 +323,7 @@ def test_fields_without_a_split_solve_every_sample(monkeypatch, text):
     monkeypatch.setattr(cascade, "_SLAB_NODES", 1)
     _, alone, _ = descend(field, **kwargs)
     assert calls[-record.samples:] == [1] * record.samples
-    assert np.array_equal(record.tensor_field.values, alone.tensor_field.values)
+    assert np.array_equal(record.values, alone.values)
     assert (record.iterations, record.max_residual) == (alone.iterations, alone.max_residual)
 
 
@@ -368,13 +368,13 @@ def test_collapsed_entry_replays_and_is_evicted_whole(tmp_path):
     assert (again.hits, again.misses, again.stores) == (33, 0, 0)
     assert (replay.cache_hits, replay.distinct_solves, replay.max_residual) == (33, 1, None)
     assert replay.iterations == first.iterations
-    assert np.array_equal(first.tensor_field.values, replay.tensor_field.values)
+    assert np.array_equal(first.values, replay.values)
     stem.with_suffix(".bin").write_bytes(b"not a grid function")
     damaged = CorrectorCache(tmp_path / "store")
     _, resolved, _ = descend(field, resolution=8, tol=1e-11, cache=damaged)
     assert (damaged.hits, damaged.misses, damaged.stores) == (0, 33, 1)
     assert resolved.cache_misses == 33
-    assert np.array_equal(first.tensor_field.values, resolved.tensor_field.values)
+    assert np.array_equal(first.values, resolved.values)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +428,8 @@ def test_second_run_is_served_from_cache(tmp_path):
     assert cache2.misses == 0
     assert cache2.hits == sum(lv.samples for lv in second.levels)
     assert np.array_equal(first.effective.tensor, second.effective.tensor)
-    assert np.array_equal(first.levels[0].tensor_field.values,
-                          second.levels[0].tensor_field.values)
+    assert np.array_equal(first.levels[0].values,
+                          second.levels[0].values)
 
 
 def test_cached_correctors_replay_exactly(tmp_path):
@@ -471,7 +471,7 @@ def _replay_without(tmp_path, damage):
     assert cache2.hits == total - victim
     assert _slab_samples(stem) == victim
     for a, b in zip(reference.levels, replay.levels):
-        assert np.array_equal(a.tensor_field.values, b.tensor_field.values)
+        assert np.array_equal(a.values, b.values)
     assert np.array_equal(reference.effective.tensor, replay.effective.tensor)
 
 

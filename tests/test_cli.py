@@ -226,6 +226,15 @@ def test_solve_manifest_records_the_closed_form_solve(tmp_path, capsys):
     assert entry["preconditioner"] == "closed-form" and entry["iterations"] == 0
 
 
+def test_excess_manifest_records_its_box_solve(tmp_path, capsys):
+    cfg, out = setup(tmp_path, SINGLE)
+    assert run(["excess", "--config", cfg], capsys)[0] == 0
+    manifest = json.loads((out / "manifest-excess.json").read_text())
+    (entry,) = manifest["residuals"]["solves"]
+    assert (entry["stage"], entry["layer"], entry["grid"]) == ("solve", "box", [128])
+    assert entry["preconditioner"] == "closed-form" and entry["iterations"] == 0
+
+
 def test_rate_on_slow_homogenized_coefficient(tmp_path, capsys):
     cfg, out = setup(tmp_path, SLOW + "dim = 1\neps = 1/8, 1/16\nbvp.rhs = 1\n")
     code, stdout, err = run(["rate", "--config", cfg], capsys)

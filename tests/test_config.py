@@ -246,7 +246,7 @@ def test_feasibility_precomputed(tmp_path):
 
 def test_probe_t_restricted_to_candidates(tmp_path):
     cfg = parse_config(write(tmp_path, MINIMAL + "probe.t = 1/32\n"))
-    assert cfg.probe.t == 1 / 32
+    assert cfg.probe["t"] == 1 / 32
     with pytest.raises(ConfigError, match="key 'probe.t'"):
         parse_config(write(tmp_path, MINIMAL + "probe.t = 1/5\n"))
 

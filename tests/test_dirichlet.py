@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from reiterate.cascade import CorrectorTable, point_axis
+from reiterate.cascade import CorrectorTable, homogenize_all, point_axis
 from reiterate.cell import CellStack, EffectiveTensor, solve_corrector
 from reiterate.coeff import ScaleLadder, builtin_family
-from reiterate.dirichlet import (BVP, Cutoff, boundary_layer_mask, error_report,
+from reiterate.dirichlet import (BVP, boundary_layer_mask, cutoff, error_report,
                                  multiscale_coefficient, require_resolved,
                                  smoothstep5, solve_homogenized, solve_multiscale,
                                  two_scale_expansion)
@@ -139,14 +139,14 @@ def test_smoothstep_endpoints_and_slope():
 def test_cutoff_support_and_gradient_bound():
     grid = Grid.box(0.0, 1.0, 256)
     eps = 1.0 / 32
-    cut = Cutoff(grid, eps)
-    eta = cut.values()
+    eta = cutoff(grid, eps)
+    gradient_bound = 15.0 / (8.0 * eps)
     dist = grid.distance_to_boundary(grid.nodes())
     assert np.all(eta.values[dist <= 3 * eps] == 0.0)
     assert np.all(eta.values[dist >= 4 * eps] == 1.0)
     observed = np.max(np.abs(gradient(eta).values))
-    assert observed <= cut.gradient_bound * (1 + 1e-2)
-    assert cut.gradient_bound < 2.0 / eps
+    assert observed <= gradient_bound * (1 + 1e-2)
+    assert gradient_bound < 2.0 / eps
 
 
 def test_boundary_layer_masks_nest():
@@ -185,6 +185,25 @@ def test_expansion_beats_plain_homogenized_limit_in_h1():
     corrected = error_report(u_eps, u1)
     assert corrected["h1"] < 0.7 * plain["h1"]
     assert corrected["l2"] < plain["l2"]
+
+
+def test_expansion_meta_records_the_cutoff_gradient_bound():
+    eps = 1.0 / 16
+    *_, u1 = expansion_case(eps)
+    assert u1.meta == {"eps": eps, "cutoff_gradient_bound": 15.0 / (8.0 * eps)}
+
+
+def test_expansion_rejects_a_table_deeper_than_level_one():
+    # a level-2 table holds chi^2 only; the rebuild would drop eps_1 chi^1
+    field = builtin_family("laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y2))", 1)
+    ladder = ScaleLadder((1.0 / 4, 1.0 / 16))
+    table = homogenize_all(field, ladder, resolution=32,
+                           retain_correctors=True).corrector_table
+    assert table.level == 2
+    grid = Grid.box(0.0, 1.0, 256)
+    u0 = solve_homogenized(BVP.on(grid, rhs=1.0), np.array([[3.0]]))
+    with pytest.raises(ValueError, match="level-2 table"):
+        two_scale_expansion(u0, table, ladder)
 
 
 def test_expansion_h1_error_decays_like_sqrt_eps():
