@@ -10,9 +10,11 @@ repeated run replays tensors and correctors instead of solving again.
 A slab hits or misses as a whole; the hit and miss counters count the
 samples an entry serves.  A collapsed cascade level (a field that
 declares A = scale * fast) is one entry: the single cell of its fast
-factor, keyed by that factor's digest and looked up with serves set to
-the level's sample count.  A cache filled before levels collapsed misses
-once on product fields, and its slab entries stay until clean-cache.
+factor, keyed by that factor's digest, sha256("<field digest>|fast")
+truncated to 16 hex digits for every family, and looked up with serves
+set to the level's sample count.  A cache filled before levels collapsed
+misses once on product fields, and its slab entries stay until
+clean-cache.
 Each file of an entry lands whole through a temporary file and
 os.replace, and the sidecar lands last, so a reader either sees a
 complete entry or none.  Corrupt or truncated entries, and sidecars that

@@ -326,6 +326,13 @@ def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
             manifest.data["results"]["calibrated_t"] = report.get("t")
             manifest.data["results"]["calibration_ratios"] = {
                 _fmt(k): v for k, v in report["ratios"].items()}
+            if report["worst_ratio"] is None:
+                t, r = max(report["ratios"]), top / 2
+                raise ResolutionError(
+                    "cannot calibrate the shrink factor: the largest shrunk ball, "
+                    f"radius {t * r:g} (t = {t:g}, r = {r:g}), holds too few nodes "
+                    f"of the {'x'.join(map(str, grid.shape))} calibration grid; refine "
+                    "the box or set probe.t")
             if not report["ok"]:
                 manifest.data["warnings"].append(
                     "no candidate shrink factor contracts the excess; worst "

@@ -2,19 +2,27 @@
 
 A coefficient field maps (x, y_1, ..., y_n) to a symmetric positive
 definite d x d matrix, 1-periodic in each fast slot y_k.  Symmetry is a
-contract here (the conjugate-gradient solves rely on it); builders reject
-asymmetric or indefinite data where they tabulate it (laminate factors on
-a uniform grid, expression families at seeded points) and record mu, the
-ellipticity constant the cascade checks every effective spectrum against.
-Periodicity is the expressions' contract: a cell
-solve sees one period on a torus grid, and descended tables wrap their
-slot axes.
+contract here (the conjugate-gradient solves rely on it).  Periodicity is
+the expressions' contract: a cell solve sees one period on a torus grid,
+and descended tables wrap their slot axes.
 
-A field that is a product A = scale(x, y_1..y_{n-1}) * fast(y_n) by
-construction declares it as its split: a laminate of two or more
-factors, and a slow modulation of such a field or of a one-slot field
-that reads no x.  The cascade then solves one cell per level.  Products
-are never detected from sampled values.
+Every builtin family lowers to the expression grammar of expr.py: a list
+of parts multiplied left to right, each one scalar expression or the
+three entries of a matrix (matrix2d, and constant with three values).
+One builder reads the parts: the names they read give the slot count and
+the x axes, and their ranges give mu, the ellipticity constant the
+cascade checks every effective spectrum against.  A part's range is
+declared by its family (laminate factors on a uniform grid of their one
+coordinate, checkerboard phases, the slow modulation's bounds) or taken
+at seeded points; a range that is not finite and positive is rejected.
+
+The parts that read the fastest slot make the field's split
+A = scale(x, y_1..y_{n-1}) * fast(y_n) when they read nothing else and
+another part exists, so a laminate of two or more factors, a slow
+modulation of a one-slot field that reads no x, and an expr whose
+top-level product separates the fastest slot all split.  The cascade
+then solves one cell per level.  Products are never detected from
+sampled values.
 
 Expression-based families name coordinates slot-major: x1..xd are the
 slow coordinates and y{(k-1)*d + j} is coordinate j of fast slot k, so in
@@ -26,14 +34,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .expr import compile_expression
+from .expr import compile_expression, product_factors
 
 _MAX_SLOTS = 9
 
@@ -196,7 +203,7 @@ def evaluate_multiscale(field: CoefficientField, ladder: ScaleLadder, x) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# builtin families
+# builtin families, lowered to the expression grammar
 
 
 def _identity_times(scalar: np.ndarray, d: int) -> np.ndarray:
@@ -206,232 +213,144 @@ def _identity_times(scalar: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _range_of(fn, var: str, samples: int = 8192):
-    grid = np.linspace(0.0, 1.0, samples, endpoint=False)
-    vals = fn(**{var: grid})
-    return float(vals.min()), float(vals.max())
-
-
-def _build_constant(spec: CoefficientSpec, d: int) -> CoefficientField:
-    vals = [float(a) for a in spec.args]
-    if d == 1:
-        if len(vals) != 1:
-            raise ConfigError("constant(v) takes one value in d=1")
-        mat = np.array([[vals[0]]])
-    elif len(vals) == 1:
-        mat = vals[0] * np.eye(2)
-    elif len(vals) == 3:
-        mat = np.array([[vals[0], vals[1]], [vals[1], vals[2]]])
-    else:
-        raise ConfigError("constant takes (v) or (v11, v12, v22) in d=2")
-    eigs = np.linalg.eigvalsh(mat)
-    if eigs.min() <= 0:
-        raise ConfigError(f"constant coefficient not positive definite: eigenvalues {eigs}")
-    mu = min(float(eigs.min()), 1.0 / float(eigs.max()))
-
-    def evaluator(x, ys, mat=mat):
-        return np.broadcast_to(mat, x.shape[:-1] + mat.shape).copy()
-
-    return CoefficientField(d=d, n_scales=0, evaluator=evaluator, mu=mu, spec=spec)
-
-
-def _build_laminate(spec: CoefficientSpec, d: int) -> CoefficientField:
-    if not spec.args:
-        raise ConfigError("laminate1d needs at least one factor expression")
-    factors = []
-    lo_all, hi_all = 1.0, 1.0
-    for k, src in enumerate(spec.args, start=1):
-        if isinstance(src, CoefficientSpec):
-            raise ConfigError("laminate1d factors must be scalar expressions")
-        # factor k laminates along the first coordinate of fast slot k
-        var = f"y{(k - 1) * d + 1}"
-        fn = compile_expression(str(src), [var])
-        lo, hi = _range_of(fn, var)
-        if lo <= 0:
-            raise ConfigError(f"laminate factor {src!r} reaches {lo:g} <= 0 (ellipticity violation)")
-        lo_all *= lo
-        hi_all *= hi
-        factors.append((var, fn))
-    mu = min(lo_all, 1.0 / hi_all)
-
-    def evaluator(x, ys, factors=factors, d=d):
-        return _identity_times(_factor_product(factors, x, ys), d)
-
-    split = None
-    if len(factors) > 1:
-        # the last factor alone, read from the one slot of its own field;
-        # lo and hi still hold its range
-        def fast_evaluator(x, ys, last=factors[-1:], d=d):
-            return _identity_times(_factor_product(last, x, ys), d)
-
-        fast = CoefficientField(
-            d=d, n_scales=1, evaluator=fast_evaluator, mu=min(lo, 1.0 / hi),
-            digest_override=hashlib.sha256(f"{spec.digest(d)}|fast".encode()).hexdigest()[:16])
-        split = (lambda x, ys, slower=factors[:-1]: _factor_product(slower, x, ys), fast)
-    return CoefficientField(d=d, n_scales=len(factors), evaluator=evaluator, mu=mu,
-                            spec=spec, split=split)
-
-
-def _factor_product(factors, x, ys) -> np.ndarray:
-    """Product of laminate factors, factor k read from the first coordinate
-    of ys[k]: one number per row of x."""
-    scalar = np.ones(x.shape[:-1])
-    for (var, fn), y in zip(factors, ys):
-        scalar = scalar * fn(**{var: y[..., 0]})
-    return scalar
-
-
-def _build_checkerboard(spec: CoefficientSpec, d: int) -> CoefficientField:
-    if d != 2:
-        raise ConfigError("smooth checkerboard is a d=2 family")
-    if len(spec.args) != 3:
-        raise ConfigError("checkerboard2d takes (a1, a2, sharpness)")
-    a1, a2, sharp = (float(a) for a in spec.args)
-    if not (0 < a1 <= a2) or sharp <= 0:
-        raise ConfigError("checkerboard2d needs 0 < a1 <= a2 and sharpness > 0")
-    geo = math.sqrt(a1 * a2)
-    tau = 0.5 * math.log(a2 / a1)
-    mu = min(a1, 1.0 / a2)
-    # values sqrt(a1 a2) * exp(tau * tanh(s sin sin)) lie strictly inside (a1, a2)
-    # and swap into a1*a2/a under quarter rotation, phases reached as s -> inf.
-
-    def evaluator(x, ys, geo=geo, tau=tau, sharp=sharp):
-        y = ys[0]
-        pattern = np.sin(2 * np.pi * y[..., 0]) * np.sin(2 * np.pi * y[..., 1])
-        scalar = geo * np.exp(tau * np.tanh(sharp * pattern))
-        return _identity_times(scalar, 2)
-
-    return CoefficientField(d=2, n_scales=1, evaluator=evaluator, mu=mu, spec=spec)
-
-
-def _build_slow_modulated(spec: CoefficientSpec, d: int) -> CoefficientField:
-    if len(spec.args) != 1 or not isinstance(spec.args[0], CoefficientSpec):
-        raise ConfigError("slow_modulated takes a nested base family as its argument")
-    base = builtin_family(spec.args[0], d)
-    params = dict(spec.kwargs)
-    offset = params.pop("offset", 2.0)
-    amplitude = params.pop("amplitude", 1.0)
-    kvec = np.array([params.pop("k1", 1.0)] + ([params.pop("k2", 0.0)] if d == 2 else []))
-    if params:
-        raise ConfigError(f"slow_modulated got unknown parameters {sorted(params)}")
-    if offset - abs(amplitude) <= 0:
-        raise ConfigError("slow modulation must stay positive: need offset > |amplitude|")
-    lo = offset - abs(amplitude)
-    hi = offset + abs(amplitude)
-    mu = min(base.mu * lo, 1.0 / ((1.0 / base.mu) * hi))
-
-    def modulation(x, offset=offset, amplitude=amplitude, kvec=kvec):
-        return offset + amplitude * np.sin(2 * np.pi * (x @ kvec))
-
-    def evaluator(x, ys, base=base):
-        return base.evaluator(x, ys) * modulation(x)[..., None, None]
-
-    split = None
-    if base.split is not None:
-        base_scale, fast = base.split
-        split = (lambda x, ys: modulation(x) * base_scale(x, ys), fast)
-    elif base.n_scales == 1 and not base.depends_on_x:
-        split = (lambda x, ys: modulation(x), base)
-    return CoefficientField(d=d, n_scales=base.n_scales, evaluator=evaluator, mu=mu,
-                            depends_on_x=tuple(sorted(set(base.depends_on_x)
-                                                      | set(np.flatnonzero(kvec).tolist()))),
-                            spec=spec, split=split)
-
-
-def _scan_slots(sources: Sequence[str], d: int) -> tuple[list[str], int]:
-    """Infer the slot count from the y-coordinate names an expression uses.
-
-    Coordinate names are slot-major: y{(k-1)*d + j} is coordinate j of fast
-    slot k, so d=1 reads y1..yn one slot each and d=2 reads (y1,y2) for the
-    first slot, (y3,y4) for the second, and so on.
-    """
+def _lower(spec: CoefficientSpec, d: int) -> list:
+    """The family as parts multiplied left to right, each (compiled
+    expressions, declared range or None): one scalar expression, or the
+    entries (e11, e12, e22) of a symmetric matrix."""
+    family, args = spec.family, [str(a) for a in spec.args]
+    if family != "slow_modulated" and (spec.kwargs or any(
+            isinstance(a, CoefficientSpec) for a in spec.args)):
+        raise ConfigError(f"{family} takes scalar expressions only")
     names = [f"x{j}" for j in range(1, d + 1)] + [f"y{i}" for i in range(1, _MAX_SLOTS + 1)]
-    used = 0
-    for src in sources:
-        for tok in re.findall(r"\by([1-9])\b", src):
-            used = max(used, int(tok))
-    return names, -(-used // d)
-
-
-def _x_axes(sources: Sequence[str], d: int) -> tuple[int, ...]:
-    """The slow axes i whose coordinate x{i+1} an expression names."""
-    return tuple(i for i in range(d)
-                 if any(re.search(rf"\bx{i + 1}\b", src) for src in sources))
-
-
-def _slot_kwargs(ys, d: int, n: int) -> dict:
-    return {f"y{k * d + j + 1}": ys[k][..., j] for k in range(n) for j in range(d)}
-
-
-def _sampled_scalar_metadata(fns, d, n, seed=0):
-    """Each expression's values at 20,000 seeded points of the unit cube."""
-    rng = np.random.default_rng(seed)
-    pts = {f"x{j}": rng.uniform(0, 1, 20_000) for j in range(1, d + 1)}
-    pts.update({f"y{i}": rng.uniform(0, 1, 20_000) for i in range(1, n * d + 1)})
-    return [fn(**pts) for fn in fns]
-
-
-def _build_expr(spec: CoefficientSpec, d: int) -> CoefficientField:
-    if len(spec.args) != 1:
+    if family in ("constant", "matrix2d"):
+        # the entries of a constant read no coordinate
+        names = names if family == "matrix2d" else []
+        if len(args) == 3 and d == 2:
+            return [(tuple(compile_expression(src, names) for src in args), None)]
+        if family == "matrix2d" or len(args) != 1:
+            raise ConfigError(f"{family} takes (e11, e12, e22) in d=2"
+                              + (" or one value" if family == "constant" else ""))
+        return [((compile_expression(args[0], names),), None)]
+    if family == "laminate1d":
+        if not args:
+            raise ConfigError("laminate1d needs at least one factor expression")
+        parts = []
+        for k, src in enumerate(args):
+            # factor k+1 laminates along the first coordinate of fast slot k+1
+            var = f"y{k * d + 1}"
+            fn = compile_expression(src, [var])
+            vals = fn(**{var: np.linspace(0.0, 1.0, 8192, endpoint=False)})
+            parts.append(((fn,), (float(vals.min()), float(vals.max()))))
+        return parts
+    if family == "checkerboard2d":
+        if d != 2 or len(args) != 3:
+            raise ConfigError("checkerboard2d takes (a1, a2, sharpness) in d=2")
+        a1, a2, sharp = (float(a) for a in args)
+        if not (0 < a1 <= a2) or sharp <= 0:
+            raise ConfigError("checkerboard2d needs 0 < a1 <= a2 and sharpness > 0")
+        # sqrt(a1 a2) * exp(tau * tanh(s sin sin)) lies strictly inside (a1, a2)
+        # and swaps into a1*a2/a under quarter rotation, phases reached as s -> inf
+        geo, tau = math.sqrt(a1 * a2), 0.5 * math.log(a2 / a1)
+        src = f"({geo!r}*exp({tau!r}*tanh({sharp!r}*(sin(2*pi*y1)*sin(2*pi*y2)))))"
+        return [((compile_expression(src, names),), (a1, a2))]
+    if family == "slow_modulated":
+        if len(spec.args) != 1 or not isinstance(spec.args[0], CoefficientSpec):
+            raise ConfigError("slow_modulated takes a nested base family as its argument")
+        params = dict(spec.kwargs)
+        offset, amplitude = params.pop("offset", 2.0), params.pop("amplitude", 1.0)
+        wave = [params.pop("k1", 1.0)] + ([params.pop("k2", 0.0)] if d == 2 else [])
+        if params:
+            raise ConfigError(f"slow_modulated got unknown parameters {sorted(params)}")
+        # zero wave numbers leave their x axis unread
+        phase = "+".join(f"{k!r}*x{j}" for j, k in enumerate(wave, 1) if k) or "0"
+        src = f"{offset!r}+{amplitude!r}*sin(2*pi*({phase}))"
+        return _lower(spec.args[0], d) + [
+            ((compile_expression(src, names),), (offset - abs(amplitude), offset + abs(amplitude)))]
+    if len(args) != 1:
         raise ConfigError("expr takes a single scalar expression")
-    src = str(spec.args[0])
-    names, n = _scan_slots([src], d)
-    fn = compile_expression(src, names)
-    (vals,) = _sampled_scalar_metadata([fn], d, n)
-    lo, hi = float(vals.min()), float(vals.max())
-    if lo <= 0:
-        raise ConfigError(f"expr coefficient reaches {lo:g} <= 0 on samples (ellipticity violation)")
-
-    def evaluator(x, ys, fn=fn, d=d, n=n):
-        kwargs = {f"x{j+1}": x[..., j] for j in range(d)}
-        kwargs.update(_slot_kwargs(ys, d, n))
-        return _identity_times(fn(**kwargs), d)
-
-    return CoefficientField(d=d, n_scales=n, evaluator=evaluator, mu=min(lo, 1.0 / hi),
-                            depends_on_x=_x_axes([src], d), spec=spec)
+    return [((compile_expression(src, names),), None) for src in product_factors(args[0])]
 
 
-def _build_matrix2d(spec: CoefficientSpec, d: int) -> CoefficientField:
-    if d != 2:
-        raise ConfigError("matrix2d is a d=2 family")
-    if len(spec.args) != 3:
-        raise ConfigError("matrix2d takes (e11, e12, e22) scalar expressions")
-    sources = [str(a) for a in spec.args]
-    names, n = _scan_slots(sources, d)
-    fns = [compile_expression(src, names) for src in sources]
-    a11, a12, a22 = _sampled_scalar_metadata(fns, d, n)
-    tr = a11 + a22
-    det = a11 * a22 - a12 * a12
-    disc = np.sqrt(np.maximum((tr / 2) ** 2 - det, 0))
-    lam_min = float((tr / 2 - disc).min())
-    lam_max = float((tr / 2 + disc).max())
-    if lam_min <= 0:
-        raise ConfigError(f"matrix2d reaches min eigenvalue {lam_min:g} <= 0 on samples")
-
-    def evaluator(x, ys, fns=fns, n=n):
-        kwargs = {f"x{j+1}": x[..., j] for j in range(2)}
-        kwargs.update(_slot_kwargs(ys, 2, n))
-        e11, e12, e22 = (np.broadcast_to(f(**kwargs), x.shape[:-1]) for f in fns)
-        out = np.empty(x.shape[:-1] + (2, 2))
-        out[..., 0, 0] = e11
-        out[..., 0, 1] = e12
-        out[..., 1, 0] = e12
-        out[..., 1, 1] = e22
-        return out
-
-    return CoefficientField(d=2, n_scales=n, evaluator=evaluator,
-                            mu=min(lam_min, 1.0 / lam_max),
-                            depends_on_x=_x_axes(sources, d), spec=spec)
+def _reads(part) -> set:
+    return set().union(*(fn.reads for fn in part[0]))
 
 
-_FAMILIES = {
-    "constant": _build_constant,
-    "laminate1d": _build_laminate,
-    "checkerboard2d": _build_checkerboard,
-    "slow_modulated": _build_slow_modulated,
-    "expr": _build_expr,
-    "matrix2d": _build_matrix2d,
-}
+def _ranged(parts, d: int, n: int) -> list:
+    """The parts with every range filled in: one without a declared range
+    takes its extreme values (a matrix its extreme eigenvalues) at 20,000
+    seeded points of the unit cube, drawn once and only when one is read."""
+    pts, out = {}, []
+    for fns, span in parts:
+        if span is None:
+            if not pts and any(fn.reads for fn in fns):
+                rng = np.random.default_rng(0)
+                pts = {f"x{j}": rng.uniform(0, 1, 20_000) for j in range(1, d + 1)}
+                pts.update({f"y{i}": rng.uniform(0, 1, 20_000) for i in range(1, n * d + 1)})
+            vals = [fn(**pts) for fn in fns]
+            if len(vals) == 3:
+                a11, a12, a22 = vals
+                mid = (a11 + a22) / 2
+                disc = np.sqrt(np.maximum(mid ** 2 - (a11 * a22 - a12 * a12), 0))
+                vals = [mid - disc, mid + disc]
+            span = (float(vals[0].min()), float(vals[-1].max()))
+        out.append((fns, span))
+    return out
+
+
+def _span(parts) -> tuple[float, float]:
+    """Interval product of the parts' ranges, in their order (nan propagates)."""
+    lo, hi = 1.0, 1.0
+    for _, (a, b) in parts:
+        ends = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = float(np.min(ends)), float(np.max(ends))
+    return lo, hi
+
+
+def _evaluate(parts, x, ys, d: int, skip: int = 0) -> np.ndarray:
+    """The product of the parts at (x, ys), shape (..., d, d); ys[k] is fast
+    slot k + 1 + skip."""
+    kwargs = {f"x{j + 1}": x[..., j] for j in range(d)}
+    kwargs.update({f"y{(k + skip) * d + j + 1}": y[..., j]
+                   for k, y in enumerate(ys) for j in range(d)})
+    shape = x.shape[:-1]
+    scalar, matrix = np.ones(shape), None
+    for fns, _ in parts:
+        vals = [np.broadcast_to(fn(**kwargs), shape) for fn in fns]
+        if len(vals) == 1:
+            scalar = scalar * vals[0]
+        else:
+            matrix = np.stack([vals[0], vals[1], vals[1], vals[2]], -1).reshape(shape + (2, 2))
+    return _identity_times(scalar, d) if matrix is None else matrix * scalar[..., None, None]
+
+
+def _build(d: int, parts, spec=None, digest=None, skip: int = 0) -> CoefficientField:
+    """The field of lowered parts.  The names they read give the slot count
+    and the x axes, their ranges give mu, and the parts that read the
+    fastest slot give the split: it exists when they read nothing else and
+    have a positive range, and other parts, all scalar, exist."""
+    reads = set().union(*map(_reads, parts))
+    n = max((-(-int(name[1:]) // d) for name in reads if name[0] == "y"), default=0)
+    parts = _ranged(parts, d, n)
+    lo, hi = _span(parts)
+    if not 0 < lo <= hi < math.inf:
+        raise ConfigError(f"coefficient ranges over [{lo:g}, {hi:g}]; it must be "
+                          "finite and positive (ellipticity)")
+    last = {f"y{(n - 1) * d + j}" for j in range(1, d + 1)}
+    fast = [p for p in parts if _reads(p) & last]
+    rest = [p for p in parts if not _reads(p) & last]
+    split = None
+    if fast and rest and all(_reads(p) <= last for p in fast) \
+            and all(len(fns) == 1 for fns, _ in rest) and _span(fast)[0] > 0:
+        key = hashlib.sha256(f"{spec.digest(d)}|fast".encode()).hexdigest()[:16]
+        split = (lambda x, ys: _evaluate(rest, x, ys, d)[..., 0, 0],
+                 _build(d, fast, digest=key, skip=n - 1))
+    return CoefficientField(
+        d=d, n_scales=n - skip, evaluator=lambda x, ys: _evaluate(parts, x, ys, d, skip),
+        mu=min(lo, 1.0 / hi), depends_on_x=tuple(i for i in range(d) if f"x{i + 1}" in reads),
+        spec=spec, digest_override=digest, split=split)
+
+
+_FAMILIES = ("constant", "laminate1d", "checkerboard2d", "slow_modulated", "expr", "matrix2d")
 
 
 def builtin_family(spec, d: int) -> CoefficientField:
@@ -442,4 +361,4 @@ def builtin_family(spec, d: int) -> CoefficientField:
         raise ConfigError(f"unknown family {spec.family!r}")
     if d not in (1, 2):
         raise ConfigError("only d=1 and d=2 are supported")
-    return _FAMILIES[spec.family](spec, d)
+    return _build(d, _lower(spec, d), spec=spec)

@@ -299,6 +299,8 @@ def _check_spd(a) -> None:
     d = a.grid.d
     if vals.shape[vals.ndim - d - 2:] != a.grid.node_shape + (d, d):
         raise ValueError("coefficient must be a matrix GridFunction")
+    if not np.isfinite(vals).all():
+        raise ValueError("coefficient is not finite at every node")
     if d == 2 and np.max(np.abs(vals[..., 0, 1] - vals[..., 1, 0])) > 1e-12 * np.max(np.abs(vals)):
         raise ValueError("coefficient matrix must be symmetric")
     if d == 1:
@@ -308,7 +310,7 @@ def _check_spd(a) -> None:
         det = vals[..., 0, 0] * vals[..., 1, 1] - vals[..., 0, 1] * vals[..., 1, 0]
         disc = np.sqrt(np.maximum((tr / 2.0) ** 2 - det, 0.0))
         lam_min = (tr / 2.0 - disc).min()
-    if lam_min <= 0:
+    if not lam_min > 0:
         raise ValueError(f"coefficient not positive definite (min eigenvalue {lam_min:g})")
 
 
@@ -618,6 +620,8 @@ def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
     b[interior] = rhs.values[interior]
     b -= stencil.apply(lift)
     b[mask] = 0.0
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side or boundary values are not finite at every node")
 
     if grid.d == 1:
         v, info = _tridiagonal_box_solve(stencil.faces[0], b, grid.spacing[0])

@@ -708,3 +708,82 @@ def test_console_script_ends_through_run():
     with open(pyproject, "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts == {"reiterate": "reiterate.cli:run"}
+
+
+# ---------------------------------------------------------------------------
+# exit contract: every subcommand on every family exits 0, 2 or 3 with a
+# manifest, and non-finite data is rejected instead of solved
+
+CONTRACT_1D = "dim = 1\neps = 1/16\ncell.resolution = 16\n"
+# 32^2 boxes: certify's calibration cannot resolve its shrunk balls there
+CONTRACT_2D = "dim = 2\neps = 1/4\ncells_per_scale = 8\ncell.resolution = 8\n"
+CONTRACT = {
+    "constant-1d": ("constant(2)", CONTRACT_1D),
+    "laminate-1d": ("laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y2))", CONTRACT_1D),
+    "slow-1d": ("slow_modulated(laminate1d(2+sin(2*pi*y1)), amplitude=0.5, k1=1)",
+                CONTRACT_1D),
+    "expr-constant-1d": ("expr(3)", CONTRACT_1D),
+    "expr-product-1d": ("expr((2+sin(2*pi*y1))*(2+cos(2*pi*y2)))", CONTRACT_1D),
+    "constant-2d": ("constant(2)", CONTRACT_2D),
+    "constant-matrix-2d": ("constant(2, 0.5, 3)", CONTRACT_2D),
+    "laminate-2d": ("laminate1d(2+sin(2*pi*y1))", CONTRACT_2D),
+    "checkerboard-2d": ("checkerboard2d(1, 4, 8)", CONTRACT_2D),
+    "slow-2d": ("slow_modulated(checkerboard2d(1, 4, 8), amplitude=0.5, k1=1)",
+                CONTRACT_2D),
+    "expr-2d": ("expr(3+sin(2*pi*(x1+y1))*sin(2*pi*y2))", CONTRACT_2D),
+    "matrix-2d": ("matrix2d(2+sin(2*pi*y1), 0.3*sin(2*pi*y2), 2+cos(2*pi*y2))",
+                  CONTRACT_2D),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_every_subcommand_exits_0_2_or_3_with_a_manifest(tmp_path, capsys, name):
+    spec, keys = CONTRACT[name]
+    cfg, _ = setup(tmp_path, f"field = {spec}\n{keys}")
+    for command in ("cell", "cascade", "solve", "rate", "excess", "certify", "approx"):
+        out = tmp_path / command
+        code, _, err = run([command, "--config", cfg, "--out", str(out)], capsys)
+        assert code in (0, 2, 3), (command, code, err)
+        assert (out / f"manifest-{command}.json").exists(), (command, err)
+        assert "Traceback" not in err
+
+
+def test_certify_without_a_measurable_shrink_factor_exits_2(tmp_path, capsys):
+    # at eps = 1/8 the 2D box is 128^2, and every shrunk ball of the
+    # calibration holds too few nodes to measure an excess
+    cfg, out = setup(tmp_path, "field = constant(2)\ndim = 2\neps = 1/8\n")
+    code, _, err = run(["certify", "--config", cfg], capsys)
+    assert code == 2
+    failure = json.loads((out / "manifest-certify.json").read_text())["failure"]
+    assert "radius 0.0078125" in failure and "128x128" in failure
+    assert failure in err
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_non_finite_cell_coefficient_exits_2_with_a_manifest(tmp_path, capsys, dim):
+    # the seeded range samples miss y1 = 1/2, but a 16-node cell reads inf there
+    cfg, out = setup(tmp_path, "field = expr(2+0.01*sin(2*pi*y1)/(y1-0.5))\n"
+                     f"dim = {dim}\neps = 1/4\ncell.resolution = 16\n")
+    code, _, err = run(["cascade", "--config", cfg], capsys)
+    assert code == 2
+    manifest = json.loads((out / "manifest-cascade.json").read_text())
+    assert "not finite" in manifest["failure"]
+    assert not (out / "cascade.json").exists()
+
+
+def test_non_finite_right_hand_side_exits_2_with_a_manifest(tmp_path, capsys):
+    cfg, out = setup(tmp_path, SINGLE + "bvp.rhs = 1/(x1-0.5)\n")
+    code, _, err = run(["solve", "--config", cfg], capsys)
+    assert code == 2
+    manifest = json.loads((out / "manifest-solve.json").read_text())
+    assert "not finite" in manifest["failure"]
+    assert not (out / "norms.csv").exists()
+
+
+@pytest.mark.parametrize("spec", ["constant(nan)", "constant(inf)",
+                                  "laminate1d(1e400+0*y1)"])
+def test_non_finite_coefficient_fails_validation(tmp_path, capsys, spec):
+    cfg, _ = setup(tmp_path, f"field = {spec}\ndim = 1\neps = 1/8\n")
+    code, _, err = run(["solve", "--config", cfg], capsys)
+    assert code == 2
+    assert "key 'field'" in err

@@ -1,5 +1,7 @@
 """Coefficient families, ladders, and sampled invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,55 @@ def test_checkerboard_quarter_rotation_swaps_phases():
     a = field(np.zeros((500, 2)), [y])[:, 0, 0]
     ar = field(np.zeros((500, 2)), [rot])[:, 0, 0]
     assert np.allclose(a * ar, 4.0, rtol=1e-12)
+
+
+def test_checkerboard_is_its_expr_spelling():
+    # g = sqrt(a1 a2) and t = log(a2/a1)/2, written as repr floats
+    g, t = repr(math.sqrt(4.0)), repr(0.5 * math.log(4.0))
+    spelled = builtin_family(
+        f"expr({g}*exp({t}*tanh(8.0*(sin(2*pi*y1)*sin(2*pi*y2)))))", 2)
+    field = builtin_family("checkerboard2d(1, 4, 8)", 2)
+    y = np.random.default_rng(5).uniform(0, 1, (200, 2))
+    assert np.array_equal(field(np.zeros((200, 2)), [y]), spelled(np.zeros((200, 2)), [y]))
+
+
+@pytest.mark.parametrize("spec, d, splits", [
+    ("laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y2))", 1, True),
+    ("laminate1d(2+sin(2*pi*y1))", 1, False),
+    ("slow_modulated(checkerboard2d(1, 4, 8), k1=1)", 2, True),
+    ("slow_modulated(expr(2+sin(2*pi*x2)*sin(2*pi*y1)), k1=1)", 2, False),
+    ("expr((2+sin(2*pi*y1))*(2+sin(2*pi*y2)))", 1, True),
+    ("expr((2+sin(2*pi*x1))*(2+sin(2*pi*y1)*sin(2*pi*y2)))", 2, True),
+    ("expr((2+sin(2*pi*y1))*(2+sin(2*pi*(x1+y2))))", 1, False),  # fast reads x
+    ("expr((2+sin(2*pi*y1))*(2+sin(2*pi*(y1+y2))))", 1, False),  # fast reads y1
+    ("expr(2+sin(2*pi*(y1+y2)))", 1, False),  # a sum
+    ("matrix2d(2+x1, 0, 2+sin(2*pi*y2))", 2, False),
+])
+def test_split_exists_when_the_fastest_slot_factors_out(spec, d, splits):
+    field = builtin_family(spec, d)
+    assert (field.split is not None) == splits
+    if splits:
+        scale, fast = field.split
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0, 1, (50, d))
+        ys = [rng.uniform(0, 1, (50, d)) for _ in range(field.n_scales)]
+        product = scale(x, ys[:-1])[:, None, None] * fast(np.zeros((50, d)), ys[-1:])
+        assert np.allclose(product, field(x, ys), rtol=1e-14, atol=0)
+        assert fast.n_scales == 1 and not fast.depends_on_x
+        assert fast.digest() != field.digest()
+
+
+def test_constant_expression_evaluates_per_point():
+    field = builtin_family("expr(3)", 2)
+    assert field.n_scales == 0 and field.mu == pytest.approx(1 / 3)
+    assert np.array_equal(field(np.zeros((4, 2)), []), np.broadcast_to(3 * np.eye(2), (4, 2, 2)))
+
+
+@pytest.mark.parametrize("spec", ["constant(nan)", "constant(inf)", "laminate1d(1e400+0*y1)",
+                                  "expr(2+0*y1/(y1-y1))", "checkerboard2d(1, inf, 8)"])
+def test_non_finite_coefficients_are_rejected(spec):
+    with pytest.raises(ConfigError):
+        builtin_family(spec, 2)
 
 
 def test_slow_modulated_requires_positive_floor():
