@@ -30,8 +30,8 @@ row; the spectrum and symmetry checks still run on every scaled sample.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dc_field
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ _SLAB_NODES = 4096
 # tabulated tensors on a product of sample axes
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(NamedTuple):
     """One sample dimension: uniform nodes, wrapped when periodic."""
 
     coords: np.ndarray
@@ -129,8 +128,7 @@ def multilinear(axes, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CorrectorTable:
+class CorrectorTable(NamedTuple):
     """Finest-level correctors tabulated over the slower sample axes."""
 
     d: int
@@ -152,14 +150,13 @@ class CorrectorTable:
 # descent
 
 
-@dataclass(frozen=True)
-class CascadeLevel:
+class CascadeLevel(NamedTuple):
     """Record of one descent step: solved slot, table, and solve statistics."""
 
     level: int
     axes: tuple  # sample axes over (x, y_1..y_{level-1})
     values: np.ndarray  # (*axis dims, d, d) effective tensors
-    field: CoefficientField = dc_field(repr=False)
+    field: CoefficientField
     resolution: int
     samples: int  # table entries
     distinct_solves: int  # cell problems behind them: 1 when the level collapses
@@ -172,16 +169,19 @@ class CascadeLevel:
 
 
 def _descended_digest(parent: str | None, level: int, resolution: int, tol: float,
-                      dims: tuple) -> str | None:
+                      dims: tuple, domain: tuple) -> str | None:
     if parent is None:
         return None
     text = f"{parent}|L{level}|res={resolution}|tol={tol:.17g}|dims={dims}"
+    if tuple(domain) != (0.0, 1.0):
+        # the x-table spans the domain; unit-domain keys predate the span
+        text += "|x=%.17g,%.17g" % tuple(domain)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _slower_axes(field: CoefficientField, level: int, x_resolution: int,
-                 slot_resolution: int) -> tuple:
-    axes = [box_axis(x_resolution) if i in field.depends_on_x else point_axis()
+                 slot_resolution: int, domain: tuple) -> tuple:
+    axes = [box_axis(x_resolution, *domain) if i in field.depends_on_x else point_axis()
             for i in range(field.d)]
     for _ in range(level - 1):
         for _ in range(field.d):
@@ -232,13 +232,14 @@ def _entry(field: CoefficientField, frozen, grid: Grid, tol: float, cache,
 def descend(field: CoefficientField, *, resolution: int | None = None,
             tol: float = 1e-10, x_resolution: int | None = None,
             slot_resolution: int | None = None, cache=None,
-            retain_correctors: bool = False):
+            retain_correctors: bool = False, domain: tuple = (0.0, 1.0)):
     """Integrate out the fastest slot of the field.
 
     Returns (coarser field, CascadeLevel, CorrectorTable or None).  The
     coarser field interpolates effective tensors multilinearly between
-    samples; in d=1 the default sample density equals the cell resolution
-    so downstream cell grids land exactly on table nodes.
+    samples, which cover each x axis the field reads over domain (lo, hi);
+    in d=1 the default sample density equals the cell resolution so
+    downstream cell grids land exactly on table nodes.
     """
     level = field.n_scales
     if level < 1:
@@ -248,7 +249,7 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
     slot_resolution = slot_resolution or (resolution if d == 1 else 16)
     x_resolution = x_resolution or (256 if d == 1 else 32)
 
-    axes = _slower_axes(field, level, x_resolution, slot_resolution)
+    axes = _slower_axes(field, level, x_resolution, slot_resolution, domain)
     dims = tuple(a.n for a in axes)
     cell_grid = Grid.torus(d, resolution)
     cell_shape = cell_grid.node_shape + (d,)
@@ -307,7 +308,8 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
     child = CoefficientField(
         d=d, n_scales=level - 1, evaluator=evaluator, mu=field.mu,
         depends_on_x=field.depends_on_x,
-        digest_override=_descended_digest(field.digest(), level, resolution, tol, dims))
+        digest_override=_descended_digest(field.digest(), level, resolution, tol, dims,
+                                          domain))
 
     spectrum = (float(spectra[:, 0].min()), float(spectra[:, 1].max()))
     record = CascadeLevel(level=level, axes=axes, values=values, field=child,
@@ -324,13 +326,12 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
     return child, record, corrector_table
 
 
-@dataclass(frozen=True)
-class CascadeResult:
+class CascadeResult(NamedTuple):
     """Every descent level plus the fully homogenized coefficient."""
 
     ladder: ScaleLadder | None
     levels: tuple
-    effective_field: CoefficientField = dc_field(repr=False)
+    effective_field: CoefficientField
     effective: EffectiveTensor | None
     corrector_table: CorrectorTable | None
 
@@ -365,8 +366,10 @@ class CascadeResult:
 def homogenize_all(field: CoefficientField, ladder: ScaleLadder | None = None, *,
                    resolution: int | None = None, tol: float = 1e-10,
                    x_resolution: int | None = None, slot_resolution: int | None = None,
-                   cache=None, retain_correctors: bool = False) -> CascadeResult:
-    """Run the full descent from the finest slot down to none."""
+                   cache=None, retain_correctors: bool = False,
+                   domain: tuple = (0.0, 1.0)) -> CascadeResult:
+    """Run the full descent from the finest slot down to none; x-tables
+    span domain (lo, hi) on every axis."""
     if ladder is not None and field.n_scales not in (0, ladder.n):
         raise ValueError(f"field has {field.n_scales} fast slots but the ladder has {ladder.n}")
     levels = []
@@ -378,7 +381,7 @@ def homogenize_all(field: CoefficientField, ladder: ScaleLadder | None = None, *
         current, record, table = descend(
             current, resolution=resolution, tol=tol, x_resolution=x_resolution,
             slot_resolution=slot_resolution, cache=cache,
-            retain_correctors=keep)
+            retain_correctors=keep, domain=domain)
         levels.append(record)
         if keep:
             corrector_table = table

@@ -400,14 +400,18 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI parser.  When argv[0] names a subcommand, only that
+    subparser is built; otherwise (--help, a typo) all of them are, so
+    every usage and error message lists the full choice."""
     parser = argparse.ArgumentParser(
         prog="reiterate",
         description="Cascaded periodic homogenization: cell problems, "
                     "effective tensors, and certificate probes.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_line) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
+    names = argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS
+    for name in names:
+        p = sub.add_parser(name, help=SUBCOMMANDS[name][1])
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", help="output directory (default from config)")
         p.add_argument("--cache", help="cache directory (beats REITERATE_CACHE)")
@@ -415,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         cfg = parse_config(args.config)
         cfg = cfg.with_overrides(out=args.out)

@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,24 +48,23 @@ _MAX_SLOTS = 9
 # scale ladders
 
 
-@dataclass(frozen=True)
-class ScaleLadder:
+class ScaleLadder(NamedTuple("ScaleLadder", [("scales", tuple), ("N", int)])):
     """Strictly decreasing scales 1 > eps_1 > ... > eps_n > 0, optional separation power N."""
 
-    scales: tuple[float, ...]
-    N: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
-        if not self.scales:
+    def __new__(cls, scales, N=None):
+        scales = tuple(float(s) for s in scales)
+        if not scales:
             raise ValueError("ladder needs at least one scale")
         prev = 1.0
-        for s in self.scales:
+        for s in scales:
             if not (0.0 < s < prev):
-                raise ValueError(f"scales must decrease strictly from 1, got {self.scales}")
+                raise ValueError(f"scales must decrease strictly from 1, got {scales}")
             prev = s
-        if self.N is not None and self.N < 1:
+        if N is not None and N < 1:
             raise ValueError("separation power N must be >= 1")
+        return super().__new__(cls, scales, N)
 
     @property
     def n(self) -> int:
@@ -120,8 +118,7 @@ def _split_args(body: str) -> list[str]:
     return parts
 
 
-@dataclass(frozen=True)
-class CoefficientSpec:
+class CoefficientSpec(NamedTuple):
     """Family tag plus arguments; round-trips through its canonical string."""
 
     family: str
@@ -161,21 +158,20 @@ class CoefficientSpec:
 # coefficient fields
 
 
-@dataclass(frozen=True)
-class CoefficientField:
+class CoefficientField(NamedTuple):
     """Symmetric elliptic coefficient A(x, y_1..y_n) with ellipticity constant mu."""
 
     d: int
     n_scales: int
-    evaluator: Callable = dc_field(repr=False)
+    evaluator: Callable
     mu: float = 1.0
     depends_on_x: tuple[int, ...] = ()  # the x axes the field reads (falsy: none)
     spec: CoefficientSpec | None = None
-    digest_override: str | None = dc_field(default=None, repr=False)
+    digest_override: str | None = None
     # (scale, fast) when A(x, ys) = scale(x, ys[:-1]) * fast(ys[-1]) exactly:
     # scale gives one positive number per row from x and the slower slots,
     # and fast is a one-slot field that reads neither
-    split: tuple | None = dc_field(default=None, repr=False)
+    split: tuple | None = None
 
     def __call__(self, x, ys) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +108,7 @@ SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     field_source: str
     field: CoefficientField
     d: int
@@ -135,7 +134,7 @@ class ExperimentConfig:
         """The one cascade every subcommand reads its effective tensor from."""
         return homogenize_all(self.field, self.ladders[0],
                               resolution=self.cell_resolution, tol=self.cell_tol,
-                              cache=cache)
+                              cache=cache, domain=self.domain)
 
     def resolution_for(self, ladder: ScaleLadder) -> int:
         lo, hi = self.domain
@@ -178,7 +177,7 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def with_overrides(self, out=None) -> "ExperimentConfig":
-        return self if out is None else replace(self, out=str(out))
+        return self if out is None else self._replace(out=str(out))
 
     def resolved_cache_dir(self) -> str:
         # the environment overrides the config file; a --cache flag beats both

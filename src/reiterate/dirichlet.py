@@ -11,7 +11,7 @@ the finest scale, and the corrector sampled along x/eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .grid import Grid, GridFunction, gradient, l2_norm, solve_box_dirichlet
 from .smoothing import smooth
 
 
-@dataclass(frozen=True)
-class BVP:
+class BVP(NamedTuple):
     """Box grid, right-hand side, and Dirichlet boundary data."""
 
     grid: Grid
@@ -89,7 +88,7 @@ def solve_homogenized(bvp: BVP, effective, tol: float = 1e-10) -> GridFunction:
         return solve_box_dirichlet(a, bvp.rhs, bvp.boundary, tol=tol)
     else:
         tensor = np.asarray(effective, dtype=float)
-    vals = np.broadcast_to(tensor, grid.node_shape + tensor.shape).copy()
+    vals = np.broadcast_to(tensor, grid.node_shape + tensor.shape)
     return solve_box_dirichlet(GridFunction(grid, vals), bvp.rhs, bvp.boundary, tol=tol)
 
 

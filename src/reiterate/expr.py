@@ -78,7 +78,8 @@ def compile_expression(src: str, variables: Sequence[str]) -> Callable[..., np.n
 
     The returned callable takes keyword arrays (missing variables default
     to 0.0) and broadcasts like numpy; its ``reads`` attribute is the set
-    of variables src names.
+    of variables src names.  It evaluates without floating-point warnings:
+    a non-finite value is the caller's to refuse with a named cause.
     """
     tree = _parse(src)
     reads = set()
@@ -90,7 +91,8 @@ def compile_expression(src: str, variables: Sequence[str]) -> Callable[..., np.n
         local = dict(env)
         for name in reads:
             local[name] = np.asarray(kwargs.get(name, 0.0), dtype=float)
-        result = eval(code, {"__builtins__": {}}, local)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            result = eval(code, {"__builtins__": {}}, local)
         return np.asarray(result, dtype=float)
 
     fn.reads = reads

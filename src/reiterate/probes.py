@@ -28,7 +28,7 @@ to d + 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,16 +64,14 @@ def dyadic_radii(top: float, floor: float) -> list[float]:
 # homogenization rate sweeps
 
 
-@dataclass(frozen=True)
-class RateRow:
+class RateRow(NamedTuple):
     eps: float
     rate_expr: float  # separation error scale: eps_1 + sum eps_{k+1}/eps_k
     l2_error: float
     slope_so_far: float
 
 
-@dataclass(frozen=True)
-class RateSweep:
+class RateSweep(NamedTuple):
     rows: tuple
     exponent: float
     warnings: tuple

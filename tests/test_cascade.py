@@ -6,7 +6,6 @@ exactly, and integrating out y1 gives the constant 3.
 """
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,7 +200,7 @@ def test_slow_field_samples_only_the_x_axes_it_reads():
     _, record, _ = descend(field, resolution=8, tol=1e-11)
     assert record.samples == 33
     # the same field claiming both x axes tabulates every (x1, x2) pair
-    _, full, _ = descend(replace(field, depends_on_x=(0, 1)), resolution=8, tol=1e-11)
+    _, full, _ = descend(field._replace(depends_on_x=(0, 1)), resolution=8, tol=1e-11)
     assert full.samples == 33 * 33
     shared = record.values[:, 0]
     assert np.allclose(full.values, shared[:, None], rtol=1e-13, atol=0)
@@ -214,7 +213,7 @@ def test_descend_freezes_rows_in_ndindex_order(monkeypatch, text, d):
     # the rows key the cache entries, so they must match the per-index tuples
     # of np.ndindex value for value; without its split the field takes the
     # slab path, which tabulates every sample
-    field = replace(builtin_family(text, d), split=None)
+    field = builtin_family(text, d)._replace(split=None)
     seen = []
 
     def recording(field, frozen, grid):
@@ -255,7 +254,7 @@ def test_slabbed_level_matches_per_sample_solves(tmp_path, monkeypatch):
         assert sidecars[i // 10]["iterations"][i % 10] == iterations[0].tolist()
         total += int(iterations.sum())
     assert record.iterations == total
-    assert record.method == "jacobi-pcg" and 0.0 < record.max_residual <= 1e-11
+    assert record.method == "line-rfft-pcg" and 0.0 < record.max_residual <= 1e-11
 
 
 def test_cold_level_writes_one_entry_per_slab(tmp_path, monkeypatch):
@@ -333,7 +332,7 @@ def test_collapsed_level_matches_the_per_sample_oracle(monkeypatch, text, d, res
     _, collapsed, _ = descend(field, **kwargs)
     assert calls == [1]
     # the oracle: the same field without its split solves every sample
-    _, oracle, _ = descend(replace(field, split=None), **kwargs)
+    _, oracle, _ = descend(field._replace(split=None), **kwargs)
     assert sum(calls[1:]) == oracle.samples == collapsed.samples > 1
     assert (collapsed.distinct_solves, oracle.distinct_solves) == (1, oracle.samples)
     got, want = collapsed.values, oracle.values
@@ -369,14 +368,14 @@ def test_split_scale_that_is_not_positive_raises(bad):
         return np.where(x[:, 0] > 0.5, bad, scale(x, ys))
 
     with pytest.raises(ValueError, match="not a finite positive number"):
-        descend(replace(field, split=(broken, fast)), resolution=8, tol=1e-11)
+        descend(field._replace(split=(broken, fast)), resolution=8, tol=1e-11)
 
 
 def test_scaled_spectrum_outside_the_ellipticity_window_raises():
     # every scaled sample keeps the [mu, 1/mu] check effective_tensor applies
     field = builtin_family(SLOW_2D, 2)
     scale, fast = field.split
-    inflated = replace(field, split=(lambda x, ys: 1e3 * scale(x, ys), fast))
+    inflated = field._replace(split=(lambda x, ys: 1e3 * scale(x, ys), fast))
     with pytest.raises(SolverFailure, match="escapes"):
         descend(inflated, resolution=8, tol=1e-11)
 
@@ -384,7 +383,7 @@ def test_scaled_spectrum_outside_the_ellipticity_window_raises():
 def test_collapsed_level_shares_one_corrector_across_samples():
     field = builtin_family(SLOW_2D, 2)
     _, record, table = descend(field, resolution=8, tol=1e-11, retain_correctors=True)
-    _, oracle, want = descend(replace(field, split=None), resolution=8, tol=1e-11,
+    _, oracle, want = descend(field._replace(split=None), resolution=8, tol=1e-11,
                               retain_correctors=True)
     assert table.values.shape == want.values.shape == (33, 1) + (8, 8, 2)
     assert table.values.strides[0] == 0  # a broadcast of the one solve, not copies

@@ -146,6 +146,46 @@ def test_closed_form_corrector_solves_the_flux_form_operator():
         assert np.max(np.abs(chi - ref)) <= 1e-12 * np.max(np.abs(chi))
 
 
+@pytest.mark.parametrize("text, most", [("checkerboard2d(1, 4, 8)", 25),
+                                        ("expr(2+sin(2*pi*y1)*sin(2*pi*y2))", 20)])
+def test_2d_cell_iterations_stay_flat_under_refinement(text, most):
+    # Jacobi's counts double with each refinement (212 at 128^2 on the
+    # checkerboard); the line inverse's do not grow
+    field = builtin_family(text, 2)
+    counts = [solve_corrector(one_cell(field, 2, n))[1].max() for n in (32, 64, 128, 256)]
+    assert max(counts) <= most and max(counts) - min(counts) <= 2
+
+
+@pytest.mark.parametrize("text, axis", [("laminate1d(2+sin(2*pi*y1))", 0),
+                                        ("expr(2+sin(2*pi*y2))", 1)])
+def test_2d_laminate_cell_takes_one_iteration_in_either_axis(text, axis):
+    # the direction along the layers has a zero right-hand side: 0 iterations
+    stack = one_cell(builtin_family(text, 2), 2, 128)
+    _, iterations, residuals = solve_corrector(stack)
+    assert iterations[0, axis] == 1 and iterations[0, 1 - axis] == 0
+    assert residuals[0] <= 1e-10
+
+
+@pytest.mark.parametrize("text, n", [
+    ("checkerboard2d(1, 4, 8)", 32),
+    ("expr(2+sin(2*pi*y1)*sin(2*pi*y2))", 32),
+    ("matrix2d((6+sin(2*pi*(y1+y2)))/2, (sin(2*pi*(y1+y2))-2)/2, (6+sin(2*pi*(y1+y2)))/2)", 24),
+    ("expr(2+sin(2*pi*y2))", 16),
+])
+def test_2d_tensors_match_the_jacobi_reference(text, n):
+    stack = one_cell(builtin_family(text, 2), 2, n, tol=1e-13)
+    chi, _, _ = solve_corrector(stack)
+    tensor = effective_tensor(stack, chi)[0][0]
+    stencil = FluxStencil(stack)
+    diag = stencil.diagonal()
+    reference = np.empty_like(chi)
+    for j in range(2):
+        reference[..., j], _ = pcg(stencil.apply, stencil.affine_rhs(j), lambda r: r / diag,
+                                   tol=1e-13, project=lambda v: v.__isub__(v.mean()))
+    want = effective_tensor(stack, reference)[0][0]
+    assert np.max(np.abs(tensor - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_stacked_2d_solve_matches_each_sample_alone():
     # samples of increasing contrast need different iteration counts
     field = builtin_family("expr(exp(4*x1*sin(2*pi*y1)*sin(2*pi*y2)))", 2)

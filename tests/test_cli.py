@@ -430,7 +430,7 @@ def test_every_exit_with_a_manifest_records_cache_counters(tmp_path, capsys,
 
 def test_cascade_records_method_and_residual_per_level(tmp_path, capsys):
     for name, text, method in (("one", PRODUCT, "closed-form"),
-                               ("two", GRADED, "jacobi-pcg")):
+                               ("two", GRADED, "line-rfft-pcg")):
         (tmp_path / name).mkdir()
         cfg, out = setup(tmp_path / name, text)
         assert run(["cascade", "--config", cfg], capsys)[0] == 0
@@ -480,7 +480,7 @@ def test_cold_cascade_2d_counts_samples_and_one_distinct_solve(tmp_path, capsys)
     assert hi / lo == pytest.approx(5 / 3, abs=1e-9)
     manifest = json.loads((out / "manifest-cascade.json").read_text())
     assert manifest["residuals"]["levels"]["1"]["distinct_solves"] == 1
-    assert "level 1: 1089 samples, 1 distinct cell solve (jacobi-pcg), 0 cache hits" in stdout
+    assert "level 1: 1089 samples, 1 distinct cell solve (line-rfft-pcg), 0 cache hits" in stdout
 
 
 def test_exact_1d_tensor_prints_no_tolerance(tmp_path, capsys):
@@ -769,6 +769,28 @@ def test_non_finite_cell_coefficient_exits_2_with_a_manifest(tmp_path, capsys, d
     manifest = json.loads((out / "manifest-cascade.json").read_text())
     assert "not finite" in manifest["failure"]
     assert not (out / "cascade.json").exists()
+
+
+def test_non_finite_coefficient_prints_no_numpy_warning(tmp_path):
+    # the failure names the cause; numpy's divide warning would only add noise
+    cfg, out = setup(tmp_path, "field = expr(2+0.01*sin(2*pi*y1)/(y1-0.5))\n"
+                     "dim = 1\neps = 1/4\ncell.resolution = 16\n")
+    proc = subprocess.run([sys.executable, "-m", "reiterate.cli", "cascade", "--config", cfg],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "not finite" in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+def test_parser_builds_only_the_named_subcommand():
+    from reiterate.cli import SUBCOMMANDS, build_parser
+
+    def choices(argv):
+        (action,) = [a for a in build_parser(argv)._actions if a.dest == "command"]
+        return list(action.choices)
+
+    assert choices(["rate", "--config", "x"]) == ["rate"]
+    for argv in ([], ["--help"], ["rat"], None):
+        assert choices(argv) == list(SUBCOMMANDS)
 
 
 def test_non_finite_right_hand_side_exits_2_with_a_manifest(tmp_path, capsys):

@@ -300,3 +300,22 @@ def test_readme_lists_exactly_the_schema_keys():
     keys = [re.match(r"\| `([^`]+)`", row).group(1) for row in rows]
     assert sorted(keys) == sorted(SCHEMA)
     assert len(keys) == len(set(keys))
+
+
+SLOW_X = """
+field = slow_modulated(laminate1d(2+sin(2*pi*y1)), amplitude=0.5, k1=1)
+dim = 1
+eps = 1/8
+"""
+
+
+def test_homogenized_x_table_spans_the_domain(tmp_path):
+    # A_hat(x) = sqrt(3) (2 + sin(2 pi x) / 2): 2.5 sqrt(3) at x = 1.25,
+    # where a table on [0, 1] clamps to A_hat(1) = 2 sqrt(3)
+    wide = parse_config(write(tmp_path, SLOW_X + "domain = 0, 1.5\n")).homogenize()
+    assert wide.effective_field([[1.25]], [])[0, 0, 0] == pytest.approx(
+        2.5 * 3 ** 0.5, abs=1e-2)
+    unit = parse_config(write(tmp_path, SLOW_X)).homogenize()
+    # unit-domain descended digests keep the keys they had before the span
+    assert unit.effective_field.digest() == "e902946e552dcc7f"
+    assert wide.effective_field.digest() != unit.effective_field.digest()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reiterate.cell import CellStack
 from reiterate.coeff import ScaleLadder, builtin_family
 from reiterate.dirichlet import BVP, multiscale_coefficient, solve_homogenized
 from reiterate.errors import CompatibilityError, ResolutionError, SolverFailure
@@ -31,6 +32,7 @@ from reiterate.grid import (
     save_gridfunction,
     solve_box_dirichlet,
     solve_periodic_elliptic,
+    torus_line_inverse,
 )
 
 
@@ -468,6 +470,92 @@ def test_box_iterations_on_fields_varying_along_x2(field, scales, most):
     u = solve_box_dirichlet(a, GridFunction.constant(g, 1.0), bv)
     assert u.meta["iterations"] <= most
     assert u.meta["residuals"][-1] <= 1e-10
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("field", ["expr(2+sin(2*pi*y1))", "expr(2+sin(2*pi*y2))"])
+def test_box_solve_of_a_laminate_in_either_axis_takes_one_iteration(field, n):
+    # line_inverse averages along the axis whose faces do not vary
+    g = Grid.box((0.0, 0.0), (1.0, 1.0), n)
+    a = multiscale_coefficient(builtin_family(field, 2), ScaleLadder((1 / 8,)), g)
+    bv = GridFunction.from_callable(g, lambda p: np.sin(np.pi * p[:, 0]) + p[:, 1])
+    u = solve_box_dirichlet(a, GridFunction.constant(g, 1.0), bv)
+    assert u.meta["iterations"] == 1
+    assert u.meta["residuals"][-1] <= 1e-10
+
+
+def _stacked_laminates(shape, rng):
+    """A stack of three diagonal fields on one torus: of x1 alone, of x2
+    alone, and constant, each entry drawn from [1, 3]."""
+    n1, n2 = shape
+    values = np.zeros((3,) + shape + (2, 2))
+    for k in range(2):
+        values[0, ..., k, k] = rng.uniform(1.0, 3.0, (n1, 1))
+        values[1, ..., k, k] = rng.uniform(1.0, 3.0, (1, n2))
+        values[2, ..., k, k] = rng.uniform(1.0, 3.0)
+    return values
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 5), (5, 2), (6, 4), (7, 9)])
+def test_torus_line_inverse_inverts_stacked_one_coordinate_fields(shape):
+    # each sample averages along its own axis, the cyclic systems close
+    # through the Sherman-Morrison corner, and 2-node lines fold both
+    # couplings into one entry
+    rng = np.random.default_rng(11)
+    g = Grid(shape=shape, periodic=True, lo=(0.0, 0.0), hi=(1.0, 1.7))
+    stack = CellStack(g, _stacked_laminates(shape, rng), ((),) * 3, 1e-10)
+    stencil = FluxStencil(stack)
+    precondition = torus_line_inverse(stencil)
+    v = rng.standard_normal((3,) + shape)
+    v -= v.mean(axis=(1, 2), keepdims=True)
+    back = precondition(stencil.apply(v))
+    back -= back.mean(axis=(1, 2), keepdims=True)
+    assert np.max(np.abs(back - v)) <= 1e-12 * np.max(np.abs(v))
+    for s in range(3):
+        alone = FluxStencil(GridFunction(g, stack.values[s]))
+        assert np.array_equal(torus_line_inverse(alone)(stencil.apply(v)[s]),
+                              precondition(stencil.apply(v))[s])
+
+
+def test_torus_line_inverse_is_symmetric_and_positive_on_mean_free_fields():
+    g = Grid(shape=(12, 10), periodic=True, lo=(0.0, 0.0), hi=(1.0, 1.0))
+    rng = np.random.default_rng(5)
+    a = np.zeros(g.node_shape + (2, 2))
+    a[..., 0, 0] = rng.uniform(1.0, 9.0, g.node_shape)
+    a[..., 1, 1] = rng.uniform(1.0, 9.0, g.node_shape)
+    a[..., 0, 1] = a[..., 1, 0] = 0.3
+    precondition = torus_line_inverse(FluxStencil(GridFunction(g, a)))
+    r, s = (w - w.mean() for w in rng.standard_normal((2,) + g.node_shape))
+    pr, ps = precondition(r), precondition(s)
+    scale = np.sqrt(np.sum(pr * pr) * np.sum(s * s))
+    assert abs(np.sum(pr * s) - np.sum(r * ps)) <= 1e-12 * scale
+    assert np.sum(pr * r) > 0 and np.sum(ps * s) > 0
+
+
+def test_periodic_solve_1d_takes_one_iteration():
+    # the 1D line inverse is the operator's own closed-form inverse
+    g = Grid.torus(1, 256)
+    y = g.axis_coords(0)
+    a = GridFunction(g, (2 + np.sin(2 * np.pi * y))[:, None, None])
+    u = solve_periodic_elliptic(a, torus_scalar(256, lambda t: np.cos(6 * np.pi * t)))
+    assert u.meta["preconditioner"] == "line-rfft"
+    assert u.meta["iterations"] == 1
+
+
+def test_constant_coefficient_stays_one_broadcast_tensor_and_is_checked():
+    g = Grid.box((0.0, 0.0), (1.0, 1.0), 16)
+    tensor = np.array([[2.0, 0.5], [0.5, 1.0]])
+    a = GridFunction(g, np.broadcast_to(tensor, g.node_shape + (2, 2)))
+    assert 0 in a.values.strides and not a.values.flags.writeable
+    FluxStencil(a)
+    for bad, match in ((np.diag([1.0, -1e-3]), "min eigenvalue -0.001"),
+                       (np.array([[1.0, 2.0], [2.0, 1.0]]), "not positive definite"),
+                       (np.array([[1.0, 0.2], [0.1, 1.0]]), "symmetric"),
+                       (np.diag([1.0, np.inf]), "not finite")):
+        with pytest.raises(ValueError, match=match):
+            FluxStencil(GridFunction(g, np.broadcast_to(bad, g.node_shape + (2, 2))))
+        with pytest.raises(ValueError, match=match):
+            FluxStencil(GridFunction.constant(g, bad))
 
 
 def test_box_solve_matches_jacobi_reference():

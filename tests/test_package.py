@@ -110,3 +110,33 @@ def test_benchmark_tracer_books_a_collapsed_level_as_one_cell_solve():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert [float(v) for v in proc.stdout.split()] == [1, 1089]
+
+
+RECORDS = {
+    "grid": ("Grid", "GridFunction"),
+    "cell": ("EffectiveTensor", "FluxData", "CellStack"),
+    "coeff": ("ScaleLadder", "CoefficientSpec", "CoefficientField"),
+    "cascade": ("Axis", "CorrectorTable", "CascadeLevel", "CascadeResult"),
+    "config": ("ExperimentConfig",),
+    "dirichlet": ("BVP",),
+    "probes": ("RateRow", "RateSweep"),
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in RECORDS.items()
+                                          for n in names])
+def test_records_are_immutable(module, name):
+    cls = getattr(importlib.import_module(f"reiterate.{module}"), name)
+    record = cls._make([None] * len(cls._fields))
+    for field in cls._fields + ("unknown_field",):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+
+
+def test_cli_import_builds_no_dataclass():
+    # dataclasses generate and compile each record's methods on every import
+    proc = subprocess.run([sys.executable, "-c", "import reiterate.cli, sys; "
+                           "print('dataclasses' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
