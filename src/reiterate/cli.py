@@ -314,7 +314,7 @@ def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
                 u0 = solve_homogenized(bvp, effective, tol=cfg.solver_tol)
                 lift = type(bvp)(
                     grid=grid,
-                    rhs=GridFunction(grid, np.zeros(grid.node_shape)),
+                    rhs=GridFunction(grid, np.broadcast_to(0.0, grid.node_shape)),
                     boundary=GridFunction.from_callable(grid,
                                                         lambda p: p[..., 0]))
                 u0_lift = solve_homogenized(lift, effective, tol=cfg.solver_tol)

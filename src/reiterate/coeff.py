@@ -14,7 +14,8 @@ the x axes, and their ranges give mu, the ellipticity constant the
 cascade checks every effective spectrum against.  A part's range is
 declared by its family (laminate factors on a uniform grid of their one
 coordinate, checkerboard phases, the slow modulation's bounds) or taken
-at seeded points; a range that is not finite and positive is rejected.
+at seeded points, x over the domain the field is built for and y over
+the unit cell; a range that is not finite and positive is rejected.
 
 The parts that read the fastest slot make the field's split
 A = scale(x, y_1..y_{n-1}) * fast(y_n) when they read nothing else and
@@ -271,16 +272,18 @@ def _reads(part) -> set:
     return set().union(*(fn.reads for fn in part[0]))
 
 
-def _ranged(parts, d: int, n: int) -> list:
+def _ranged(parts, d: int, n: int, domain) -> list:
     """The parts with every range filled in: one without a declared range
     takes its extreme values (a matrix its extreme eigenvalues) at 20,000
-    seeded points of the unit cube, drawn once and only when one is read."""
+    seeded points, each x coordinate in [lo, hi) of ``domain`` and each y
+    in [0, 1), drawn once and only when one is read."""
     pts, out = {}, []
     for fns, span in parts:
         if span is None:
             if not pts and any(fn.reads for fn in fns):
                 rng = np.random.default_rng(0)
-                pts = {f"x{j}": rng.uniform(0, 1, 20_000) for j in range(1, d + 1)}
+                lo, hi = domain
+                pts = {f"x{j}": rng.uniform(lo, hi, 20_000) for j in range(1, d + 1)}
                 pts.update({f"y{i}": rng.uniform(0, 1, 20_000) for i in range(1, n * d + 1)})
             vals = [fn(**pts) for fn in fns]
             if len(vals) == 3:
@@ -316,17 +319,24 @@ def _evaluate(parts, x, ys, d: int, skip: int = 0) -> np.ndarray:
             scalar = scalar * vals[0]
         else:
             matrix = np.stack([vals[0], vals[1], vals[1], vals[2]], -1).reshape(shape + (2, 2))
-    return _identity_times(scalar, d) if matrix is None else matrix * scalar[..., None, None]
+    if matrix is None:
+        return _identity_times(scalar, d)
+    # in place on the fresh stack (products commute exactly): a second
+    # N x d x d array here was a rotated laminate's box-solve peak
+    matrix *= scalar[..., None, None]
+    return matrix
 
 
-def _build(d: int, parts, spec=None, digest=None, skip: int = 0) -> CoefficientField:
-    """The field of lowered parts.  The names they read give the slot count
-    and the x axes, their ranges give mu, and the parts that read the
-    fastest slot give the split: it exists when they read nothing else and
-    have a positive range, and other parts, all scalar, exist."""
+def _build(d: int, parts, spec=None, digest=None, skip: int = 0,
+           domain=(0.0, 1.0)) -> CoefficientField:
+    """The field of lowered parts on x in domain^d.  The names they read
+    give the slot count and the x axes, their ranges give mu, and the parts
+    that read the fastest slot give the split: it exists when they read
+    nothing else and have a positive range, and other parts, all scalar,
+    exist."""
     reads = set().union(*map(_reads, parts))
     n = max((-(-int(name[1:]) // d) for name in reads if name[0] == "y"), default=0)
-    parts = _ranged(parts, d, n)
+    parts = _ranged(parts, d, n, domain)
     lo, hi = _span(parts)
     if not 0 < lo <= hi < math.inf:
         raise ConfigError(f"coefficient ranges over [{lo:g}, {hi:g}]; it must be "
@@ -349,12 +359,14 @@ def _build(d: int, parts, spec=None, digest=None, skip: int = 0) -> CoefficientF
 _FAMILIES = ("constant", "laminate1d", "checkerboard2d", "slow_modulated", "expr", "matrix2d")
 
 
-def builtin_family(spec, d: int) -> CoefficientField:
-    """Build a CoefficientField from a spec string or CoefficientSpec."""
+def builtin_family(spec, d: int, domain=(0.0, 1.0)) -> CoefficientField:
+    """Build a CoefficientField from a spec string or CoefficientSpec, for x
+    in domain^d: ``domain`` = (lo, hi) bounds the points a range is
+    sampled at."""
     if isinstance(spec, str):
         spec = CoefficientSpec.parse(spec)
     if spec.family not in _FAMILIES:
         raise ConfigError(f"unknown family {spec.family!r}")
     if d not in (1, 2):
         raise ConfigError("only d=1 and d=2 are supported")
-    return _build(d, _lower(spec, d), spec=spec)
+    return _build(d, _lower(spec, d), spec=spec, domain=domain)

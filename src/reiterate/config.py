@@ -35,6 +35,10 @@ from .grid import Grid
 from .probes import T_CANDIDATES
 
 MEMORY_LIMIT_BYTES = 8 << 30
+# node-sized float arrays budgeted per grid: the peak of one box solve
+# (tracemalloc, 14.6 arrays on a rotated laminate at 256^2) rounded up,
+# plus the solution, rhs and boundary the CLI keeps beside it
+ARRAYS_PER_NODE = 18
 _DYADIC = re.compile(r"^2\^(-?\d+)$")
 _FRACTION = re.compile(r"^(-?\d+(?:\.\d+)?)\s*/\s*(\d+(?:\.\d+)?)$")
 
@@ -151,9 +155,10 @@ class ExperimentConfig(NamedTuple):
         fn = compile_expression(source, names)
 
         def pointwise(pts):
-            # constant expressions come back 0-d; broadcast to the nodes
+            # constant expressions come back 0-d; a read-only broadcast view
+            # of the one value stands for every node
             out = fn(**{names[i]: pts[..., i] for i in range(self.d)})
-            return np.broadcast_to(out, pts.shape[:-1]).copy()
+            return np.broadcast_to(out, pts.shape[:-1])
 
         return pointwise
 
@@ -235,7 +240,8 @@ def parse_config(path: str) -> ExperimentConfig:
     field = None
     if "field" in pairs and d is not None:
         try:
-            field = builtin_family(CoefficientSpec.parse(values["field"]), d)
+            field = builtin_family(CoefficientSpec.parse(values["field"]), d,
+                                   domain=values["domain"])
         except (ValueError, ConfigError) as exc:
             errors.append(f"key 'field': {exc}; expected {SCHEMA['field'][0]}")
 
@@ -312,8 +318,7 @@ def parse_config(path: str) -> ExperimentConfig:
         except ResolutionError as exc:
             errors.append(f"key {sizer!r}: {exc}")
             continue
-        # node arrays for solution, rhs, boundary, coefficient, pcg workspace
-        memory = (4 + d * d) * 8 * (grid.shape[0] + 1) ** d
+        memory = ARRAYS_PER_NODE * 8 * (grid.shape[0] + 1) ** d
         if memory > MEMORY_LIMIT_BYTES:
             errors.append(
                 f"key {sizer!r}: {grid.shape[0]} cells per axis in dimension {d} "

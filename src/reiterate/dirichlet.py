@@ -32,12 +32,14 @@ class BVP(NamedTuple):
 
     @classmethod
     def on(cls, grid: Grid, rhs=0.0, boundary=0.0) -> "BVP":
+        """Tabulate rhs and boundary, each a callable of node points or a
+        number, which stays one value broadcast to every node."""
         if not callable(rhs):
             value = float(rhs)
-            rhs = lambda x: np.full(x.shape[:-1], value)
+            rhs = lambda x: np.broadcast_to(value, x.shape[:-1])
         if not callable(boundary):
             bval = float(boundary)
-            boundary = lambda x: np.full(x.shape[:-1], bval)
+            boundary = lambda x: np.broadcast_to(bval, x.shape[:-1])
         return cls(grid=grid,
                    rhs=GridFunction.from_callable(grid, rhs),
                    boundary=GridFunction.from_callable(grid, boundary))
@@ -70,26 +72,31 @@ def multiscale_coefficient(field: CoefficientField, ladder: ScaleLadder,
 def solve_multiscale(bvp: BVP, field: CoefficientField, ladder: ScaleLadder,
                      tol: float = 1e-10) -> GridFunction:
     require_resolved(bvp.grid, ladder)
-    a = multiscale_coefficient(field, ladder, bvp.grid)
-    return solve_box_dirichlet(a, bvp.rhs, bvp.boundary, tol=tol)
+    # passed on without a name here, so the solve can free the tensor
+    return solve_box_dirichlet(multiscale_coefficient(field, ladder, bvp.grid),
+                               bvp.rhs, bvp.boundary, tol=tol)
+
+
+def _limit_coefficient(effective, grid: Grid) -> GridFunction:
+    """The homogenized tensor at the grid nodes: a slow field tabulated, a
+    constant tensor broadcast to every node."""
+    if isinstance(effective, CoefficientField):
+        if effective.n_scales:
+            raise ValueError("homogenized coefficient must not keep fast slots")
+        vals = effective(grid.nodes().reshape(-1, grid.d), [])
+        return GridFunction(grid, vals.reshape(grid.node_shape + (grid.d, grid.d)))
+    if isinstance(effective, EffectiveTensor):
+        tensor = effective.tensor
+    else:
+        tensor = np.asarray(effective, dtype=float)
+    return GridFunction(grid, np.broadcast_to(tensor, grid.node_shape + tensor.shape))
 
 
 def solve_homogenized(bvp: BVP, effective, tol: float = 1e-10) -> GridFunction:
     """Limit solve; effective is a tensor, an EffectiveTensor, or a slow field."""
-    grid = bvp.grid
-    if isinstance(effective, EffectiveTensor):
-        tensor = effective.tensor
-    elif isinstance(effective, CoefficientField):
-        if effective.n_scales:
-            raise ValueError("homogenized coefficient must not keep fast slots")
-        x = grid.nodes().reshape(-1, grid.d)
-        vals = effective(x, []).reshape(grid.node_shape + (grid.d, grid.d))
-        a = GridFunction(grid, vals)
-        return solve_box_dirichlet(a, bvp.rhs, bvp.boundary, tol=tol)
-    else:
-        tensor = np.asarray(effective, dtype=float)
-    vals = np.broadcast_to(tensor, grid.node_shape + tensor.shape)
-    return solve_box_dirichlet(GridFunction(grid, vals), bvp.rhs, bvp.boundary, tol=tol)
+    # passed on without a name here, so the solve can free the tensor
+    return solve_box_dirichlet(_limit_coefficient(effective, bvp.grid), bvp.rhs,
+                               bvp.boundary, tol=tol)
 
 
 # ---------------------------------------------------------------------------

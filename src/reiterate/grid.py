@@ -49,6 +49,10 @@ from .errors import CompatibilityError, ResolutionError, SolverFailure
 MAGIC = b"RHGF"
 FORMAT_VERSION = 2
 _SHAPE_CODES = {0: (), 1: ("d",), 2: ("d", "d")}
+# odd-extension nodes per block of _dst1: the FFT scratch of a box
+# preconditioner stays near 256 KB at any grid size, which also runs
+# faster than one transform of every row at once
+_DST_BLOCK_NODES = 1 << 14
 
 
 class Grid(NamedTuple("Grid", [("shape", tuple), ("periodic", bool),
@@ -138,8 +142,10 @@ class GridFunction(NamedTuple("GridFunction", [("grid", Grid), ("values", np.nda
                                                ("meta", dict)])):
     """Nodal field on a grid: scalar, d-vector, or d x d matrix values.
 
-    The values are stored read-only and C-contiguous, except that one value
-    broadcast to every node stays a broadcast view.
+    The values are stored as a read-only view, C-contiguous except that one
+    value broadcast to every node stays a broadcast view.  A C-contiguous
+    float array is not copied: the view aliases the caller's data, which
+    stays writable for the caller.
     """
 
     __slots__ = ()
@@ -148,6 +154,7 @@ class GridFunction(NamedTuple("GridFunction", [("grid", Grid), ("values", np.nda
         values = np.asarray(values, dtype=float)
         if 0 not in values.strides:
             values = np.ascontiguousarray(values)
+        values = values.view()
         node_shape = grid.node_shape
         comp = values.shape[len(node_shape):]
         if values.shape[: len(node_shape)] != node_shape:
@@ -335,6 +342,13 @@ class FluxStencil:
     sample axis before the nodes.  Every method acts on the trailing grid
     axes, so a stacked stencil applies each sample's operator to the
     matching slice of a stacked field.
+
+    The stencil keeps no reference to ``a``: ``mixed`` is a copy of the
+    off-diagonal entries, so the tensor can be freed once the stencil is
+    built.  One tensor broadcast to every node (as _check_spd reads it)
+    keeps broadcast faces and a broadcast ``mixed``; each face is the
+    harmonic mean of the entry with itself, 2 a a / (a + a), which is not
+    always a, so they equal the faces of the materialized tensor bitwise.
     """
 
     def __init__(self, a):
@@ -343,15 +357,20 @@ class FluxStencil:
         self.grid = grid
         self.d = grid.d
         vals = a.values
-        self.faces = [
-            _harmonic_faces(vals[..., k, k], k - grid.d, grid.periodic)
-            for k in range(grid.d)
-        ]
-        if grid.d == 2:
-            off = vals[..., 0, 1]
-            self.mixed = off if np.any(off) else None
-        else:
-            self.mixed = None
+        one = None if any(vals.strides[:-2]) else vals[(0,) * (vals.ndim - 2)]
+        self.faces = []
+        for k in range(grid.d):
+            if one is None:
+                face = _harmonic_faces(vals[..., k, k], k - grid.d, grid.periodic)
+            else:
+                shape = list(vals.shape[:-2])
+                shape[k - grid.d] -= not grid.periodic
+                c = one[k, k]
+                face = np.broadcast_to(2.0 * c * c / (c + c), tuple(shape))
+            self.faces.append(face)
+        self.mixed = None
+        if grid.d == 2 and np.any(vals[..., 0, 1]):
+            self.mixed = vals[..., 0, 1] if one is not None else vals[..., 0, 1].copy()
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         g = self.grid
@@ -441,6 +460,12 @@ def pcg(apply_op, b, precondition, tol=1e-10, maxiter=100_000, project=None,
     ``project`` removes a known null-space component (used to pin the mean of
     periodic solutions); it is applied to the initial data and every residual.
 
+    ``b`` is copied once and never written; the copy becomes the residual.
+    x, r and p are updated in place through one work array, and the
+    previous z and A p are dropped before the next ones are made, so the
+    loop holds four node arrays besides those of ``apply_op`` and
+    ``precondition``.
+
     With ``stacked`` the leading axis of ``b`` indexes independent systems
     that ``apply_op``, ``precondition`` and ``project`` treat sample by
     sample.  Each system keeps its own inner products, step lengths,
@@ -487,12 +512,12 @@ def pcg(apply_op, b, precondition, tol=1e-10, maxiter=100_000, project=None,
 
     if not active.any():
         return x, info()
-    r = b.copy()
-    z = precondition(r)
+    r = b  # the copy made above
+    p = precondition(r)
     if project is not None:
-        project(z)
-    p = z.copy()
-    rz = dot(r, z)
+        project(p)
+    rz = dot(r, p)
+    work = np.empty_like(r)
     for _ in range(int(maxiter)):
         ap = apply_op(p)
         pap = dot(p, ap)
@@ -502,8 +527,9 @@ def pcg(apply_op, b, precondition, tol=1e-10, maxiter=100_000, project=None,
             raise failure(f"operator not positive definite along search direction "
                           f"(p.Ap={worst:g})", bent)
         alpha = np.where(active, rz / np.where(active, pap, 1.0), 0.0)
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=work)
+        r -= np.multiply(alpha, ap, out=work)
+        ap = None
         if project is not None:
             project(r)
         res = np.sqrt(dot(r, r))
@@ -518,7 +544,10 @@ def pcg(apply_op, b, precondition, tol=1e-10, maxiter=100_000, project=None,
             project(z)
         rz_new = dot(r, z)
         beta = np.where(active, rz_new / np.where(active, rz, 1.0), 0.0)
-        p = z + beta * p
+        # z + beta p, summed in place: addition commutes exactly
+        p *= beta
+        p += z
+        z = None
         rz = np.where(active, rz_new, rz)
     worst = float(rel[active].max())
     raise failure(f"PCG stagnated after {maxiter} iterations (relative residual "
@@ -572,17 +601,28 @@ def _averages_along_x1(fx: np.ndarray, fy: np.ndarray):
     return spread(-2) < spread(-1)
 
 
-def _dst1(x: np.ndarray) -> np.ndarray:
-    """Unnormalized DST-I along the last axis, from the FFT of the odd extension.
+def _dst1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized DST-I along the rows of a 2D array, from the FFT of the
+    odd extension, written to ``out`` (a new array by default).
 
     Entry k is sum_j x_j sin(pi j k / (m + 1)) for j, k = 1..m; applying it
-    twice multiplies by (m + 1) / 2.
+    twice multiplies by (m + 1) / 2.  The rows are transformed in blocks of
+    at most _DST_BLOCK_NODES extension nodes, which bounds the FFT scratch;
+    each row's transform does not depend on the block it sits in.
     """
-    m = x.shape[-1]
-    ext = np.zeros(x.shape[:-1] + (2 * m + 2,))
-    ext[..., 1:m + 1] = x
-    ext[..., m + 2:] = -x[..., ::-1]
-    return -0.5 * np.fft.rfft(ext, axis=-1)[..., 1:m + 1].imag
+    rows, m = x.shape
+    if out is None:
+        out = np.empty(x.shape)
+    block = max(1, _DST_BLOCK_NODES // (2 * m + 2))
+    ext = np.zeros((min(block, rows), 2 * m + 2))
+    for start in range(0, rows, block):
+        part = x[start:start + block]
+        k = part.shape[0]
+        ext[:k, 1:m + 1] = part
+        np.negative(part[:, ::-1], out=ext[:k, m + 2:])
+        np.multiply(-0.5, np.fft.rfft(ext[:k], axis=-1)[:, 1:m + 1].imag,
+                    out=out[start:start + k])
+    return out
 
 
 def _box_lines(fl, fa, shape, spacing):
@@ -600,8 +640,9 @@ def _box_lines(fl, fa, shape, spacing):
 
     def precondition(r: np.ndarray) -> np.ndarray:
         z = _sweep_tridiagonal(mult, rpivot, _dst1(r[1:-1, 1:-1]))
-        # the zero ring is laid on after the transform, which peaks in memory
-        return np.pad(_dst1(z), 1)
+        out = np.zeros((n1 + 1, n2 + 1))
+        _dst1(z, out=out[1:-1, 1:-1])
+        return out
 
     return precondition
 
@@ -776,7 +817,9 @@ def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
 
     1D boxes are solved exactly in closed form (0 iterations, tolerance 0);
     2D boxes use PCG preconditioned by line_inverse.  ``meta`` names
-    the method under "preconditioner".
+    the method under "preconditioner".  No input is written, and the
+    coefficient is released once its stencil is built, so a caller that
+    passes it without keeping a reference frees it before the solve.
     """
     grid = a.grid
     if grid.periodic:
@@ -792,11 +835,12 @@ def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
     lift = np.zeros(grid.node_shape)
     lift[mask] = bv[mask]
 
+    # the stencil holds the faces; the tensor is freed here unless the
+    # caller keeps it
     stencil = FluxStencil(a)
-    interior = ~mask
-    b = np.zeros(grid.node_shape)
-    b[interior] = rhs.values[interior]
-    b -= stencil.apply(lift)
+    del a
+    b = stencil.apply(lift)
+    np.subtract(rhs.values, b, out=b, where=~mask)
     b[mask] = 0.0
     if not np.isfinite(b).all():
         raise ValueError("right-hand side or boundary values are not finite at every node")
@@ -811,9 +855,9 @@ def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
 
         v, info = pcg(apply_interior, b, line_inverse(stencil), tol=tol)
         info["preconditioner"] = "line-dst1"
-    u = v + lift
-    u[mask] = bv[mask]
-    return GridFunction(grid, u, meta=info)
+    v += lift
+    v[mask] = bv[mask]
+    return GridFunction(grid, v, meta=info)
 
 
 def _tridiagonal_box_solve(faces: np.ndarray, b: np.ndarray, h: float):

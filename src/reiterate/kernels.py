@@ -60,16 +60,40 @@ def matvec_box_1d(fa, u, h):
     return out
 
 
+def _box_flux(u, coef, axis, width, h):
+    """coef * (u[i + width] - u[i]) / h along axis of a 2D field, made in
+    place in one new array."""
+    hi, lo = (slice(width, None), slice(None)), (slice(None, -width), slice(None))
+    if axis:
+        hi, lo = hi[::-1], lo[::-1]
+    flux = np.subtract(u[hi], u[lo])
+    flux *= coef
+    flux /= h
+    return flux
+
+
+def _subtract_difference(interior, step, flux, hi, lo, h):
+    """interior -= (flux[hi] - flux[lo]) / h, through the buffer step."""
+    interior -= np.divide(np.subtract(flux[hi], flux[lo], out=step), h, out=step)
+
+
 def matvec_box_2d(fx, fy, axy, u, h1, h2):
+    # the interior is summed in place in out, term by term in the order of
+    # -(dx flux_x) / h1 - (dy flux_y) / h2 - (mixed terms); each flux is
+    # dropped before the next is made, and products commute exactly, so the
+    # bits are those of the plain expression
     out = np.zeros_like(u)
-    flux_x = fx * (u[1:, :] - u[:-1, :]) / h1
-    flux_y = fy * (u[:, 1:] - u[:, :-1]) / h2
-    interior = -(flux_x[1:, 1:-1] - flux_x[:-1, 1:-1]) / h1
-    interior -= (flux_y[1:-1, 1:] - flux_y[1:-1, :-1]) / h2
+    interior = out[1:-1, 1:-1]
+    flux = _box_flux(u, fx, 0, 1, h1)
+    np.negative(np.subtract(flux[1:, 1:-1], flux[:-1, 1:-1], out=interior), out=interior)
+    interior /= h1
+    del flux
+    step = np.empty_like(interior)
+    _subtract_difference(interior, step, _box_flux(u, fy, 1, 1, h2),
+                         np.s_[1:-1, 1:], np.s_[1:-1, :-1], h2)
     if axy is not None and axy.size:
-        mx = axy[:, 1:-1] * (u[:, 2:] - u[:, :-2]) / (2.0 * h2)
-        my = axy[1:-1, :] * (u[2:, :] - u[:-2, :]) / (2.0 * h1)
-        interior -= (mx[2:, :] - mx[:-2, :]) / (2.0 * h1)
-        interior -= (my[:, 2:] - my[:, :-2]) / (2.0 * h2)
-    out[1:-1, 1:-1] = interior
+        _subtract_difference(interior, step, _box_flux(u, axy[:, 1:-1], 1, 2, 2.0 * h2),
+                             np.s_[2:, :], np.s_[:-2, :], 2.0 * h1)
+        _subtract_difference(interior, step, _box_flux(u, axy[1:-1, :], 0, 2, 2.0 * h1),
+                             np.s_[:, 2:], np.s_[:, :-2], 2.0 * h2)
     return out

@@ -319,3 +319,13 @@ def test_homogenized_x_table_spans_the_domain(tmp_path):
     # unit-domain descended digests keep the keys they had before the span
     assert unit.effective_field.digest() == "e902946e552dcc7f"
     assert wide.effective_field.digest() != unit.effective_field.digest()
+
+
+def test_field_range_is_sampled_over_the_configured_domain(tmp_path):
+    # 1.2 - x1 + 0.1 sin(2 pi y1) is positive on [0, 1] but not on [0, 1.5]
+    text = "field = expr(1.2-x1+0.1*sin(2*pi*y1))\ndim = 1\neps = 1/8\n"
+    unit = parse_config(write(tmp_path, text))
+    assert 0.1 <= unit.field.mu <= 0.11
+    with pytest.raises(ConfigError, match="key 'field': coefficient ranges over") as err:
+        parse_config(write(tmp_path, text + "domain = 0, 1.5\n"))
+    assert re.findall(r"key '([^']+)'", str(err.value)) == ["field"]

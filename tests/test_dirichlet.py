@@ -5,6 +5,8 @@ a u' = C - F with F the antiderivative of f, so u follows from two
 cumulative quadratures and one constant fixed by the right endpoint.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -12,6 +14,7 @@ from scipy.integrate import cumulative_trapezoid
 from reiterate.cascade import CorrectorTable, homogenize_all, point_axis
 from reiterate.cell import CellStack, EffectiveTensor, solve_corrector
 from reiterate.coeff import ScaleLadder, builtin_family
+from reiterate.config import ARRAYS_PER_NODE
 from reiterate.dirichlet import (BVP, boundary_layer_mask, cutoff, error_report,
                                  multiscale_coefficient, require_resolved,
                                  smoothstep5, solve_homogenized, solve_multiscale,
@@ -221,3 +224,25 @@ def test_error_report_layer_norms():
     report = error_report(u_eps, u1, layer_widths=(0.1, 0.25))
     assert 0 < report["layers"][0.1] <= report["layers"][0.25] <= report["l2"] + 1e-15
     assert report["h1"] >= report["l2"]
+
+
+@pytest.mark.parametrize("spec, d, n, scales", [
+    ("expr(2+sin(2*pi*y1)*sin(2*pi*y2))", 2, 256, (1 / 16,)),
+    ("matrix2d((6+sin(2*pi*(y1+y2)))/2, (sin(2*pi*(y1+y2))-2)/2, "
+     "(6+sin(2*pi*(y1+y2)))/2)", 2, 256, (1 / 16,)),
+    ("laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y2))", 1, 4096, (1 / 4, 1 / 16)),
+], ids=["generic-2d", "rotated-laminate-2d", "laminate-1d"])
+def test_box_solve_peak_memory_fits_the_config_guard(spec, d, n, scales):
+    # traced bytes, not RSS: the count is deterministic
+    grid = Grid.box((0.0,) * d, (1.0,) * d, n)
+    bvp = BVP.on(grid, rhs=1.0, boundary=lambda x: np.sin(np.pi * x[..., 0]))
+    field = builtin_family(spec, d)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        u = solve_multiscale(bvp, field, ScaleLadder(scales))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(u.values).all()
+    assert peak / (n + 1) ** d <= ARRAYS_PER_NODE * 8

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reiterate.grid as grid_module
 from reiterate.cell import CellStack
 from reiterate.coeff import ScaleLadder, builtin_family
-from reiterate.dirichlet import BVP, multiscale_coefficient, solve_homogenized
+from reiterate.dirichlet import (BVP, multiscale_coefficient, solve_homogenized,
+                                 solve_multiscale)
 from reiterate.errors import CompatibilityError, ResolutionError, SolverFailure
 from reiterate.grid import (
     FluxStencil,
@@ -689,3 +691,95 @@ def test_stacked_pcg_keeps_per_system_counts_and_flags_the_stagnating_one():
     # the history is the stagnating system's own, one entry per step
     assert len(caught.value.residuals) == 3
     assert caught.value.residuals[-1] > 1e-12
+
+
+def test_gridfunction_aliases_the_callers_array_without_freezing_it():
+    v = np.zeros(4)
+    gf = GridFunction(Grid.torus(1, 4), v)
+    v[0] = 1.0
+    assert gf.values[0] == 1.0
+    assert not gf.values.flags.writeable
+    with pytest.raises(ValueError):
+        gf.values[1] = 1.0
+
+
+@pytest.mark.parametrize("m", [1, 15, 127])
+def test_blocked_dst1_equals_one_block_bitwise(m, monkeypatch):
+    block = max(1, grid_module._DST_BLOCK_NODES // (2 * m + 2))
+    rng = np.random.default_rng(m)
+    for rows in sorted({1, max(block - 1, 1), block, 2 * block + 1}):
+        x = rng.standard_normal((rows, m))
+        blocked = grid_module._dst1(x)
+        with monkeypatch.context() as patch:
+            patch.setattr(grid_module, "_DST_BLOCK_NODES", rows * (2 * m + 2))
+            whole = grid_module._dst1(x)
+        assert np.array_equal(blocked, whole)
+        ring = np.zeros((rows + 2, m + 2))
+        assert grid_module._dst1(x, out=ring[1:-1, 1:-1]).base is ring
+        assert np.array_equal(ring[1:-1, 1:-1], blocked) and not ring[[0, -1]].any()
+    j = np.arange(1, m + 1)
+    reference = np.einsum("rj,jk->rk", x, np.sin(np.pi * np.outer(j, j) / (m + 1)))
+    assert np.allclose(blocked, reference, rtol=0, atol=1e-12 * m)
+
+
+_BOX_2D = Grid.box((0.0, -1.0), (1.3, 1.0), (12, 9))
+_TORUS_2D = Grid(shape=(12, 9), periodic=True, lo=(0.0, 0.0), hi=(1.0, 1.7))
+
+
+@pytest.mark.parametrize("grid, off", [
+    (Grid.box(0.0, 1.3, 12), 0.0), (_BOX_2D, 0.0), (_BOX_2D, 0.4),
+    (Grid.torus(1, 12), 0.0), (_TORUS_2D, 0.0), (_TORUS_2D, 0.4),
+], ids=["box-1d", "box-2d", "box-2d-mixed", "torus-1d", "torus-2d", "torus-2d-mixed"])
+def test_broadcast_tensor_stencil_matches_the_materialized_one_bitwise(grid, off):
+    d = grid.d
+    # 2 a a / (a + a) differs from a by an ulp for 1.9 and 2.9
+    tensor = np.array([[1.9, off], [off, 2.9]])[:d, :d]
+    broadcast = FluxStencil(GridFunction(grid, np.broadcast_to(tensor, grid.node_shape + (d, d))))
+    materialized = GridFunction.constant(grid, tensor)
+    dense = FluxStencil(materialized)
+    for fb, fd in zip(broadcast.faces, dense.faces):
+        assert fb.shape == fd.shape and not any(fb.strides)
+        assert np.array_equal(fb, fd)
+    assert broadcast.faces[0].flat[0] != tensor[0, 0]
+    if off:
+        assert not any(broadcast.mixed.strides)
+        # a copy: the stencil does not keep the N x 2 x 2 tensor alive
+        assert dense.mixed.flags.c_contiguous
+        assert not np.shares_memory(dense.mixed, materialized.values)
+        assert np.array_equal(broadcast.mixed, dense.mixed)
+    u = np.random.default_rng(3).standard_normal(grid.node_shape)
+    assert np.array_equal(broadcast.apply(u), dense.apply(u))
+    if grid.periodic:
+        u -= u.mean()
+        assert np.array_equal(torus_line_inverse(broadcast)(u), torus_line_inverse(dense)(u))
+    elif d == 2:
+        assert np.array_equal(line_inverse(broadcast)(u), line_inverse(dense)(u))
+
+
+def test_solves_leave_every_input_array_unchanged():
+    rng = np.random.default_rng(8)
+    diag = rng.uniform(1.0, 3.0, (3, 7))
+    b = rng.standard_normal((3, 7))
+    before = b.copy()
+    pcg(lambda v: diag[0] * v, b[0], lambda r: r / diag[0], tol=1e-12)
+    pcg(lambda v: diag * v, b, lambda r: r.copy(), tol=1e-12, stacked=True)
+    assert np.array_equal(b, before)
+
+    g = Grid.box((0.0, 0.0), (1.0, 1.0), 32)
+    tensor = rng.uniform(0.1, 0.2, g.node_shape + (2, 2))
+    tensor[..., 1, 0] = tensor[..., 0, 1]
+    tensor[..., 0, 0] += 2.0
+    tensor[..., 1, 1] += 3.0
+    rhs = rng.standard_normal(g.node_shape)
+    bv = rng.standard_normal(g.node_shape)
+    effective = np.array([[2.0, 0.3], [0.3, 1.5]])
+    arrays = (tensor, rhs, bv, effective)
+    copies = [x.copy() for x in arrays]
+    u = solve_box_dirichlet(GridFunction(g, tensor), GridFunction(g, rhs), bv)
+    assert u.meta["iterations"] > 1
+    bvp = BVP(grid=g, rhs=GridFunction(g, rhs), boundary=GridFunction(g, bv))
+    solve_multiscale(bvp, builtin_family("checkerboard2d(1, 4, 8)", 2), ScaleLadder((1 / 4,)))
+    solve_homogenized(bvp, effective)
+    solve_homogenized(bvp, builtin_family("expr(2+x1*x2)", 2))
+    for x, copy in zip(arrays, copies):
+        assert x.flags.writeable and np.array_equal(x, copy)
