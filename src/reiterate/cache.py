@@ -25,7 +25,6 @@ a slab of one sample, so load_correctors reads it too.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -33,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .coeff import hex_digest
 from .grid import atomic_bytes
 
 
@@ -44,7 +44,7 @@ def _entry_key(level: int, frozen_rows, resolution, tol: float, d: int) -> str:
         "tol": "%.17g" % tol,
         "d": d,
     }, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
+    return hex_digest(payload, 24)
 
 
 def save_slab(stem, stack, chi, iterations, tensors, spectra) -> None:

@@ -29,7 +29,6 @@ row; the spectrum and symmetry checks still run on every scaled sample.
 
 from __future__ import annotations
 
-import hashlib
 from itertools import product
 from typing import NamedTuple
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from .cell import (CELL_METHOD, DEFAULT_RESOLUTION, CellStack, EffectiveTensor,
                    check_tensors, effective_tensor, solve_corrector)
-from .coeff import CoefficientField, ScaleLadder
+from .coeff import CoefficientField, ScaleLadder, hex_digest
 from .grid import Grid
 
 # cell nodes per slab: larger slabs buy little speed and cost peak memory.
@@ -176,7 +175,7 @@ def _descended_digest(parent: str | None, level: int, resolution: int, tol: floa
     if tuple(domain) != (0.0, 1.0):
         # the x-table spans the domain; unit-domain keys predate the span
         text += "|x=%.17g,%.17g" % tuple(domain)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return hex_digest(text, 16)
 
 
 def _slower_axes(field: CoefficientField, level: int, x_resolution: int,

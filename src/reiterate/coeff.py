@@ -33,7 +33,6 @@ second (y3, y4), and so on.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Callable, NamedTuple, Sequence
 
@@ -43,6 +42,33 @@ from .errors import ConfigError
 from .expr import compile_expression, product_factors
 
 _MAX_SLOTS = 9
+
+
+# ---------------------------------------------------------------------------
+# digests
+
+
+def _sha256():
+    """The interpreter's built-in SHA-256 constructor, hashlib's where the
+    build lacks it.  hashlib loads OpenSSL's libcrypto, which stays resident
+    (3.5 MB); the digests are the same bytes either way."""
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
+_SHA256 = _sha256()
+
+
+def hex_digest(text: str, n: int) -> str:
+    """The first n hex digits of the SHA-256 of text (UTF-8): every field,
+    slab, descended-table and config digest."""
+    return _SHA256(text.encode()).hexdigest()[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +178,7 @@ class CoefficientSpec(NamedTuple):
         return f"{self.family}({', '.join(rendered)})"
 
     def digest(self, d: int) -> str:
-        return hashlib.sha256(f"{self.canonical()}|d={d}".encode()).hexdigest()[:16]
+        return hex_digest(f"{self.canonical()}|d={d}", 16)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +373,7 @@ def _build(d: int, parts, spec=None, digest=None, skip: int = 0,
     split = None
     if fast and rest and all(_reads(p) <= last for p in fast) \
             and all(len(fns) == 1 for fns, _ in rest) and _span(fast)[0] > 0:
-        key = hashlib.sha256(f"{spec.digest(d)}|fast".encode()).hexdigest()[:16]
+        key = hex_digest(f"{spec.digest(d)}|fast", 16)
         split = (lambda x, ys: _evaluate(rest, x, ys, d)[..., 0, 0],
                  _build(d, fast, digest=key, skip=n - 1))
     return CoefficientField(

@@ -19,7 +19,6 @@ Every violation is collected and reported together, naming its key.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 from typing import NamedTuple
@@ -27,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cascade import CascadeResult, homogenize_all
-from .coeff import CoefficientField, CoefficientSpec, ScaleLadder, builtin_family
+from .coeff import CoefficientField, CoefficientSpec, ScaleLadder, builtin_family, hex_digest
 from .dirichlet import BVP, cells_per_axis, require_resolved
 from .errors import ConfigError, ResolutionError
 from .expr import compile_expression
@@ -36,8 +35,9 @@ from .probes import T_CANDIDATES
 
 MEMORY_LIMIT_BYTES = 8 << 30
 # node-sized float arrays budgeted per grid: the peak of one box solve
-# (tracemalloc, 14.6 arrays on a rotated laminate at 256^2) rounded up,
-# plus the solution, rhs and boundary the CLI keeps beside it
+# (tracemalloc, 13.4 arrays on a rotated laminate at 256^2) rounded up,
+# plus the solution, rhs and boundary the CLI keeps beside it, and one
+# array to spare
 ARRAYS_PER_NODE = 18
 _DYADIC = re.compile(r"^2\^(-?\d+)$")
 _FRACTION = re.compile(r"^(-?\d+(?:\.\d+)?)\s*/\s*(\d+(?:\.\d+)?)$")
@@ -179,7 +179,7 @@ class ExperimentConfig(NamedTuple):
 
     def digest(self) -> str:
         payload = "\n".join(f"{k} = {v}" for k, v in self.items)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return hex_digest(payload, 16)
 
     def with_overrides(self, out=None) -> "ExperimentConfig":
         return self if out is None else self._replace(out=str(out))

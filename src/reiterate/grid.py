@@ -832,14 +832,17 @@ def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
         bv = np.asarray(boundary_values, dtype=float)
         bv = np.broadcast_to(bv, grid.node_shape)
     mask = grid.boundary_mask()
+    edge = bv[mask]
     lift = np.zeros(grid.node_shape)
-    lift[mask] = bv[mask]
+    lift[mask] = edge
 
     # the stencil holds the faces; the tensor is freed here unless the
-    # caller keeps it
+    # caller keeps it, and the lift once it has moved into b: only its
+    # boundary values are needed after that
     stencil = FluxStencil(a)
     del a
     b = stencil.apply(lift)
+    del lift
     np.subtract(rhs.values, b, out=b, where=~mask)
     b[mask] = 0.0
     if not np.isfinite(b).all():
@@ -855,8 +858,10 @@ def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
 
         v, info = pcg(apply_interior, b, line_inverse(stencil), tol=tol)
         info["preconditioner"] = "line-dst1"
-    v += lift
-    v[mask] = bv[mask]
+    # v + lift: the lift's interior is +0.0, which turns an interior -0.0
+    # into +0.0, and its boundary is edge
+    v += 0.0
+    v[mask] = edge
     return GridFunction(grid, v, meta=info)
 
 

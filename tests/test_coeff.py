@@ -1,19 +1,26 @@
 """Coefficient families, ladders, and sampled invariants."""
 
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reiterate import coeff
+from reiterate.cache import _entry_key
+from reiterate.cascade import _descended_digest
 from reiterate.coeff import (
     CoefficientSpec,
     ScaleLadder,
     builtin_family,
     check_separation,
     evaluate_multiscale,
+    hex_digest,
 )
+from reiterate.config import parse_config
 from reiterate.errors import ConfigError
 
 
@@ -265,3 +272,54 @@ def test_field_digest_is_stable_and_spec_dependent():
     f3 = builtin_family("laminate1d(2+cos(2*pi*y1))", 1)
     assert f1.digest() == f2.digest()
     assert f1.digest() != f3.digest()
+
+
+# ---------------------------------------------------------------------------
+# digests: the interpreter's SHA-256 gives hashlib's bytes
+
+
+TEXTS = ["", "laminate1d(2+sin(2*pi*y1))|d=1", "ε₁ = 1/4 · Â"]
+
+
+def _hashlib_digest(text, n):
+    return hashlib.sha256(text.encode()).hexdigest()[:n]
+
+
+def test_digests_use_the_builtin_sha256():
+    builtin = pytest.importorskip("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+    assert coeff._SHA256 is builtin.sha256
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("text", TEXTS, ids=["empty", "ascii", "non-ascii"])
+def test_hex_digest_equals_hashlib(text, n):
+    assert hex_digest(text, n) == _hashlib_digest(text, n)
+    assert len(hex_digest(text, n)) == n
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("text", TEXTS, ids=["empty", "ascii", "non-ascii"])
+def test_hex_digest_falls_back_to_hashlib(monkeypatch, text, n):
+    # a None entry makes the import raise ImportError
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setattr(coeff, "_SHA256", coeff._sha256())
+    assert coeff._SHA256 is hashlib.sha256
+    assert hex_digest(text, n) == _hashlib_digest(text, n)
+
+
+def test_digests_keep_their_values(tmp_path):
+    # cache directory names and keys: a changed value strands every cache
+    spec = "laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y2))"
+    assert CoefficientSpec.parse(spec).digest(1) == "8ec9b433769bf845"
+    assert _entry_key(1, [(0.25, 0.5)], 256, 1e-11, 1) == "1e4cdd4f002e7289a3f719e4"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"field = {spec}\ndim = 1\neps = 1/4\ncell.resolution = 256\n")
+    assert parse_config(str(cfg)).digest() == "41145dd802de57d3"
+    # the cascade-2d benchmark field at seed 0 and its fast factor's directory
+    field = builtin_family("slow_modulated(checkerboard2d(1, 4, 8), amplitude=0.5, "
+                           "k1=1, k2=1)", 2)
+    assert field.digest() == "269e7c3109422561"
+    assert field.split[1].digest() == "db8ae28a460cb8cd"
+    assert _descended_digest(field.digest(), 1, 8, 1e-11, (33, 33),
+                             (0.0, 1.0)) == "c9e12b019459cdbc"

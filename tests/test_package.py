@@ -140,3 +140,57 @@ def test_cli_import_builds_no_dataclass():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# a cascade (cell solve, cache write) and a certify (box solves, probes)
+GUARD_CONFIG = """field = laminate1d(2+sin(2*pi*y1))
+dim = 2
+eps = 1/16
+cell.resolution = 8
+bvp.rhs = 1
+bvp.boundary = sin(pi*x1)
+"""
+
+
+def test_cli_ops_load_no_openssl(tmp_path):
+    # hashlib loads OpenSSL's libcrypto, resident for the rest of the
+    # process; a subprocess, since pytest itself imports hashlib
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(GUARD_CONFIG + f"out = {tmp_path / 'out'}\ncache = {tmp_path / 'cache'}\n")
+    script = ("import json, os, sys\n"
+              "from reiterate import cli\n"
+              "codes = [cli.main([c, '--config', sys.argv[1]]) for c in ('cascade', 'certify')]\n"
+              "maps = '/proc/self/maps'\n"
+              "crypto = None if not os.path.exists(maps) else "
+              "any('libcrypto' in line for line in open(maps))\n"
+              "print(json.dumps([codes, [m for m in ('hashlib', '_hashlib') if m in sys.modules],"
+              " crypto]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded, crypto = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert loaded == []
+    if crypto is not None:
+        assert not crypto
+
+
+def test_only_the_digest_fallback_imports_hashlib():
+    # every digest goes through coeff.hex_digest, which imports hashlib
+    # only where the interpreter lacks a built-in SHA-256
+    root = Path(__file__).resolve().parent.parent / "src" / "reiterate"
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("hashlib", "_hashlib") for name in names):
+                found.append((path.name, [f.name for f in scopes
+                                          if f.lineno <= node.lineno <= f.end_lineno]))
+    assert found == [("coeff.py", ["_sha256"])]
