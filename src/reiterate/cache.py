@@ -7,14 +7,15 @@ and, for every sample, the frozen row, tensor, spectrum and iterations.
 Entries are keyed by the coefficient field digest, the cascade level, the
 slab's frozen rows, the cell resolution, the solver tolerance and d, so a
 repeated run replays tensors and correctors instead of solving again.
+They live at slab-<bound>/<field digest>/L<level>/<key>: the slab bound
+decides which frozen rows share an entry, so entries of another bound
+are never reached, and clean counts only those of the current bound.
 A slab hits or misses as a whole; the hit and miss counters count the
 samples an entry serves.  A collapsed cascade level (a field that
 declares A = scale * fast) is one entry: the single cell of its fast
 factor, keyed by that factor's digest, sha256("<field digest>|fast")
 truncated to 16 hex digits for every family, and looked up with serves
-set to the level's sample count.  A cache filled before levels collapsed
-misses once on product fields, and its slab entries stay until
-clean-cache.
+set to the level's sample count.
 Each file of an entry lands whole through a temporary file and
 os.replace, and the sidecar lands last, so a reader either sees a
 complete entry or none.  Corrupt or truncated entries, and sidecars that
@@ -32,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cascade
 from .coeff import hex_digest
 from .grid import atomic_bytes
 
@@ -89,8 +91,12 @@ class CorrectorCache:
         self.misses = 0  # samples
         self.stores = 0  # entries
 
+    def _reachable(self) -> Path:
+        """The directory of the current slab bound's entries."""
+        return self.root / f"slab-{cascade._SLAB_NODES}"
+
     def _stem(self, field_digest: str, level: int, key: str) -> Path:
-        return self.root / field_digest / f"L{level}" / key
+        return self._reachable() / field_digest / f"L{level}" / key
 
     def lookup(self, field_digest: str, level: int, frozen_rows, resolution,
                tol: float, d: int, serves: int | None = None):
@@ -142,7 +148,8 @@ class CorrectorCache:
                 pass
 
     def clean(self) -> int:
-        """Remove the cache root; returns the number of entries discarded."""
-        removed = len(list(self.root.rglob("*.json"))) if self.root.exists() else 0
+        """Remove the cache root; returns the number of entries discarded
+        that a request could still reach, those of the current slab bound."""
+        removed = len(list(self._reachable().rglob("*.json")))
         shutil.rmtree(self.root, ignore_errors=True)
         return removed

@@ -40,8 +40,8 @@ from .coeff import CoefficientField, ScaleLadder, hex_digest
 from .grid import Grid
 
 # cell nodes per slab: larger slabs buy little speed and cost peak memory.
-# A slab's frozen rows key its cache entry, so changing this bound makes
-# every cached level miss once (it never serves a mismatched entry).
+# The cache files its entries under this bound, so changing it makes
+# every cached level miss once, and clean no longer counts the old ones.
 _SLAB_NODES = 4096
 
 

@@ -312,11 +312,7 @@ def cmd_certify(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
                 grid = bvp.grid
                 effective = cfg.homogenize(cache).homogenized
                 u0 = solve_homogenized(bvp, effective, tol=cfg.solver_tol)
-                lift = type(bvp)(
-                    grid=grid,
-                    rhs=GridFunction(grid, np.broadcast_to(0.0, grid.node_shape)),
-                    boundary=GridFunction.from_callable(grid,
-                                                        lambda p: p[..., 0]))
+                lift = type(bvp).on(grid, 0.0, lambda p: p[..., 0])
                 u0_lift = solve_homogenized(lift, effective, tol=cfg.solver_tol)
                 _record_solve(manifest, "calibrate", "homogenized", u0)
                 _record_solve(manifest, "calibrate", "homogenized", u0_lift)

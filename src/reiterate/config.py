@@ -35,9 +35,10 @@ from .probes import T_CANDIDATES
 
 MEMORY_LIMIT_BYTES = 8 << 30
 # node-sized float arrays budgeted per grid: the peak of one box solve
-# (tracemalloc, 13.4 arrays on a rotated laminate at 256^2) rounded up,
-# plus the solution, rhs and boundary the CLI keeps beside it, and one
-# array to spare
+# (tracemalloc, 12.6 arrays on a rotated laminate at 256^2) rounded up,
+# plus the solution, rhs and boundary the CLI keeps beside it, and two
+# arrays to spare; kept at 18 as the peak fell, so the grids it accepts
+# stay the same
 ARRAYS_PER_NODE = 18
 _DYADIC = re.compile(r"^2\^(-?\d+)$")
 _FRACTION = re.compile(r"^(-?\d+(?:\.\d+)?)\s*/\s*(\d+(?:\.\d+)?)$")
@@ -74,8 +75,8 @@ def parse_int(text: str) -> int:
 SCHEMA = {
     "dim": ("1 or 2", parse_int, lambda v, d: v in (1, 2), None),
     "field": ("coefficient family, e.g. laminate1d(2+sin(2*pi*y1))", str, None, ""),
-    "eps": ("comma list of scale parameters in (0, 1)", parse_number_list,
-            lambda v, d: all(0.0 < e < 1.0 for e in v), None),
+    "eps": ("comma list of distinct scale parameters in (0, 1)", parse_number_list,
+            lambda v, d: all(0.0 < e < 1.0 for e in v) and len(set(v)) == len(v), None),
     "lambdas": ("comma list of increasing exponents, one per fast slot",
                 parse_number_list,
                 lambda v, d: v[0] > 0 and all(a < b for a, b in zip(v, v[1:])), None),
@@ -150,17 +151,13 @@ class ExperimentConfig(NamedTuple):
         return Grid.box((lo,) * self.d, (hi,) * self.d, self.resolution_for(ladder))
 
     def pointwise(self, source: str):
-        """Compile an expression in x1..xd into a function of node points."""
+        """Compile an expression in x1..xd: its number when it reads no
+        coordinate, else a function of node points."""
         names = [f"x{i + 1}" for i in range(self.d)]
         fn = compile_expression(source, names)
-
-        def pointwise(pts):
-            # constant expressions come back 0-d; a read-only broadcast view
-            # of the one value stands for every node
-            out = fn(**{names[i]: pts[..., i] for i in range(self.d)})
-            return np.broadcast_to(out, pts.shape[:-1])
-
-        return pointwise
+        if not fn.reads:
+            return float(fn())
+        return lambda pts: fn(**{names[i]: pts[..., i] for i in range(self.d)})
 
     def bvp_for(self, grid: Grid) -> BVP:
         return BVP.on(grid, rhs=self.pointwise(self.rhs_source),

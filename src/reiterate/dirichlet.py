@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .cascade import CorrectorTable
-from .cell import EffectiveTensor
 from .coeff import CoefficientField, ScaleLadder, evaluate_multiscale
 from .errors import ResolutionError
 from .grid import Grid, GridFunction, gradient, l2_norm, solve_box_dirichlet
@@ -32,16 +31,9 @@ class BVP(NamedTuple):
 
     @classmethod
     def on(cls, grid: Grid, rhs=0.0, boundary=0.0) -> "BVP":
-        """Tabulate rhs and boundary, each a callable of node points or a
-        number, which stays one value broadcast to every node."""
-        if not callable(rhs):
-            value = float(rhs)
-            rhs = lambda x: np.broadcast_to(value, x.shape[:-1])
-        if not callable(boundary):
-            bval = float(boundary)
-            boundary = lambda x: np.broadcast_to(bval, x.shape[:-1])
-        return cls(grid=grid,
-                   rhs=GridFunction.from_callable(grid, rhs),
+        """Tabulate rhs and boundary, each a function of node points or a
+        number, through GridFunction.from_callable."""
+        return cls(grid=grid, rhs=GridFunction.from_callable(grid, rhs),
                    boundary=GridFunction.from_callable(grid, boundary))
 
 
@@ -64,9 +56,7 @@ def require_resolved(grid: Grid, ladder: ScaleLadder) -> None:
 def multiscale_coefficient(field: CoefficientField, ladder: ScaleLadder,
                            grid: Grid) -> GridFunction:
     """A(x, x/eps_1, ..., x/eps_n) tabulated at the grid nodes."""
-    x = grid.nodes().reshape(-1, grid.d)
-    vals = evaluate_multiscale(field, ladder, x)
-    return GridFunction(grid, vals.reshape(grid.node_shape + (grid.d, grid.d)))
+    return GridFunction.from_callable(grid, lambda x: evaluate_multiscale(field, ladder, x))
 
 
 def solve_multiscale(bvp: BVP, field: CoefficientField, ladder: ScaleLadder,
@@ -83,13 +73,8 @@ def _limit_coefficient(effective, grid: Grid) -> GridFunction:
     if isinstance(effective, CoefficientField):
         if effective.n_scales:
             raise ValueError("homogenized coefficient must not keep fast slots")
-        vals = effective(grid.nodes().reshape(-1, grid.d), [])
-        return GridFunction(grid, vals.reshape(grid.node_shape + (grid.d, grid.d)))
-    if isinstance(effective, EffectiveTensor):
-        tensor = effective.tensor
-    else:
-        tensor = np.asarray(effective, dtype=float)
-    return GridFunction(grid, np.broadcast_to(tensor, grid.node_shape + tensor.shape))
+        return GridFunction.from_callable(grid, lambda x: effective(x, []))
+    return GridFunction.from_callable(grid, getattr(effective, "tensor", effective))
 
 
 def solve_homogenized(bvp: BVP, effective, tol: float = 1e-10) -> GridFunction:

@@ -167,9 +167,14 @@ class GridFunction(NamedTuple("GridFunction", [("grid", Grid), ("values", np.nda
 
     @classmethod
     def from_callable(cls, grid: Grid, fn, meta=None) -> "GridFunction":
-        nodes = grid.nodes().reshape(-1, grid.d)
-        vals = np.asarray(fn(nodes), dtype=float)
-        return cls(grid, vals.reshape(grid.node_shape + vals.shape[1:]), meta=meta)
+        """fn at the node points, shape (nodes, d), or fn itself when it is a
+        constant (a number or a tensor), which builds no node coordinates.
+        A constant or a 0-d value stays one value broadcast to every node."""
+        vals = np.asarray(fn(grid.nodes().reshape(-1, grid.d)) if callable(fn) else fn,
+                          dtype=float)
+        if callable(fn) and vals.ndim:
+            return cls(grid, vals.reshape(grid.node_shape + vals.shape[1:]), meta=meta)
+        return cls(grid, np.broadcast_to(vals, grid.node_shape + vals.shape), meta=meta)
 
     @classmethod
     def constant(cls, grid: Grid, value) -> "GridFunction":
@@ -826,43 +831,47 @@ def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
         raise ValueError("solve_box_dirichlet expects a box grid")
     if rhs.grid != grid or not rhs.is_scalar:
         raise ValueError("rhs must be a scalar field on the same grid")
-    if isinstance(boundary_values, GridFunction):
-        bv = boundary_values.values
-    else:
-        bv = np.asarray(boundary_values, dtype=float)
-        bv = np.broadcast_to(bv, grid.node_shape)
+    # a GridFunction, a node array or a number
+    bv = np.broadcast_to(getattr(boundary_values, "values", boundary_values), grid.node_shape)
     mask = grid.boundary_mask()
     edge = bv[mask]
-    lift = np.zeros(grid.node_shape)
-    lift[mask] = edge
 
     # the stencil holds the faces; the tensor is freed here unless the
-    # caller keeps it, and the lift once it has moved into b: only its
-    # boundary values are needed after that
+    # caller keeps it.  The interior right-hand side goes to the solver
+    # without a name here, so pcg's copy of it is the only one left
     stencil = FluxStencil(a)
     del a
-    b = stencil.apply(lift)
-    del lift
-    np.subtract(rhs.values, b, out=b, where=~mask)
-    b[mask] = 0.0
-    if not np.isfinite(b).all():
-        raise ValueError("right-hand side or boundary values are not finite at every node")
-
     if grid.d == 1:
-        v, info = _tridiagonal_box_solve(stencil.faces[0], b, grid.spacing[0])
+        v, info = _tridiagonal_box_solve(
+            stencil.faces[0], _interior_rhs(stencil, rhs, mask, edge), grid.spacing[0])
     else:
         def apply_interior(u):
             out = stencil.apply(u)
             out[mask] = 0.0
             return out
 
-        v, info = pcg(apply_interior, b, line_inverse(stencil), tol=tol)
+        v, info = pcg(apply_interior, _interior_rhs(stencil, rhs, mask, edge),
+                      line_inverse(stencil), tol=tol)
         info["preconditioner"] = "line-dst1"
     # v + lift: the lift's interior is +0.0, which turns an interior -0.0
     # into +0.0, and its boundary is edge
     v += 0.0
     v[mask] = edge
     return GridFunction(grid, v, meta=info)
+
+
+def _interior_rhs(stencil: FluxStencil, rhs: GridFunction, mask: np.ndarray,
+                  edge: np.ndarray) -> np.ndarray:
+    """rhs - A lift inside the box and 0 on its faces, where the lift (freed
+    on return) is 0 inside and edge on the faces."""
+    lift = np.zeros(mask.shape)
+    lift[mask] = edge
+    b = stencil.apply(lift)
+    np.subtract(rhs.values, b, out=b, where=~mask)
+    b[mask] = 0.0
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side or boundary values are not finite at every node")
+    return b
 
 
 def _tridiagonal_box_solve(faces: np.ndarray, b: np.ndarray, h: float):

@@ -299,6 +299,9 @@ def test_changed_slab_size_misses_never_misserves(tmp_path, monkeypatch):
     assert again.hits == 0 and again.misses == 33 and again.stores == 5
     assert second.cache_hits == 0 and second.cache_misses == 33
     assert np.array_equal(first.values, second.values)
+    # the 4 entries of the old bound are unreachable, so clean counts 5
+    assert len(list(again.root.rglob("*.json"))) == 9
+    assert again.clean() == 5 and not again.root.exists()
 
 
 # ---------------------------------------------------------------------------

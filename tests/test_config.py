@@ -1,6 +1,7 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reiterate.config import (
@@ -120,6 +121,8 @@ eps = 1/8
     pytest.param(MINIMAL, "dim = 3", id="dim"),
     pytest.param(MINIMAL, "dim = two", id="dim-text"),
     pytest.param(MINIMAL, "eps = 3, 1/8", id="eps"),
+    pytest.param(MINIMAL, "eps = 1/4, 1/4", id="eps-repeated"),
+    pytest.param(MINIMAL, "eps = 1/8, 0.25, 2^-3", id="eps-repeated-spelled-apart"),
     pytest.param(PRODUCT, "lambdas = 2, 1", id="lambdas"),
     pytest.param(PRODUCT, "lambdas = 1, 1", id="lambdas-repeated"),
     pytest.param(PRODUCT, "separation_n = 0", id="separation_n"),
@@ -195,6 +198,19 @@ def test_rhs_expression_evaluates(tmp_path):
     bvp = cfg.bvp_for(grid)
     # quarter-period node carries the crest
     assert bvp.rhs.values[4] == pytest.approx(1.0)
+
+
+def test_pointwise_is_a_number_unless_the_expression_reads_a_coordinate(tmp_path):
+    cfg = parse_config(write(tmp_path, SQUARE))
+    for source, value in (("1", 1.0), ("-0.0", -0.0), ("2*pi/3", 2 * np.pi / 3)):
+        number = cfg.pointwise(source)
+        assert type(number) is float
+        assert np.float64(number).tobytes() == np.float64(value).tobytes()
+    fn = cfg.pointwise("sin(pi*x1)")
+    assert callable(fn)
+    pts = Grid.box((0.0, 0.0), (1.0, 1.0), 4).nodes().reshape(-1, 2)
+    assert np.array_equal(fn(pts), np.sin(np.pi * pts[:, 0]))
+    assert np.array_equal(cfg.pointwise("x2-x1")(pts), pts[:, 1] - pts[:, 0])
 
 
 def test_bad_expression_names_key(tmp_path):

@@ -236,11 +236,25 @@ def test_box_solve_peak_memory_fits_the_config_guard(spec, d, n, scales):
     assert _traced_arrays_per_node(spec, d, n, scales) <= ARRAYS_PER_NODE
 
 
-def test_box_solve_peaks_at_13_arrays_per_node():
-    # tighter than the config guard: the boundary lift must not live
-    # through PCG
+def test_box_solve_peaks_at_12_arrays_per_node():
+    # tighter than the config guard: neither the boundary lift nor the
+    # assembled right-hand side may live through PCG beside pcg's own copy
     spec = "expr(2+sin(2*pi*y1)*sin(2*pi*y2))"
-    assert _traced_arrays_per_node(spec, 2, 256, (1 / 16,)) <= 13
+    assert _traced_arrays_per_node(spec, 2, 256, (1 / 16,)) <= 12
+
+
+def test_bvp_on_numbers_traces_no_node_array():
+    grid = Grid.box((0.0, 0.0), (1.0, 1.0), 256)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bvp = BVP.on(grid, 1.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 257**2 * 8
+    for data, value in ((bvp.rhs, 1.0), (bvp.boundary, 0.0)):
+        assert data.values.strides == (0, 0) and data.values[0, 0] == value
 
 
 def _traced_arrays_per_node(spec, d, n, scales):

@@ -72,6 +72,55 @@ def test_rejects_unsupported_dimension():
 
 
 # ---------------------------------------------------------------------------
+# tabulation: GridFunction.from_callable
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).tobytes()
+
+
+@pytest.mark.parametrize("value", [1.0, -0.0, 3, np.float64(0.1),
+                                   np.array([[2.0, 0.1], [0.1, 1.0 / 3.0]])],
+                         ids=["one", "minus-zero", "int", "float64", "tensor"])
+def test_from_callable_keeps_a_constant_one_broadcast_value(monkeypatch, value):
+    g = Grid.box((0.0, 0.0), (1.0, 2.0), (6, 9))
+
+    def refuse(self):
+        raise AssertionError("a constant must not build node coordinates")
+
+    monkeypatch.setattr(Grid, "nodes", refuse)
+    f = GridFunction.from_callable(g, value)
+    assert f.values.strides[:2] == (0, 0) and not f.values.flags.writeable
+    assert _bits(f.values) == _bits(GridFunction.constant(g, value).values)
+
+
+def test_from_callable_broadcasts_a_0d_value_of_a_function():
+    g = Grid.box((0.0, 0.0), (1.0, 1.0), 8)
+    seen = []
+
+    def fn(x):
+        seen.append(x.shape)
+        return np.asarray(-0.0)
+
+    f = GridFunction.from_callable(g, fn)
+    assert seen == [(81, 2)]
+    assert f.values.strides == (0, 0) and not f.values.flags.writeable
+    assert _bits(f.values) == _bits(GridFunction.constant(g, -0.0).values)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_from_callable_tabulates_node_values(d):
+    g = Grid.box((0.5,) * d, (2.0,) * d, 12)
+
+    def fn(x):
+        return np.sin(3.0 * x[:, 0]) * np.exp(x[:, -1])
+
+    f = GridFunction.from_callable(g, fn)
+    assert f.values.flags.c_contiguous
+    assert _bits(f.values) == _bits(fn(g.nodes().reshape(-1, d)).reshape(g.node_shape))
+
+
+# ---------------------------------------------------------------------------
 # discrete calculus
 
 
