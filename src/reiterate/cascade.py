@@ -36,7 +36,7 @@ import numpy as np
 
 from .cell import (CELL_METHOD, DEFAULT_RESOLUTION, CellStack, EffectiveTensor,
                    check_tensors, effective_tensor, solve_corrector)
-from .coeff import CoefficientField, ScaleLadder, hex_digest
+from .coeff import CoefficientField, ScaleLadder, hex_digest, spectrum
 from .grid import Grid
 
 # cell nodes per slab: larger slabs buy little speed and cost peak memory.
@@ -269,10 +269,10 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
             bad = np.flatnonzero(~positive)[0]
             raise ValueError(f"split scale {s[bad]:g} at sample {rows[bad].tolist()} "
                              "is not a finite positive number")
-        chi, tensor, spectrum, iterations, max_residual = _entry(
+        chi, tensor, fast_spectrum, iterations, max_residual = _entry(
             fast, np.zeros((1, d)), cell_grid, tol, cache, mu=None, serves=samples)
         values = s[:, None, None] * np.asarray(tensor)
-        spectra = s[:, None] * np.asarray(spectrum)
+        spectra = s[:, None] * np.asarray(fast_spectrum)
         check_tensors(values, spectra, field.mu)
         misses = 0 if max_residual is None else samples
         distinct = 1
@@ -310,12 +310,12 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
         digest_override=_descended_digest(field.digest(), level, resolution, tol, dims,
                                           domain))
 
-    spectrum = (float(spectra[:, 0].min()), float(spectra[:, 1].max()))
+    bounds = (float(spectra[:, 0].min()), float(spectra[:, 1].max()))
     record = CascadeLevel(level=level, axes=axes, values=values, field=child,
                           resolution=resolution, samples=samples,
                           distinct_solves=distinct,
                           cache_hits=samples - misses, cache_misses=misses,
-                          iterations=iterations, spectrum=spectrum,
+                          iterations=iterations, spectrum=bounds,
                           method=CELL_METHOD[d], max_residual=max_residual)
     corrector_table = None
     if retain_correctors:
@@ -392,8 +392,8 @@ def homogenize_all(field: CoefficientField, ladder: ScaleLadder | None = None, *
                                     mu=field.mu, spectrum=last.spectrum)
     elif not levels and not field.depends_on_x:
         tensor = field(np.zeros((1, field.d)), [])[0]
-        eigs = np.linalg.eigvalsh(tensor)
+        lo, hi = spectrum(tensor)
         effective = EffectiveTensor(tensor=tensor, mu=field.mu,
-                                    spectrum=(float(eigs[0]), float(eigs[-1])))
+                                    spectrum=(float(lo), float(hi)))
     return CascadeResult(ladder=ladder, levels=tuple(levels), effective_field=current,
                          effective=effective, corrector_table=corrector_table)

@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .coeff import spectrum
 from .errors import CompatibilityError, SolverFailure
 from .grid import (
     FluxStencil,
@@ -162,7 +163,7 @@ def effective_tensor(stack: CellStack, chi: np.ndarray,
     d = stack.grid.d
     tensor = np.stack([stencil.mean_flux(chi[..., j], affine_axis=j) for j in range(d)],
                       axis=-1)
-    spectra = np.linalg.eigvalsh(0.5 * (tensor + np.swapaxes(tensor, -1, -2)))[:, [0, -1]]
+    spectra = spectrum(0.5 * (tensor + np.swapaxes(tensor, -1, -2)))
     check_tensors(tensor, spectra, mu)
     return tensor, spectra
 
@@ -173,11 +174,12 @@ def check_tensors(tensors: np.ndarray, spectra: np.ndarray, mu: float | None = N
     (mu given) or a tensor is asymmetric."""
     if mu is not None:
         lo, hi = mu * (1 - 1e-8), (1.0 / mu) * (1 + 1e-8)
-        bad = np.flatnonzero((spectra[:, 0] < lo) | (spectra[:, 1] > hi))
+        # a nan spectrum escapes too
+        bad = np.flatnonzero(~((spectra[:, 0] >= lo) & (spectra[:, 1] <= hi)))
         if bad.size:
-            spectrum = tuple(float(v) for v in spectra[bad[0]])
+            worst = tuple(float(v) for v in spectra[bad[0]])
             raise SolverFailure(
-                f"effective spectrum {spectrum} escapes [{mu:g}, {1/mu:g}]; "
+                f"effective spectrum {worst} escapes [{mu:g}, {1/mu:g}]; "
                 "discretization failure")
     _check_symmetric(tensors)
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 import os
 
 # One BLAS thread unless the caller set the variable: no solve path calls
-# BLAS, so a larger pool only spins.  numpy reads these once, when it loads,
-# so they are set before the first import of it (``import reiterate`` loads
-# no numpy).  Manifests record them under timing.threads.
+# BLAS, so a larger pool only spins.  Cascade and cell ops call no LAPACK
+# either; only the probes' least-squares fits do.  numpy reads these once,
+# when it loads, so they are set before the first import of it (``import
+# reiterate`` loads no numpy).  Manifests record them under timing.threads.
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
@@ -187,8 +188,9 @@ def cmd_cascade(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> 
         tol = f" +/- {cfg.cell_tol:g}" if cfg.d == 2 else ""
         _say(f"A_hat = {_tensor_text(result.effective.tensor)}{tol}")
     else:
+        # no file holds the x-table: the cache's cell solves rebuild it
         _say("effective coefficient keeps a slow dependence; "
-             "tabulated field written to the cascade summary")
+             "rate, certify and approx read its x-table from the cache")
     for lv in summary["levels"]:
         _say(f"  level {lv['level']}: {_count(lv['samples'], 'sample')}, "
              f"{_count(lv['distinct_solves'], 'distinct cell solve')} "

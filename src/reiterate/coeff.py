@@ -14,8 +14,10 @@ the x axes, and their ranges give mu, the ellipticity constant the
 cascade checks every effective spectrum against.  A part's range is
 declared by its family (laminate factors on a uniform grid of their one
 coordinate, checkerboard phases, the slow modulation's bounds) or taken
-at seeded points, x over the domain the field is built for and y over
-the unit cell; a range that is not finite and positive is rejected.
+at the points of a Kronecker sequence, x over the domain the field is
+built for and y over the unit cell; a range that is not finite and
+positive is rejected.  A matrix part's range and every effective
+spectrum come from spectrum(), LAPACK's 2 x 2 eigenvalue step in numpy.
 
 The parts that read the fastest slot make the field's split
 A = scale(x, y_1..y_{n-1}) * fast(y_n) when they read nothing else and
@@ -298,25 +300,69 @@ def _reads(part) -> set:
     return set().union(*(fn.reads for fn in part[0]))
 
 
+_EPS = 2.0 ** -53  # LAPACK's dlamch('E')
+
+
+def spectrum(t) -> np.ndarray:
+    """(lambda_min, lambda_max) of every symmetric d x d tensor (d <= 2) in
+    the stack t, shape (..., d, d) -> (..., 2); the lower triangle is read.
+
+    The bits are np.linalg.eigvalsh's wherever LAPACK does not rescale
+    (largest entry between about 1e-120 and 1e145): dsterf keeps the
+    diagonal when the off-diagonal entry fails either of its two split
+    tests, and otherwise calls dlae2 with the diagonal entry of smaller
+    magnitude first.  Only numpy ufuncs run, so no LAPACK routine does."""
+    t = np.asarray(t, dtype=float)
+    if t.shape[-1] == 1:
+        return np.concatenate([t[..., 0], t[..., 0]], axis=-1)
+    a, b, c = t[..., 0, 0], t[..., 1, 0], t[..., 1, 1]
+    split = (np.abs(b) <= np.sqrt(np.abs(a)) * np.sqrt(np.abs(c)) * _EPS) | (
+        b * b <= _EPS * _EPS * np.abs(a * c))
+    # dlae2(a, b, c) with |a| <= |c| and b = sqrt(b*b) as dsterf passes them:
+    # rt1 is the eigenvalue of larger magnitude, rt2 = det / rt1
+    swap = np.abs(c) < np.abs(a)
+    a, c = np.where(swap, c, a), np.where(swap, a, c)
+    b = np.sqrt(b * b)
+    sm, adf, ab = a + c, np.abs(a - c), b + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rt = np.where(adf > ab, adf * np.sqrt(1.0 + (ab / adf) ** 2),
+                      np.where(adf < ab, ab * np.sqrt(1.0 + (adf / ab) ** 2), ab * np.sqrt(2.0)))
+        rt1 = 0.5 * np.where(sm < 0, sm - rt, np.where(sm > 0, sm + rt, rt))
+        rt2 = np.where(sm == 0, -0.5 * rt, (c / rt1) * a - (b / rt1) * b)
+    return np.stack([np.where(split, np.minimum(a, c), np.minimum(rt1, rt2)),
+                     np.where(split, np.maximum(a, c), np.maximum(rt1, rt2))], axis=-1)
+
+
+def _kronecker(m: int, count: int) -> np.ndarray:
+    """Roberts' R_m sequence, points 1..count in [0, 1)^m, shape (m, count):
+    coordinate i of point k is frac(1/2 + k * phi^-i), phi the root of
+    z^(m+1) = z + 1."""
+    phi = 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (m + 1))
+    alpha = phi ** -np.arange(1.0, m + 1)
+    return (0.5 + np.arange(1.0, count + 1) * alpha[:, None]) % 1.0
+
+
 def _ranged(parts, d: int, n: int, domain) -> list:
     """The parts with every range filled in: one without a declared range
-    takes its extreme values (a matrix its extreme eigenvalues) at 20,000
-    seeded points, each x coordinate in [lo, hi) of ``domain`` and each y
-    in [0, 1), drawn once and only when one is read."""
+    takes its extreme values (a matrix its extreme eigenvalues) at the
+    20,000 points of a Kronecker sequence, each x coordinate in [lo, hi)
+    of ``domain`` and each y in [0, 1), made once and only when one is
+    read."""
     pts, out = {}, []
     for fns, span in parts:
         if span is None:
             if not pts and any(fn.reads for fn in fns):
-                rng = np.random.default_rng(0)
                 lo, hi = domain
-                pts = {f"x{j}": rng.uniform(lo, hi, 20_000) for j in range(1, d + 1)}
-                pts.update({f"y{i}": rng.uniform(0, 1, 20_000) for i in range(1, n * d + 1)})
+                u = _kronecker(d + n * d, 20_000)
+                pts = {f"x{j}": lo + (hi - lo) * u[j - 1] for j in range(1, d + 1)}
+                pts.update({f"y{i}": u[d + i - 1] for i in range(1, n * d + 1)})
             vals = [fn(**pts) for fn in fns]
             if len(vals) == 3:
-                a11, a12, a22 = vals
-                mid = (a11 + a22) / 2
-                disc = np.sqrt(np.maximum(mid ** 2 - (a11 * a22 - a12 * a12), 0))
-                vals = [mid - disc, mid + disc]
+                a11, a12, a22 = np.broadcast_arrays(*vals)
+                vals = spectrum(np.stack([a11, a12, a12, a22], -1).reshape(
+                    a11.shape + (2, 2))).T
             span = (float(vals[0].min()), float(vals[-1].max()))
         out.append((fns, span))
     return out

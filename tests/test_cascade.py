@@ -135,6 +135,29 @@ def test_rotated_laminate_matches_its_off_diagonal_tensor():
     assert np.max(np.abs(result.effective.tensor - exact)) <= 3.75e-3
 
 
+# a smooth 2D cell with no symmetry of its own (ROADMAP item 17)
+GENERIC_CELL = "3+sin(2*pi*{a})*cos(2*pi*{b})+0.5*sin(2*pi*({a}+2*{b}))"
+
+
+def _cell_effective(expression):
+    return homogenize_all(builtin_family(f"expr({expression})", 2), resolution=16).effective
+
+
+def test_swapping_y1_and_y2_swaps_the_diagonal_of_a_hat():
+    # a(y2, y1) has A_hat = P A_hat[a] P with P the axis swap
+    effective = _cell_effective(GENERIC_CELL.format(a="y1", b="y2"))
+    swapped = _cell_effective(GENERIC_CELL.format(a="y2", b="y1"))
+    assert np.max(np.abs(swapped.tensor - effective.tensor[::-1, ::-1])) <= 1e-15
+
+
+def test_doubling_the_coefficient_doubles_a_hat_and_its_spectrum_bitwise():
+    cell = GENERIC_CELL.format(a="y1", b="y2")
+    effective = _cell_effective(cell)
+    doubled = _cell_effective(f"2*({cell})")
+    assert np.array_equal(doubled.tensor, 2 * effective.tensor)
+    assert doubled.spectrum == tuple(2 * v for v in effective.spectrum)
+
+
 def test_laminate_and_its_expr_spelling_descend_alike():
     laminate = builtin_family(PRODUCT, 1)
     spelled = builtin_family("expr((2+sin(2*pi*y1))*(2+sin(2*pi*y2)))", 1)

@@ -15,6 +15,7 @@ import pytest
 
 from reiterate.cell import (
     CellStack,
+    check_tensors,
     effective_tensor,
     flux_correctors,
     flux_matrix,
@@ -22,7 +23,7 @@ from reiterate.cell import (
 )
 from reiterate.cache import load_correctors, save_slab
 from reiterate.cascade import tabulate_cells
-from reiterate.coeff import builtin_family
+from reiterate.coeff import builtin_family, spectrum
 from reiterate.errors import CompatibilityError, SolverFailure
 from reiterate.grid import FluxStencil, Grid, GridFunction, _axis_derivative, mean, pcg
 
@@ -236,6 +237,14 @@ def test_effective_stack_rejects_the_first_spectrum_outside_the_window():
                               "discretization failure")
     _, spectra = effective_tensor(stack, chi, mu=0.25)
     assert spectra.tolist() == [[c, c] for c in levels]
+
+
+def test_a_nan_spectrum_escapes_the_window():
+    # spectrum() carries nan through; the window check must not let it slip
+    # past its comparisons
+    tensors = np.array([np.eye(2), np.full((2, 2), np.nan)])
+    with pytest.raises(SolverFailure, match=r"effective spectrum \(nan, nan\) escapes"):
+        check_tensors(tensors, spectrum(tensors), mu=0.5)
 
 
 def test_effective_stack_rejects_the_first_asymmetric_tensor():

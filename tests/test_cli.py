@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -483,6 +484,20 @@ def test_cold_cascade_2d_counts_samples_and_one_distinct_solve(tmp_path, capsys)
     assert "level 1: 1089 samples, 1 distinct cell solve (line-rfft-pcg), 0 cache hits" in stdout
 
 
+def test_cascade_2d_stdout_names_no_file_it_does_not_write(tmp_path, capsys):
+    # A_hat keeps x here, and its table is in no file: cascade.json holds
+    # the levels and scales only
+    cfg, out = setup(tmp_path, CASCADE_2D)
+    code, stdout, _ = run(["cascade", "--config", cfg], capsys)
+    assert code == 0
+    named = set(re.findall(r"[\w.-]+\.(?:json|csv|bin)", stdout))
+    assert named <= {p.name for p in out.iterdir()}
+    assert set(json.loads((out / "cascade.json").read_text())) == {
+        "levels", "scales", "cache_hit_rate"}
+    assert "written" not in stdout and "summary" not in stdout
+    assert "rate, certify and approx read its x-table from the cache" in stdout
+
+
 def test_exact_1d_tensor_prints_no_tolerance(tmp_path, capsys):
     cfg, _ = setup(tmp_path, PRODUCT)
     code, stdout, _ = run(["cascade", "--config", cfg], capsys)
@@ -761,7 +776,7 @@ def test_certify_without_a_measurable_shrink_factor_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_non_finite_cell_coefficient_exits_2_with_a_manifest(tmp_path, capsys, dim):
-    # the seeded range samples miss y1 = 1/2, but a 16-node cell reads inf there
+    # the Kronecker range points miss y1 = 1/2, but a 16-node cell reads inf there
     cfg, out = setup(tmp_path, "field = expr(2+0.01*sin(2*pi*y1)/(y1-0.5))\n"
                      f"dim = {dim}\neps = 1/4\ncell.resolution = 16\n")
     code, _, err = run(["cascade", "--config", cfg], capsys)

@@ -242,6 +242,14 @@ def test_matrix2d_rejects_indefinite():
         builtin_family("matrix2d(1, 2, 1)", 2)
 
 
+def test_rotated_laminate_range_is_exact():
+    # eigenvalues 4 and 2 + sin(2 pi (y1 + y2)): the closed-form spectrum reads
+    # 4 to the bit (mid -+ sqrt(mid^2 - det) read 4.000000000000001)
+    rotated = ("matrix2d((6+sin(2*pi*(y1+y2)))/2, (sin(2*pi*(y1+y2))-2)/2, "
+               "(6+sin(2*pi*(y1+y2)))/2)")
+    assert builtin_family(rotated, 2).mu == 0.25
+
+
 def test_constant_family_and_trivial_scales():
     field = builtin_family("constant(2)", 2)
     ladder = ScaleLadder((0.1,))
@@ -323,3 +331,77 @@ def test_digests_keep_their_values(tmp_path):
     assert field.split[1].digest() == "db8ae28a460cb8cd"
     assert _descended_digest(field.digest(), 1, 8, 1e-11, (33, 33),
                              (0.0, 1.0)) == "c9e12b019459cdbc"
+
+
+# ---------------------------------------------------------------------------
+# closed-form spectra and range points
+
+
+def _symmetric_stack(kind: str, n: int = 100_000) -> np.ndarray:
+    """n symmetric 2x2 tensors of one kind, shape (n, 2, 2)."""
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    a, b, c = rng.uniform(0.1, 10.0, n), rng.normal(size=n), rng.uniform(0.1, 10.0, n)
+    if kind == "indefinite":
+        a, c = rng.normal(size=n), rng.normal(size=n)
+    elif kind == "diagonal":
+        b = np.zeros(n)
+    elif kind == "tiny-off-diagonal":
+        b = 1e-17 * b
+    elif kind == "equal-diagonal":
+        c = a
+    elif kind == "ill-conditioned":  # det a c - b^2 near zero
+        b = np.sqrt(a * c) * (1.0 - 1e-12 * rng.random(n))
+    elif kind == "split-threshold":  # within 8 ulp of dsterf's split tests
+        b = np.sqrt(a) * np.sqrt(c) * 2.0 ** -53 * (1.0 + rng.integers(-8, 9, n) * 2.0 ** -52)
+    return np.stack([a, b, b, c], axis=-1).reshape(n, 2, 2)
+
+
+def _bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+SPECTRUM_KINDS = ["general", "indefinite", "diagonal", "tiny-off-diagonal", "equal-diagonal",
+                  "ill-conditioned", "split-threshold"]
+
+
+@pytest.mark.parametrize("kind", SPECTRUM_KINDS)
+def test_spectrum_equals_eigvalsh_bitwise(kind):
+    # LAPACK's dsterf, the reference: the closed form repeats its 2x2 step
+    t = _symmetric_stack(kind)
+    got = coeff.spectrum(t)
+    assert got.shape == (len(t), 2)
+    assert np.array_equal(_bits(got), _bits(np.linalg.eigvalsh(t)[:, [0, -1]]))
+
+
+@pytest.mark.parametrize("kind", SPECTRUM_KINDS)
+def test_spectrum_scales_and_ignores_the_axis_order_bitwise(kind):
+    t = _symmetric_stack(kind)
+    got = coeff.spectrum(t)
+    assert np.array_equal(_bits(coeff.spectrum(t[:, ::-1, ::-1])), _bits(got))
+    if kind != "split-threshold":
+        # there sqrt(2a) sqrt(2c) and 2 sqrt(a) sqrt(c) round apart, and
+        # eigvalsh itself does not scale bitwise (185 of 1e5 tensors)
+        assert np.array_equal(_bits(coeff.spectrum(2 * t)), _bits(2 * got))
+
+
+def test_spectrum_reads_the_lower_triangle_as_eigvalsh_does():
+    t = _symmetric_stack("general")
+    t[:, 0, 1] = np.random.default_rng(8).normal(size=len(t))
+    assert np.array_equal(_bits(coeff.spectrum(t)), _bits(np.linalg.eigvalsh(t)[:, [0, -1]]))
+
+
+def test_spectrum_of_1x1_stacks_is_the_entry_twice():
+    t = np.random.default_rng(9).normal(size=(100_000, 1, 1))
+    assert np.array_equal(_bits(coeff.spectrum(t)), _bits(np.linalg.eigvalsh(t)[:, [0, -1]]))
+    assert coeff.spectrum(np.array([[2.5]])).tolist() == [2.5, 2.5]
+
+
+def test_range_points_are_roberts_kronecker_sequence():
+    golden = (1 + math.sqrt(5)) / 2  # R_1: z^2 = z + 1
+    assert np.allclose(coeff._kronecker(1, 3)[0], [(0.5 + k / golden) % 1 for k in (1, 2, 3)],
+                       rtol=0, atol=1e-15)
+    for m in range(1, 2 + 2 * 9 + 1):  # up to x1, x2 and nine 2D slots
+        u = coeff._kronecker(m, 20_000)
+        assert u.shape == (m, 20_000) and ((0 <= u) & (u < 1)).all()
+        # the midpoint is a pole of some test fields; k = 0 would sit on it
+        assert not (u == 0.5).any()

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,34 +143,43 @@ def test_cli_import_builds_no_dataclass():
     assert proc.stdout.strip() == "False"
 
 
-# a cascade (cell solve, cache write) and a certify (box solves, probes)
-GUARD_CONFIG = """field = laminate1d(2+sin(2*pi*y1))
-dim = 2
+# a cell, a cascade (cell solve, cache write) and a certify (box solves,
+# probes) on the field each case names
+GUARD_CONFIG = """dim = 2
 eps = 1/16
 cell.resolution = 8
 bvp.rhs = 1
 bvp.boundary = sin(pi*x1)
 """
 
+# hashlib loads OpenSSL's libcrypto and numpy.random its bit generators (and
+# hashlib with them), resident for the rest of the process
+FORBIDDEN_MODULES = ("hashlib", "_hashlib", "numpy.random")
 
-def test_cli_ops_load_no_openssl(tmp_path):
-    # hashlib loads OpenSSL's libcrypto, resident for the rest of the
-    # process; a subprocess, since pytest itself imports hashlib
+
+@pytest.mark.parametrize("field", [
+    "laminate1d(2+sin(2*pi*y1))",  # declares its ranges
+    "expr(2+sin(2*pi*y1)*sin(2*pi*y2))",  # ranged at the Kronecker points
+], ids=["laminate", "expr"])
+def test_cli_ops_load_no_forbidden_module(tmp_path, field):
+    # a subprocess, since pytest itself imports hashlib
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(GUARD_CONFIG + f"out = {tmp_path / 'out'}\ncache = {tmp_path / 'cache'}\n")
+    cfg.write_text(f"field = {field}\n" + GUARD_CONFIG
+                   + f"out = {tmp_path / 'out'}\ncache = {tmp_path / 'cache'}\n")
     script = ("import json, os, sys\n"
               "from reiterate import cli\n"
-              "codes = [cli.main([c, '--config', sys.argv[1]]) for c in ('cascade', 'certify')]\n"
+              "codes = [cli.main([c, '--config', sys.argv[1]])\n"
+              "         for c in ('cell', 'cascade', 'certify')]\n"
               "maps = '/proc/self/maps'\n"
               "crypto = None if not os.path.exists(maps) else "
               "any('libcrypto' in line for line in open(maps))\n"
-              "print(json.dumps([codes, [m for m in ('hashlib', '_hashlib') if m in sys.modules],"
+              f"print(json.dumps([codes, [m for m in {FORBIDDEN_MODULES!r} if m in sys.modules],"
               " crypto]))\n")
     proc = subprocess.run([sys.executable, "-c", script, str(cfg)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     codes, loaded, crypto = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0]
     assert loaded == []
     if crypto is not None:
         assert not crypto
@@ -194,3 +204,32 @@ def test_only_the_digest_fallback_imports_hashlib():
                 found.append((path.name, [f.name for f in scopes
                                           if f.lineno <= node.lineno <= f.end_lineno]))
     assert found == [("coeff.py", ["_sha256"])]
+
+
+def _dotted(node) -> str | None:
+    """'np.linalg.eigvalsh' for an attribute chain on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else None
+
+
+def test_no_module_draws_random_numbers_or_calls_an_eigensolver():
+    # ranges are taken at Kronecker points and spectra in closed form
+    # (coeff.spectrum), so no op loads numpy.random or calls LAPACK's eig*
+    root = Path(__file__).resolve().parent.parent / "src" / "reiterate"
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [_dotted(node) or ""]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names
+                      if re.match(r"(np|numpy)\.(random|linalg\.eig)", name)]
+    assert found == []
