@@ -307,8 +307,7 @@ def descend(field: CoefficientField, *, resolution: int | None = None,
     child = CoefficientField(
         d=d, n_scales=level - 1, evaluator=evaluator, mu=field.mu,
         depends_on_x=field.depends_on_x,
-        digest_override=_descended_digest(field.digest(), level, resolution, tol, dims,
-                                          domain))
+        cache_key=_descended_digest(field.digest(), level, resolution, tol, dims, domain))
 
     bounds = (float(spectra[:, 0].min()), float(spectra[:, 1].max()))
     record = CascadeLevel(level=level, axes=axes, values=values, field=child,

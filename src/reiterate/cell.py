@@ -8,9 +8,11 @@ and the effective tensor column j is the mean flux of y_j + chi_j.  The
 flux matrix B = A(I + grad chi) - A_eff is assembled from the same face
 fluxes whose average defines the tensor, so mean(B) vanishes to machine
 precision.  Flux correctors phi_kij = d_k f_ij - d_i f_kj come from
-torus Poisson solves Delta f_ij = b_ij; their skew symmetry in (k, i) is
-exact by construction, while the reconstruction sum_k d_k phi_kij = b_ij
-holds up to a stencil commutator of order h^2 for smooth fields.
+potentials with Delta f_ij = b_ij, all d^2 of them from one application
+of the exact inverse of the torus Laplacian (grid.torus_line_inverse of
+the identity); their skew symmetry in (k, i) is exact by construction,
+while the reconstruction sum_k d_k phi_kij = b_ij holds up to a stencil
+commutator of order h^2 for smooth fields.
 
 A cell problem is a CellStack: many frozen samples on one torus grid
 with a leading sample axis, and a single cell is a stack of one
@@ -42,7 +44,6 @@ from .grid import (
     _periodic_running_sum,
     mean,
     pcg,
-    solve_periodic_elliptic,
     torus_line_inverse,
 )
 
@@ -202,7 +203,8 @@ def flux_matrix(stack: CellStack, chi: np.ndarray, tensors: np.ndarray) -> GridF
 
 
 def flux_correctors(B: GridFunction, tol: float = 1e-10) -> FluxData:
-    """Potentials and skew flux correctors for a mean-free flux matrix."""
+    """Potentials and skew flux correctors for a mean-free flux matrix;
+    CompatibilityError when a mean of B exceeds max(tol, 1e-8)."""
     grid = B.grid
     d = grid.d
     means = mean(B)
@@ -210,13 +212,11 @@ def flux_correctors(B: GridFunction, tol: float = 1e-10) -> FluxData:
     if worst > max(tol, 1e-8):
         raise CompatibilityError(
             f"flux matrix has nonzero mean {worst:.3e}; not a valid flux decomposition")
-    eye = GridFunction.constant(grid, np.eye(d))
-    potentials = np.empty((d, d) + grid.node_shape)
-    for i in range(d):
-        for j in range(d):
-            rhs = GridFunction(grid, -(B.values[..., i, j] - B.values[..., i, j].mean()))
-            f = solve_periodic_elliptic(eye, rhs, tol=tol)  # -lap f = -b  =>  lap f = b
-            potentials[i, j] = f.values
+    # lap f_ij = b_ij for all d^2 pairs at once: every face of the identity
+    # is 1, so torus_line_inverse is the exact inverse of -lap on mean-free fields
+    b = np.moveaxis(B.values, (-2, -1), (0, 1))
+    inverse = torus_line_inverse(FluxStencil(GridFunction.from_callable(grid, np.eye(d))))
+    potentials = inverse(b.mean(axis=tuple(range(2, 2 + d)), keepdims=True) - b)
 
     phi = np.zeros((d, d, d) + grid.node_shape)
     for k in range(d):

@@ -360,22 +360,19 @@ def cmd_approx(cfg: ExperimentConfig, cache, out: Path, manifest: Manifest) -> N
                       rhs=cfg.pointwise(cfg.rhs_source),
                       boundary=cfg.pointwise(cfg.boundary_source),
                       cells_per_scale=cfg.cells_per_scale, tol=cfg.solver_tol)
-        if len(eps_values) >= 2:
-            outcome = probes.approximation_sweep(cfg.field, eps_values,
-                                                 ladder_for, **kwargs)
-            reports = outcome["reports"]
-            manifest.data["results"]["exponent"] = outcome["exponent"]
-        else:
-            reports = [probes.approximate_by_homogenized(
-                cfg.field, ladder_for(eps_values[0]), **kwargs)]
+        outcome = probes.approximation_sweep(cfg.field, eps_values, ladder_for,
+                                             **kwargs)
+    reports = outcome["reports"]
+    if "exponent" in outcome:
+        manifest.data["results"]["exponent"] = outcome["exponent"]
     write_csv(out / "approx.csv", ("eps", "r", "discrepancy", "bound_ratio"),
               [(rep["eps"], rep["r"], rep["discrepancy"], rep["bound_ratio"])
                for rep in reports])
     for rep in reports:
         _say(f"eps={rep['eps']:<10g} discrepancy={rep['discrepancy']:<12.6g} "
              f"bound_ratio={rep['bound_ratio']:.6g}")
-    if "exponent" in manifest.data["results"]:
-        _say(f"fitted exponent = {manifest.data['results']['exponent']:.4f}")
+    if "exponent" in outcome:
+        _say(f"fitted exponent = {outcome['exponent']:.4f}")
 
 
 def cmd_clean_cache(cfg: ExperimentConfig, cache, out: Path,

@@ -195,8 +195,7 @@ class CoefficientField(NamedTuple):
     evaluator: Callable
     mu: float = 1.0
     depends_on_x: tuple[int, ...] = ()  # the x axes the field reads (falsy: none)
-    spec: CoefficientSpec | None = None
-    digest_override: str | None = None
+    cache_key: str | None = None  # digest() of a field its builder can name
     # (scale, fast) when A(x, ys) = scale(x, ys[:-1]) * fast(ys[-1]) exactly:
     # scale gives one positive number per row from x and the slower slots,
     # and fast is a one-slot field that reads neither
@@ -211,11 +210,7 @@ class CoefficientField(NamedTuple):
 
     def digest(self) -> str | None:
         """Stable hash for cache keys; None for ad-hoc fields (never cached)."""
-        if self.digest_override is not None:
-            return self.digest_override
-        if self.spec is not None:
-            return self.spec.digest(self.d)
-        return None
+        return self.cache_key
 
 
 def evaluate_multiscale(field: CoefficientField, ladder: ScaleLadder, x) -> np.ndarray:
@@ -399,13 +394,13 @@ def _evaluate(parts, x, ys, d: int, skip: int = 0) -> np.ndarray:
     return matrix
 
 
-def _build(d: int, parts, spec=None, digest=None, skip: int = 0,
+def _build(d: int, parts, digest: str, skip: int = 0,
            domain=(0.0, 1.0)) -> CoefficientField:
-    """The field of lowered parts on x in domain^d.  The names they read
-    give the slot count and the x axes, their ranges give mu, and the parts
-    that read the fastest slot give the split: it exists when they read
-    nothing else and have a positive range, and other parts, all scalar,
-    exist."""
+    """The field of lowered parts on x in domain^d, with cache key digest.
+    The names they read give the slot count and the x axes, their ranges
+    give mu, and the parts that read the fastest slot give the split: it
+    exists when they read nothing else and have a positive range, and
+    other parts, all scalar, exist."""
     reads = set().union(*map(_reads, parts))
     n = max((-(-int(name[1:]) // d) for name in reads if name[0] == "y"), default=0)
     parts = _ranged(parts, d, n, domain)
@@ -419,13 +414,12 @@ def _build(d: int, parts, spec=None, digest=None, skip: int = 0,
     split = None
     if fast and rest and all(_reads(p) <= last for p in fast) \
             and all(len(fns) == 1 for fns, _ in rest) and _span(fast)[0] > 0:
-        key = hex_digest(f"{spec.digest(d)}|fast", 16)
         split = (lambda x, ys: _evaluate(rest, x, ys, d)[..., 0, 0],
-                 _build(d, fast, digest=key, skip=n - 1))
+                 _build(d, fast, hex_digest(f"{digest}|fast", 16), skip=n - 1))
     return CoefficientField(
         d=d, n_scales=n - skip, evaluator=lambda x, ys: _evaluate(parts, x, ys, d, skip),
         mu=min(lo, 1.0 / hi), depends_on_x=tuple(i for i in range(d) if f"x{i + 1}" in reads),
-        spec=spec, digest_override=digest, split=split)
+        cache_key=digest, split=split)
 
 
 _FAMILIES = ("constant", "laminate1d", "checkerboard2d", "slow_modulated", "expr", "matrix2d")
@@ -441,4 +435,4 @@ def builtin_family(spec, d: int, domain=(0.0, 1.0)) -> CoefficientField:
         raise ConfigError(f"unknown family {spec.family!r}")
     if d not in (1, 2):
         raise ConfigError("only d=1 and d=2 are supported")
-    return _build(d, _lower(spec, d), spec=spec, domain=domain)
+    return _build(d, _lower(spec, d), spec.digest(d), domain=domain)

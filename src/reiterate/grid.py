@@ -18,9 +18,10 @@ mode along the other (Concus & Golub 1973), factored once:
 
 * torus_line_inverse on periodic grids: an rfft and one cyclic
   tridiagonal solve per mode (Sherman-Morrison for the corners), mode 0
-  in closed form.  It serves the stacked corrector solve of ``cell``
-  (cell.solve_corrector) and solve_periodic_elliptic; in 1D it is the
-  closed-form inverse itself.
+  in closed form.  It preconditions the stacked corrector solve of
+  ``cell`` (cell.solve_corrector) and, applied once, inverts the
+  constant-coefficient Laplacian of the flux potentials
+  (cell.flux_correctors); in 1D it is the closed-form inverse itself.
 * line_inverse on 2D boxes, in solve_box_dirichlet: a DST-I and one
   tridiagonal sweep per mode.
 
@@ -44,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import CompatibilityError, ResolutionError, SolverFailure
+from .errors import ResolutionError, SolverFailure
 
 MAGIC = b"RHGF"
 FORMAT_VERSION = 2
@@ -333,8 +334,14 @@ def _check_spd(a) -> None:
             raise ValueError("coefficient matrix must be symmetric")
         tr = vals[..., 0, 0] + vals[..., 1, 1]
         det = vals[..., 0, 0] * vals[..., 1, 1] - vals[..., 0, 1] * vals[..., 1, 0]
+        # lambda_min = det / lambda_max, since tr/2 - disc would cancel;
+        # disc becomes lambda_max in place, so no node array is added.  Where
+        # some lambda_max <= 0 it is reported, an upper bound of lambda_min
         disc = np.sqrt(np.maximum((tr / 2.0) ** 2 - det, 0.0))
-        lam_min = (tr / 2.0 - disc).min()
+        disc += tr / 2.0
+        lam_min = disc.min()
+        if lam_min > 0:
+            lam_min = (det / disc).min()
     if not lam_min > 0:
         raise ValueError(f"coefficient not positive definite (min eigenvalue {lam_min:g})")
 
@@ -787,33 +794,6 @@ def torus_line_inverse(stencil: FluxStencil):
         return out.reshape(r.shape)
 
     return precondition
-
-
-def _project_mean(values: np.ndarray):
-    values -= values.mean()
-
-
-def solve_periodic_elliptic(a: GridFunction, rhs: GridFunction,
-                            tol: float = 1e-10) -> GridFunction:
-    """Solve -div(a grad u) = rhs on the torus with mean(u) = 0, by PCG
-    preconditioned with torus_line_inverse (``line-rfft`` in ``meta``)."""
-    grid = a.grid
-    if not grid.periodic:
-        raise ValueError("solve_periodic_elliptic expects a periodic grid")
-    if rhs.grid != grid or not rhs.is_scalar:
-        raise ValueError("rhs must be a scalar field on the same grid")
-    b = rhs.values.copy()
-    rms = np.sqrt(np.mean(b**2))
-    if abs(b.mean()) > max(tol, tol * rms):
-        raise CompatibilityError(
-            f"periodic rhs must have zero mean (got {b.mean():.3e})"
-        )
-    stencil = FluxStencil(a)
-    u, info = pcg(stencil.apply, b, torus_line_inverse(stencil), tol=tol,
-                  project=_project_mean)
-    info["preconditioner"] = "line-rfft"
-    u -= u.mean()
-    return GridFunction(grid, u, meta=info)
 
 
 def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,

@@ -2,8 +2,9 @@
 
 Everything here measures discrete solutions and reports dimensionless
 ratios against the behaviour the theory predicts.  Ball quantities use
-node balls.  Affine competitors come from a least-squares fit whose
-slope is then shrunk along its own ray.  The fit residual is orthogonal
+node balls.  Affine competitors come from one least-squares fit per
+ball (_ball_fit), whose slope is then shrunk along its own ray; every
+column of an excess row is read off that fit.  The fit residual is orthogonal
 to every design column, so the penalized objective along the ray is
 sqrt(E + C (1-t)^2) + t P, and its minimizer over t in [0, 1] has a
 closed form (penalized_affine_excess).  Searching along the ray only is
@@ -15,14 +16,14 @@ A ball probe reads only its window: grid._ball_window gives the node
 slices covering B(center, r), widened by one node per side and clipped
 to the grid, with the offsets x - center on them, so no probe scans the
 whole grid.  Each consumer keeps its own membership rule on those
-offsets: ball_average takes |x - center|^2 <= r^2, and affine_fit,
-penalized_affine_excess (oscillation included) and the flat term of
-excess_rows take |x - center| <= r + 1e-12.
+offsets: ball_average takes |x - center|^2 <= r^2, and the ball fit
+takes |x - center| <= r + 1e-12.
 
 Conventions used throughout: ratios with vanishing numerator and
 denominator count as 0, never NaN; radius sequences are dyadic from the
 top radius down to max(finest scale, 8h); the F-term exponent p defaults
-to d + 1.
+to d + 1, and the regularity exponent is min(theta, 1 - d/p)
+(_exponents).
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ from .grid import Grid, GridFunction, _ball_window, ball_average, gradient, l2_n
 
 # shrink factors the excess iteration may use, largest first
 T_CANDIDATES = (1 / 16, 1 / 32, 1 / 64)
+# face points at which face_data_norm_c1alpha samples its data
+FACE_SAMPLES = 512
+# cells per axis over which rate_sweep drops a scale, per dimension
+RATE_CELL_CAP = {1: 65536, 2: 512}
 
 
 def _safe_ratio(num: float, den: float) -> float:
@@ -76,9 +81,6 @@ class RateSweep(NamedTuple):
     exponent: float
     warnings: tuple
 
-    def errors(self) -> np.ndarray:
-        return np.array([row.l2_error for row in self.rows])
-
 
 def separation_error_scale(ladder: ScaleLadder) -> float:
     scales = ladder.scales
@@ -90,29 +92,27 @@ def separation_error_scale(ladder: ScaleLadder) -> float:
 
 def rate_sweep(field: CoefficientField, eps_values, ladder_for, *, effective,
                rhs=1.0, boundary=0.0, cells_per_scale: int = 16,
-               max_resolution: int | None = None,
                tol: float = 1e-10) -> RateSweep:
     """L2 distance between the oscillating and homogenized solves per eps.
 
     ladder_for maps a bare eps to its ScaleLadder.  effective is the
     homogenized coefficient, a tensor or anything solve_homogenized takes;
-    it does not depend on eps.  Scales whose required resolution exceeds
-    max_resolution are dropped with a warning rather than solved badly.  The exponent is the log-log slope of the error
-    against the separation error scale of each ladder; a fit over fewer
-    than 4 surviving scales is flagged.
+    it does not depend on eps.  Scales that need more cells per axis than
+    RATE_CELL_CAP[d] are dropped with a warning rather than solved badly.
+    The exponent is the log-log slope of the error against the separation
+    error scale of each ladder; a fit over fewer than 4 surviving scales
+    is flagged.
     """
     d = field.d
-    if max_resolution is None:
-        max_resolution = 65536 if d == 1 else 512
     rows: list[RateRow] = []
     warnings: list[str] = []
     for eps in eps_values:
         ladder = ladder_for(eps)
         needed = cells_per_axis(1.0, cells_per_scale, ladder.finest)
-        if needed > max_resolution:
+        if needed > RATE_CELL_CAP[d]:
             warnings.append(
                 f"eps={eps:g} needs {needed} cells per axis, over the cap "
-                f"{max_resolution}; dropped")
+                f"{RATE_CELL_CAP[d]}; dropped")
             continue
         grid = Grid.box((0.0,) * d, (1.0,) * d, needed)
         bvp = BVP.on(grid, rhs=rhs, boundary=boundary)
@@ -207,41 +207,63 @@ def approximate_by_homogenized(field: CoefficientField, ladder: ScaleLadder, *,
 
 def approximation_sweep(field: CoefficientField, eps_values, ladder_for, *,
                         effective, **kw) -> dict:
-    """Decay of the local approximation discrepancy across scales."""
+    """Decay of the local approximation discrepancy across scales: the
+    reports, and with two or more of them the fitted log-log exponent."""
     reports = [approximate_by_homogenized(field, ladder_for(eps),
                                           effective=effective, **kw)
                for eps in eps_values]
-    eps_arr = np.array([rep["eps"] for rep in reports])
-    vals = np.array([max(rep["discrepancy"], 1e-300) for rep in reports])
-    return {
-        "reports": reports,
-        "exponent": float(np.polyfit(np.log(eps_arr), np.log(vals), 1)[0]),
-    }
+    out = {"reports": reports}
+    if len(reports) >= 2:
+        eps_arr = np.array([rep["eps"] for rep in reports])
+        vals = np.array([max(rep["discrepancy"], 1e-300) for rep in reports])
+        out["exponent"] = float(np.polyfit(np.log(eps_arr), np.log(vals), 1)[0])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # ball fits and excess functionals
 
 
-def _node_ball(grid: Grid, center, r: float):
-    """Window, offsets x - center, and the probes' mask |x - center| <= r."""
-    window, delta = _ball_window(grid, center, r)
-    return window, delta, np.sqrt(np.sum(delta**2, axis=-1)) <= r + 1e-12
+def _exponents(d: int, p: float | None, theta: float = 1.0) -> tuple[float, float]:
+    """The F-term exponent p (d + 1 by default) and the regularity exponent
+    vartheta = min(theta, 1 - d/p), or theta when p <= d."""
+    if p is None:
+        p = d + 1.0
+    return p, (min(theta, 1.0 - d / p) if p > d else theta)
 
 
-def affine_fit(u: GridFunction, center, r: float) -> tuple[float, np.ndarray, float, int]:
-    """Least-squares affine fit over the node ball: (constant, slope,
-    residual_l2, nodes), residual_l2 the root mean square over the nodes."""
-    window, delta, mask = _node_ball(u.grid, center, r)
-    count = int(mask.sum())
-    if count < 3 * u.grid.d:
-        raise ValueError(f"ball of radius {r:g} holds only {count} nodes")
+def _ball_fit(u: GridFunction, center, r: float, oscillation=None):
+    """The least-squares fit of c + xi . basis over the node ball
+    |x - center| <= r + 1e-12, basis the offsets x - center plus the
+    sampled oscillation profile when given (one column per slope
+    component).  Returns (v0, g, |xi|): the centred ball data, the centred
+    fitted part xi . basis and the slope magnitude."""
+    window, delta = _ball_window(u.grid, center, r)
+    mask = np.sqrt(np.sum(delta**2, axis=-1)) <= r + 1e-12
     vals = u.values[window][mask]
-    design = np.concatenate([np.ones((count, 1)), delta[mask]], axis=1)
+    if vals.size < 3 * u.grid.d:
+        raise ValueError(f"ball of radius {r:g} holds only {vals.size} nodes")
+    basis = delta[mask]
+    if oscillation is not None:
+        basis = basis + oscillation[window][mask]
+    design = np.concatenate([np.ones((vals.size, 1)), basis], axis=1)
     coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    residual = vals - design @ coef
-    return (float(coef[0]), coef[1:].copy(), float(np.sqrt(np.mean(residual**2))),
-            count)
+    xi = coef[1:]
+    g = basis @ xi
+    return vals - vals.mean(), g - g.mean(), float(np.linalg.norm(xi))
+
+
+def _shrunk_excess(v0, g, slope_norm: float, r: float,
+                   vartheta: float) -> tuple[float, float]:
+    """penalized_affine_excess of a _ball_fit, in closed form."""
+    penalty = r ** (1.0 + vartheta) * slope_norm
+    C = float(np.mean(g**2))
+    E = float(np.mean((v0 - g) ** 2))
+    t_star = 0.0
+    if penalty**2 < C:
+        t_star = max(0.0, 1.0 - penalty * math.sqrt(E / (C * (C - penalty**2))))
+    rms = float(np.sqrt(np.mean((v0 - t_star * g) ** 2)))
+    return (rms + t_star * penalty) / r, t_star * slope_norm
 
 
 def penalized_affine_excess(u: GridFunction, center, r: float, *,
@@ -258,28 +280,7 @@ def penalized_affine_excess(u: GridFunction, center, r: float, *,
     minimized at t* = max(0, 1 - P sqrt(E / (C (C - P^2)))) when
     P^2 < C and at t* = 0 otherwise.
     """
-    window, delta, mask = _node_ball(u.grid, center, r)
-    vals = u.values[window][mask]
-    if vals.size < 3 * u.grid.d:
-        raise ValueError(f"ball of radius {r:g} holds only {vals.size} nodes")
-    basis = delta[mask]
-    if oscillation is not None:
-        basis = basis + oscillation[window][mask]
-    design = np.concatenate([np.ones((vals.size, 1)), basis], axis=1)
-    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    xi = coef[1:]
-    slope_norm = float(np.linalg.norm(xi))
-    v0 = vals - vals.mean()
-    g = basis @ xi
-    g = g - g.mean()
-    penalty = r ** (1.0 + vartheta) * slope_norm
-    C = float(np.mean(g**2))
-    E = float(np.mean((v0 - g) ** 2))
-    t_star = 0.0
-    if penalty**2 < C:
-        t_star = max(0.0, 1.0 - penalty * math.sqrt(E / (C * (C - penalty**2))))
-    rms = float(np.sqrt(np.mean((v0 - t_star * g) ** 2)))
-    return (rms + t_star * penalty) / r, t_star * slope_norm
+    return _shrunk_excess(*_ball_fit(u, center, r, oscillation), r, vartheta)
 
 
 def excess_rows(u: GridFunction, center, radii, *, theta: float = 1.0,
@@ -287,39 +288,31 @@ def excess_rows(u: GridFunction, center, radii, *, theta: float = 1.0,
                 oscillation=None) -> list[dict]:
     """Per-radius excess table: r, H, Phi, G, h.
 
-    H penalizes corrected affines when an oscillation profile is given
-    and plain affines otherwise; G always uses plain affines, so the two
-    collapse to one number in the homogenized case.  Phi compares with
-    constants only.  h is the least-squares slope magnitude.  Forcing
-    adds r * (ball p-mean of |F|) to H, Phi, and G, with the regularity
-    exponent capped at 1 - d/p.
+    One plain affine fit per radius gives G, Phi and h: G its penalized
+    excess, Phi the rms of the centred data (constants only) and h the
+    least-squares slope magnitude.  H penalizes corrected affines, a
+    second fit, when an oscillation profile is given and equals G
+    otherwise.  Forcing adds r * (ball p-mean of |F|) to H, Phi, and G,
+    with the regularity exponent capped at 1 - d/p.
     """
-    grid = u.grid
-    d = grid.d
-    if p is None:
-        p = d + 1.0
-    vartheta = min(theta, 1.0 - d / p) if p > d else theta
+    p, vartheta = _exponents(u.grid.d, p, theta)
     rows = []
     for r in radii:
         force_term = 0.0
         if forcing is not None:
             force_term = r * ball_average(forcing, center, r, p=p)
-        H, _ = penalized_affine_excess(u, center, r, vartheta=vartheta,
-                                       oscillation=oscillation)
-        if oscillation is None:
-            G = H
-        else:
-            G, _ = penalized_affine_excess(u, center, r, vartheta=vartheta)
-        _, slope, _, _ = affine_fit(u, center, r)
-        window, _, mask = _node_ball(grid, center, r)
-        vals = u.values[window][mask]
-        flat = float(np.sqrt(np.mean((vals - vals.mean()) ** 2)))
+        v0, g, slope_norm = _ball_fit(u, center, r)
+        G, _ = _shrunk_excess(v0, g, slope_norm, r, vartheta)
+        H = G
+        if oscillation is not None:
+            H, _ = penalized_affine_excess(u, center, r, vartheta=vartheta,
+                                           oscillation=oscillation)
         rows.append({
             "r": float(r),
             "H": H + force_term,
-            "Phi": flat / r + force_term,
+            "Phi": float(np.sqrt(np.mean(v0**2))) / r + force_term,
             "G": G + force_term,
-            "h": float(np.linalg.norm(slope)),
+            "h": slope_norm,
         })
     return rows
 
@@ -337,8 +330,7 @@ def _gradient_certificate(u: GridFunction, center, top_radius: float,
     forcing p-mean at the top radius, scaled by it.
     """
     grid = u.grid
-    if p is None:
-        p = grid.d + 1.0
+    p, _ = _exponents(grid.d, p)
     floor = max(eps_floor, 8.0 * max(grid.spacing))
     radii = dyadic_radii(top_radius, floor)
     grad = gradient(u)
@@ -390,11 +382,10 @@ def boundary_lipschitz_flat(u: GridFunction, top_radius: float, *,
                                  face_data_norm / top_radius, p)
 
 
-def face_data_norm_c1alpha(g, tangent_span, r: float, alpha: float,
-                           samples: int = 512) -> float:
+def face_data_norm_c1alpha(g, tangent_span, r: float, alpha: float) -> float:
     """sup |g| + r sup |g'| + r^(1+alpha) [g']_alpha on a flat face segment."""
     lo, hi = tangent_span
-    t = np.linspace(lo, hi, samples)
+    t = np.linspace(lo, hi, FACE_SAMPLES)
     vals = np.asarray(g(t), dtype=float)
     step = t[1] - t[0]
     grad = np.gradient(vals, step)
@@ -411,9 +402,9 @@ def face_data_norm_c1alpha(g, tangent_span, r: float, alpha: float,
 # excess iteration and shrink-factor calibration
 
 
-def calibrate_t(corpus, radii, *, candidates=T_CANDIDATES,
-                theta: float = 1.0, p: float | None = None) -> dict:
-    """Largest candidate shrink factor with G(t r) <= G(r)/2 on the corpus.
+def calibrate_t(corpus, radii, *, theta: float = 1.0,
+                p: float | None = None) -> dict:
+    """Largest T_CANDIDATES shrink factor with G(t r) <= G(r)/2 on the corpus.
 
     The corpus holds homogenized solutions as (GridFunction, center)
     pairs; their excess carries no separation term, so the contraction
@@ -434,12 +425,10 @@ def calibrate_t(corpus, radii, *, candidates=T_CANDIDATES,
                 excess[k, r] = None
         return excess[k, r]
 
-    for t in sorted(candidates, reverse=True):
+    for t in T_CANDIDATES:
         worst = 0.0
         for k, (u, center) in enumerate(corpus):
-            d = u.grid.d
-            pp = p if p is not None else d + 1.0
-            vartheta = min(theta, 1.0 - d / pp) if pp > d else theta
+            _, vartheta = _exponents(u.grid.d, p, theta)
             for r in radii:
                 g_r = G(k, u, center, r, vartheta)
                 g_tr = None if g_r is None else G(k, u, center, t * r, vartheta)

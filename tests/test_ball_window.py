@@ -42,6 +42,7 @@ def full_ball_mask(grid, center, r):
 
 
 def full_affine_fit(u, center, r):
+    # the former probes.affine_fit: excess_rows still reports its slope as h
     grid = u.grid
     mask = full_ball_mask(grid, center, r)
     count = int(mask.sum())
@@ -259,9 +260,9 @@ def test_affine_fits_and_excess_equal_full_grid_scan(grid_name, center_name):
     u = _fields(grid)["scalar"]
     ripple = 0.01 * np.sin(40 * grid.nodes())
     for r in _radii(grid):
-        assert _same(_outcome(probes.affine_fit, u, center, r),
-                     _outcome(full_affine_fit, u, center, r)), r
         for oscillation in (None, ripple):
+            assert _same(_outcome(probes._ball_fit, u, center, r, oscillation),
+                         _outcome(_full_excess_parts, u, center, r, oscillation)), r
             got = _outcome(probes.penalized_affine_excess, u, center, r,
                            vartheta=0.5, oscillation=oscillation)
             want = _outcome(full_penalized_affine_excess, u, center, r,
@@ -316,7 +317,6 @@ def test_probes_never_build_the_whole_node_array(monkeypatch):
 
     monkeypatch.setattr(Grid, "nodes", refuse)
     ball_average(fields["matrix"], center, 0.3)
-    probes.affine_fit(fields["scalar"], center, 0.3)
     probes.penalized_affine_excess(fields["scalar"], center, 0.3, vartheta=0.5)
     probes.excess_rows(fields["scalar"], center, [0.2, 0.4], forcing=fields["vector"])
     probes.lipschitz_certificate(fields["scalar"], center, 0.4, forcing=fields["vector"])

@@ -385,6 +385,38 @@ def test_reconstruction_residual_decays_at_second_order():
     assert residuals[1] / residuals[2] >= 3.5
 
 
+def fft_poisson(b, grid):
+    """Mean-free f with lap f = b for the discrete torus Laplacian, which the
+    discrete Fourier transform diagonalizes: an independent route."""
+    axes = tuple(range(grid.d))
+    symbol = np.zeros(grid.node_shape)
+    for k, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
+        shape = [1] * grid.d
+        shape[k] = n
+        symbol = symbol + ((2 - 2 * np.cos(2 * np.pi * np.fft.fftfreq(n))) / h**2).reshape(shape)
+    symbol.flat[0] = np.inf  # mode 0 of a mean-free b
+    return np.fft.ifftn(-np.fft.fftn(b, axes=axes) / symbol, axes=axes).real
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_flux_potentials_equal_the_fft_poisson_solution(d):
+    # the potentials the torus PCG reached to rounding: lap f_ij = b_ij, mean-free
+    if d == 1:
+        # a 1D cell's flux matrix vanishes, so take any mean-free matrix field
+        grid = Grid.torus(1, 64)
+        y = grid.axis_coords(0)
+        B = GridFunction(grid, (np.sin(2 * np.pi * y) + 0.3 * np.cos(6 * np.pi * y))[:, None, None])
+    else:
+        B = cell_flux(one_cell(builtin_family("expr(2+sin(2*pi*y1)*sin(2*pi*y2))", 2), 2, 64,
+                               tol=1e-11))
+    data = flux_correctors(B)
+    for i in range(d):
+        for j in range(d):
+            b = B.values[..., i, j]
+            want = fft_poisson(b - b.mean(), B.grid)
+            assert np.max(np.abs(data.potentials[i, j] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_flux_correctors_reject_nonzero_mean_input():
     grid = Grid.torus(2, 16)
     bad = GridFunction(grid, np.ones(grid.node_shape + (2, 2)))

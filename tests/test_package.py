@@ -233,3 +233,23 @@ def test_no_module_draws_random_numbers_or_calls_an_eigensolver():
             found += [(path.name, node.lineno, name) for name in names
                       if re.match(r"(np|numpy)\.(random|linalg\.eig)", name)]
     assert found == []
+
+
+def test_one_least_squares_fit_and_two_pcg_callers():
+    # every excess column comes from the one ball fit, and the flux
+    # potentials take the exact torus inverse, so pcg serves only the 2D
+    # cell correctors and the 2D box solves
+    root = Path(__file__).resolve().parent.parent / "src" / "reiterate"
+    found = {"lstsq": [], "pcg": []}
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = (_dotted(node.func) or "").split(".")[-1]
+                if name in found:
+                    found[name].append((path.name, [f.name for f in scopes
+                                                    if f.lineno <= node.lineno <= f.end_lineno]))
+    assert found == {"lstsq": [("probes.py", ["_ball_fit"])],
+                     "pcg": [("cell.py", ["solve_corrector"]),
+                             ("grid.py", ["solve_box_dirichlet"])]}

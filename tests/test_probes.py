@@ -47,7 +47,7 @@ def test_rate_sweep_single_scale_is_first_order():
     sweep = probes.rate_sweep(LAM1, [2.0**-k for k in range(4, 8)], single_scale,
                               effective=homogenize_all(LAM1, tol=1e-11).effective)
     assert len(sweep.rows) == 4
-    errs = sweep.errors()
+    errs = np.array([row.l2_error for row in sweep.rows])
     assert np.all(np.diff(errs) < 0)
     assert 0.9 <= sweep.exponent <= 1.1
     assert sweep.rows[-1].slope_so_far == pytest.approx(1.0, abs=0.05)
@@ -64,9 +64,9 @@ def test_rate_sweep_two_scale_rate_expression_doubles_eps():
 
 
 def test_rate_sweep_drops_unresolvable_scales():
-    sweep = probes.rate_sweep(LAM1, [1 / 8, 1 / 128], single_scale,
-                              effective=homogenize_all(LAM1, tol=1e-11).effective,
-                              max_resolution=512)
+    # eps = 1/8192 needs 131,072 cells, over the 1D cap, and is dropped unsolved
+    sweep = probes.rate_sweep(LAM1, [1 / 8, 1 / 8192], single_scale,
+                              effective=homogenize_all(LAM1, tol=1e-11).effective)
     assert len(sweep.rows) == 1
     assert sweep.rows[0].eps == 1 / 8
     assert any("dropped" in w for w in sweep.warnings)
@@ -109,20 +109,24 @@ def test_local_approximation_requires_coarse_scale_under_radius():
 
 
 def test_affine_fit_recovers_affine_exactly():
+    # the one ball fit behind every excess column: an affine is its own fit
     grid = Grid.box((0.0, 0.0), (1.0, 1.0), 32)
     pts = grid.nodes()
     u = GridFunction(grid, 0.7 + 1.5 * pts[..., 0] - 2.5 * pts[..., 1])
-    _, slope, residual_l2, nodes = probes.affine_fit(u, (0.5, 0.5), 0.3)
-    assert slope == pytest.approx([1.5, -2.5], abs=1e-11)
-    assert residual_l2 <= 1e-11
-    assert nodes > 100
+    v0, g, slope_norm = probes._ball_fit(u, (0.5, 0.5), 0.3)
+    assert slope_norm == pytest.approx(np.hypot(1.5, 2.5), abs=1e-11)
+    assert np.sqrt(np.mean((v0 - g) ** 2)) <= 1e-11
+    assert v0.size > 100
+    assert probes.excess_rows(u, (0.5, 0.5), [0.3])[0]["h"] == slope_norm
 
 
 def test_affine_fit_needs_enough_nodes():
     grid = Grid.box(0.0, 1.0, 16)
     u = GridFunction(grid, np.zeros(grid.node_shape))
     with pytest.raises(ValueError, match="nodes"):
-        probes.affine_fit(u, (0.5,), 0.01)
+        probes.penalized_affine_excess(u, (0.5,), 0.01, vartheta=0.5)
+    with pytest.raises(ValueError, match="nodes"):
+        probes.excess_rows(u, (0.5,), [0.01])
 
 
 def test_penalized_excess_affine_oracle():
