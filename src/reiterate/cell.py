@@ -48,6 +48,8 @@ from .grid import (
 )
 
 DEFAULT_RESOLUTION = {1: 256, 2: 128}
+# largest |mean| of a flux matrix that flux_correctors accepts as mean-free
+FLUX_MEAN_TOL = 1e-8
 
 
 class EffectiveTensor(NamedTuple("EffectiveTensor", [("tensor", np.ndarray), ("mu", float),
@@ -202,14 +204,14 @@ def flux_matrix(stack: CellStack, chi: np.ndarray, tensors: np.ndarray) -> GridF
     return GridFunction(grid, vals)
 
 
-def flux_correctors(B: GridFunction, tol: float = 1e-10) -> FluxData:
+def flux_correctors(B: GridFunction) -> FluxData:
     """Potentials and skew flux correctors for a mean-free flux matrix;
-    CompatibilityError when a mean of B exceeds max(tol, 1e-8)."""
+    CompatibilityError when a mean of B exceeds FLUX_MEAN_TOL."""
     grid = B.grid
     d = grid.d
     means = mean(B)
     worst = float(np.max(np.abs(means)))
-    if worst > max(tol, 1e-8):
+    if worst > FLUX_MEAN_TOL:
         raise CompatibilityError(
             f"flux matrix has nonzero mean {worst:.3e}; not a valid flux decomposition")
     # lap f_ij = b_ij for all d^2 pairs at once: every face of the identity

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import os
 
-# One BLAS thread unless the caller set the variable: no solve path calls
-# BLAS, so a larger pool only spins.  Cascade and cell ops call no LAPACK
-# either; only the probes' least-squares fits do.  numpy reads these once,
-# when it loads, so they are set before the first import of it (``import
-# reiterate`` loads no numpy).  Manifests record them under timing.threads.
+# One BLAS thread unless the caller set the variable: no op calls BLAS or
+# LAPACK (solves and probes alike), so a larger pool only spins.  numpy
+# reads these once, when it loads, so they are set before the first import
+# of it (``import reiterate`` loads no numpy).  Manifests record them under
+# timing.threads.
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")

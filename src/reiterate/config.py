@@ -35,10 +35,10 @@ from .probes import T_CANDIDATES
 
 MEMORY_LIMIT_BYTES = 8 << 30
 # node-sized float arrays budgeted per grid: the peak of one box solve
-# (tracemalloc, 12.6 arrays on a rotated laminate at 256^2) rounded up,
-# plus the solution, rhs and boundary the CLI keeps beside it, and two
-# arrays to spare; kept at 18 as the peak fell, so the grids it accepts
-# stay the same
+# (tracemalloc, 12.1 arrays on a rotated laminate at 256^2, about 10 on a
+# diagonal field) rounded up, plus the solution and rhs the CLI keeps
+# beside it (boundary data lives on the boundary nodes only), and spares;
+# kept at 18 as the peak fell, so the grids it accepts stay the same
 ARRAYS_PER_NODE = 18
 _DYADIC = re.compile(r"^2\^(-?\d+)$")
 _FRACTION = re.compile(r"^(-?\d+(?:\.\d+)?)\s*/\s*(\d+(?:\.\d+)?)$")

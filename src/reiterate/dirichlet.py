@@ -23,18 +23,23 @@ from .smoothing import smooth
 
 
 class BVP(NamedTuple):
-    """Box grid, right-hand side, and Dirichlet boundary data."""
+    """Box grid, right-hand side, and Dirichlet boundary data: a number or
+    the values at grid.boundary_nodes(), which is all solve_box_dirichlet
+    reads of them."""
 
     grid: Grid
     rhs: GridFunction
-    boundary: GridFunction
+    boundary: np.ndarray
 
     @classmethod
     def on(cls, grid: Grid, rhs=0.0, boundary=0.0) -> "BVP":
-        """Tabulate rhs and boundary, each a function of node points or a
-        number, through GridFunction.from_callable."""
+        """Tabulate rhs and boundary, each a function of points or a
+        number: rhs through GridFunction.from_callable, boundary at the
+        boundary nodes only."""
+        if callable(boundary):
+            boundary = boundary(grid.boundary_nodes())
         return cls(grid=grid, rhs=GridFunction.from_callable(grid, rhs),
-                   boundary=GridFunction.from_callable(grid, boundary))
+                   boundary=np.asarray(boundary, dtype=float))
 
 
 def cells_per_axis(width: float, cells_per_scale: int, finest: float) -> int:

@@ -127,6 +127,12 @@ class Grid(NamedTuple("Grid", [("shape", tuple), ("periodic", bool),
             mask[tuple(index)] = True
         return mask
 
+    def boundary_nodes(self) -> np.ndarray:
+        """The rows of nodes()[boundary_mask()], shape (ring, d), built
+        without the whole node array: the points of a box's boundary data."""
+        index = np.nonzero(self.boundary_mask())
+        return np.stack([self.axis_coords(a)[i] for a, i in enumerate(index)], axis=-1)
+
     def distance_to_boundary(self, points: np.ndarray) -> np.ndarray:
         """Exact distance to the box boundary (min over faces)."""
         if self.periodic:
@@ -473,9 +479,10 @@ def pcg(apply_op, b, precondition, tol=1e-10, maxiter=100_000, project=None,
     periodic solutions); it is applied to the initial data and every residual.
 
     ``b`` is copied once and never written; the copy becomes the residual.
-    x, r and p are updated in place through one work array, and the
+    ``apply_op`` must return a new array, which pcg overwrites: it holds
+    alpha A p and then alpha p while r and x are updated in place, and the
     previous z and A p are dropped before the next ones are made, so the
-    loop holds four node arrays besides those of ``apply_op`` and
+    loop holds three node arrays besides those of ``apply_op`` and
     ``precondition``.
 
     With ``stacked`` the leading axis of ``b`` indexes independent systems
@@ -529,7 +536,6 @@ def pcg(apply_op, b, precondition, tol=1e-10, maxiter=100_000, project=None,
     if project is not None:
         project(p)
     rz = dot(r, p)
-    work = np.empty_like(r)
     for _ in range(int(maxiter)):
         ap = apply_op(p)
         pap = dot(p, ap)
@@ -539,8 +545,8 @@ def pcg(apply_op, b, precondition, tol=1e-10, maxiter=100_000, project=None,
             raise failure(f"operator not positive definite along search direction "
                           f"(p.Ap={worst:g})", bent)
         alpha = np.where(active, rz / np.where(active, pap, 1.0), 0.0)
-        x += np.multiply(alpha, p, out=work)
-        r -= np.multiply(alpha, ap, out=work)
+        r -= np.multiply(alpha, ap, out=ap)
+        x += np.multiply(alpha, p, out=ap)
         ap = None
         if project is not None:
             project(r)
@@ -800,6 +806,9 @@ def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
                         tol: float = 1e-10) -> GridFunction:
     """Solve -div(a grad u) = rhs on a box with u = boundary_values on the faces.
 
+    boundary_values is a number or the values at grid.boundary_nodes(),
+    in boundary_mask order.
+
     1D boxes are solved exactly in closed form (0 iterations, tolerance 0);
     2D boxes use PCG preconditioned by line_inverse.  ``meta`` names
     the method under "preconditioner".  No input is written, and the
@@ -811,10 +820,12 @@ def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
         raise ValueError("solve_box_dirichlet expects a box grid")
     if rhs.grid != grid or not rhs.is_scalar:
         raise ValueError("rhs must be a scalar field on the same grid")
-    # a GridFunction, a node array or a number
-    bv = np.broadcast_to(getattr(boundary_values, "values", boundary_values), grid.node_shape)
     mask = grid.boundary_mask()
-    edge = bv[mask]
+    ring = np.count_nonzero(mask)
+    edge = np.asarray(boundary_values, dtype=float)
+    if edge.ndim and edge.shape != (ring,):
+        raise ValueError(f"boundary values have shape {edge.shape}; give a number or "
+                         f"the {ring} values at grid.boundary_nodes()")
 
     # the stencil holds the faces; the tensor is freed here unless the
     # caller keeps it.  The interior right-hand side goes to the solver

@@ -43,6 +43,10 @@ T_CANDIDATES = (1 / 16, 1 / 32, 1 / 64)
 FACE_SAMPLES = 512
 # cells per axis over which rate_sweep drops a scale, per dimension
 RATE_CELL_CAP = {1: 65536, 2: 512}
+# a ball fit's centred Gram counts as positive definite when its
+# determinant exceeds this share of the product of its diagonal, that is
+# when no two basis columns correlate to within 1e-12 of +-1
+GRAM_FLOOR = 1e-12
 
 
 def _safe_ratio(num: float, den: float) -> float:
@@ -53,6 +57,16 @@ def _safe_ratio(num: float, den: float) -> float:
 
 def _denoise(value: float, noise: float) -> float:
     return 0.0 if value < noise else value
+
+
+def _slope(xs, ys) -> float:
+    """Least-squares slope of ys against xs in closed form, which
+    np.polyfit(xs, ys, 1)[0] takes through LAPACK; 0 when every x is the
+    same."""
+    if np.ptp(xs) == 0.0:
+        return 0.0
+    dx = xs - xs.mean()
+    return float(np.sum(dx * (ys - ys.mean())) / np.sum(dx * dx))
 
 
 def dyadic_radii(top: float, floor: float) -> list[float]:
@@ -132,7 +146,7 @@ def rate_sweep(field: CoefficientField, eps_values, ladder_for, *, effective,
     if len(rows) >= 2:
         xs = np.log([row.rate_expr for row in rows])
         ys = np.log([max(row.l2_error, 1e-300) for row in rows])
-        exponent = float(np.polyfit(xs, ys, 1)[0])
+        exponent = _slope(xs, ys)
         if len(rows) < 4:
             warnings.append(f"exponent fitted over only {len(rows)} scales; "
                             "4 or more give a trustworthy slope")
@@ -188,7 +202,7 @@ def approximate_by_homogenized(field: CoefficientField, ladder: ScaleLadder, *,
                    tuple(grid.lo[a] + (slices[a].stop - 1) * grid.spacing[a] for a in range(d)),
                    sub_cells)
     local = BVP(grid=sub, rhs=GridFunction(sub, bvp.rhs.values[slices]),
-                boundary=GridFunction(sub, u_eps.values[slices]))
+                boundary=u_eps.values[slices][sub.boundary_mask()])
     u0 = solve_homogenized(local, effective, tol=tol)
     defect = GridFunction(sub, u_eps.values[slices] - u0.values)
     discrepancy = ball_average(defect, center, r, p=2.0)
@@ -216,7 +230,7 @@ def approximation_sweep(field: CoefficientField, eps_values, ladder_for, *,
     if len(reports) >= 2:
         eps_arr = np.array([rep["eps"] for rep in reports])
         vals = np.array([max(rep["discrepancy"], 1e-300) for rep in reports])
-        out["exponent"] = float(np.polyfit(np.log(eps_arr), np.log(vals), 1)[0])
+        out["exponent"] = _slope(np.log(eps_arr), np.log(vals))
     return out
 
 
@@ -237,7 +251,12 @@ def _ball_fit(u: GridFunction, center, r: float, oscillation=None):
     |x - center| <= r + 1e-12, basis the offsets x - center plus the
     sampled oscillation profile when given (one column per slope
     component).  Returns (v0, g, |xi|): the centred ball data, the centred
-    fitted part xi . basis and the slope magnitude."""
+    fitted part xi . basis and the slope magnitude.
+
+    The constant drops out once data and basis are centred, so xi solves
+    the 1x1 or 2x2 normal equations of the centred basis in closed form
+    (no BLAS or LAPACK).  A centred Gram that is not positive definite
+    to working precision (GRAM_FLOOR) raises ValueError."""
     window, delta = _ball_window(u.grid, center, r)
     mask = np.sqrt(np.sum(delta**2, axis=-1)) <= r + 1e-12
     vals = u.values[window][mask]
@@ -246,11 +265,20 @@ def _ball_fit(u: GridFunction, center, r: float, oscillation=None):
     basis = delta[mask]
     if oscillation is not None:
         basis = basis + oscillation[window][mask]
-    design = np.concatenate([np.ones((vals.size, 1)), basis], axis=1)
-    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    xi = coef[1:]
-    g = basis @ xi
-    return vals - vals.mean(), g - g.mean(), float(np.linalg.norm(xi))
+    v0 = vals - vals.mean()
+    centred = basis - basis.mean(axis=0)
+    gram = np.einsum("ij,ik->jk", centred, centred)
+    moment = np.einsum("ij,i->j", centred, v0)
+    if u.grid.d == 1:
+        det, adjugate = gram[0, 0], np.ones((1, 1))
+    else:
+        (a, b), (_, c) = gram
+        det, adjugate = a * c - b * b, np.array([[c, -b], [-b, a]])
+    if not det > GRAM_FLOOR * np.prod(np.diagonal(gram)):
+        raise ValueError(f"ball of radius {r:g} at {tuple(map(float, center))}: the centred "
+                         "basis is collinear, its Gram matrix not positive definite")
+    xi = np.einsum("jk,k->j", adjugate, moment) / det
+    return v0, np.einsum("ij,j->i", centred, xi), math.hypot(*xi)
 
 
 def _shrunk_excess(v0, g, slope_norm: float, r: float,
@@ -478,11 +506,7 @@ def fit_rho(defect_rows) -> float:
            if row["defect"] > 0.0]
     if len(pts) < 2:
         return 0.0
-    xs = np.log([p[0] for p in pts])
-    ys = np.log([p[1] for p in pts])
-    if np.ptp(xs) == 0.0:
-        return 0.0
-    return float(np.polyfit(xs, ys, 1)[0])
+    return _slope(np.log([p[0] for p in pts]), np.log([p[1] for p in pts]))
 
 
 def iteration_constant(defect_rows, rho: float) -> float:

@@ -148,7 +148,7 @@ def test_criterion_03_flux_corrector_identities():
         B = cell_flux(field, d, n)
         worst_mean = max(worst_mean, float(np.max(np.abs(mean(B)))))
         assert worst_mean <= 1e-8
-        data = flux_correctors(B, tol=1e-10)
+        data = flux_correctors(B)
         for k in range(d):
             for i in range(d):
                 assert np.array_equal(data.phi[k, i], -data.phi[i, k])
@@ -160,7 +160,7 @@ def test_criterion_03_flux_corrector_identities():
     for name, field, meshes in (("laminate", lam2, (32, 64, 128)),
                                 ("checkerboard", cb2, (64, 128, 256))):
         residuals = [
-            flux_correctors(cell_flux(field, 2, n), tol=1e-10)
+            flux_correctors(cell_flux(field, 2, n))
             .residuals["max_reconstruction_l2"]
             for n in meshes
         ]

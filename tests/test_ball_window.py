@@ -9,6 +9,8 @@ factor in closed form; the golden-section search it replaced stays here
 as a reference that the closed form must match.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -41,24 +43,10 @@ def full_ball_mask(grid, center, r):
     return np.sqrt(np.sum(delta**2, axis=-1)) <= r + 1e-12
 
 
-def full_affine_fit(u, center, r):
-    # the former probes.affine_fit: excess_rows still reports its slope as h
-    grid = u.grid
-    mask = full_ball_mask(grid, center, r)
-    count = int(mask.sum())
-    if count < 3 * grid.d:
-        raise ValueError(f"ball of radius {r:g} holds only {count} nodes")
-    pts = grid.nodes()[mask] - np.asarray(center, dtype=float)
-    vals = u.values[mask]
-    design = np.concatenate([np.ones((count, 1)), pts], axis=1)
-    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    residual = vals - design @ coef
-    return (float(coef[0]), coef[1:].copy(), float(np.sqrt(np.mean(residual**2))),
-            count)
-
-
 def _full_excess_parts(u, center, r, oscillation):
-    """Centred ball data v0, centred fitted part g and the slope norm |xi|."""
+    """Centred ball data v0, centred fitted part g and the slope norm |xi|:
+    the centred normal equations solved by hand, the arithmetic of
+    probes._ball_fit on the full scan (test_probes.py holds it to lstsq)."""
     grid = u.grid
     mask = full_ball_mask(grid, center, r)
     pts = grid.nodes()[mask] - np.asarray(center, dtype=float)
@@ -68,12 +56,20 @@ def _full_excess_parts(u, center, r, oscillation):
     basis = pts.copy()
     if oscillation is not None:
         basis = basis + oscillation[mask]
-    design = np.concatenate([np.ones((vals.size, 1)), basis], axis=1)
-    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    xi = coef[1:]
     v0 = vals - vals.mean()
-    g = basis @ xi
-    return v0, g - g.mean(), float(np.linalg.norm(xi))
+    centred = basis - basis.mean(axis=0)
+    gram = np.einsum("ij,ik->jk", centred, centred)
+    moment = np.einsum("ij,i->j", centred, v0)
+    if grid.d == 1:
+        det, adjugate = gram[0, 0], np.ones((1, 1))
+    else:
+        (a, b), (_, c) = gram
+        det, adjugate = a * c - b * b, np.array([[c, -b], [-b, a]])
+    if not det > probes.GRAM_FLOOR * np.prod(np.diagonal(gram)):
+        raise ValueError(f"ball of radius {r:g} at {tuple(map(float, center))}: the centred "
+                         "basis is collinear, its Gram matrix not positive definite")
+    xi = np.einsum("jk,k->j", adjugate, moment) / det
+    return v0, np.einsum("ij,j->i", centred, xi), math.hypot(*xi)
 
 
 def full_penalized_affine_excess(u, center, r, *, vartheta, oscillation=None):
@@ -140,11 +136,11 @@ def full_excess_rows(u, center, radii, *, theta=1.0, p=None, forcing=None,
             G = H
         else:
             G, _ = full_penalized_affine_excess(u, center, r, vartheta=vartheta)
-        _, slope, _, _ = full_affine_fit(u, center, r)
+        slope_norm = _full_excess_parts(u, center, r, None)[2]
         mask = full_ball_mask(grid, center, r)
         flat = float(np.sqrt(np.mean((u.values[mask] - u.values[mask].mean()) ** 2)))
         rows.append({"r": float(r), "H": H + force_term, "Phi": flat / r + force_term,
-                     "G": G + force_term, "h": float(np.linalg.norm(slope))})
+                     "G": G + force_term, "h": slope_norm})
     return rows
 
 

@@ -330,14 +330,14 @@ def test_flux_row_divergence_decays_with_resolution():
 
 def test_flux_corrector_skew_symmetry_exact(checkerboard_flux):
     B = checkerboard_flux
-    data = flux_correctors(B, tol=1e-10)
+    data = flux_correctors(B)
     assert np.array_equal(data.phi[0, 1], -data.phi[1, 0])
     assert np.array_equal(data.phi[0, 0], np.zeros_like(data.phi[0, 0]))
 
 
 def test_flux_corrector_zero_mean(checkerboard_flux):
     B = checkerboard_flux
-    data = flux_correctors(B, tol=1e-10)
+    data = flux_correctors(B)
     assert np.max(np.abs(data.phi.mean(axis=(-1, -2)))) < 1e-11
 
 
@@ -367,7 +367,7 @@ def test_flux_correctors_match_manufactured_potentials():
     for i in range(2):
         for j in range(2):
             b_vals[..., i, j] = -2 * two_pi**2 * f[i, j]
-    data = flux_correctors(GridFunction(grid, b_vals), tol=1e-12)
+    data = flux_correctors(GridFunction(grid, b_vals))
 
     # potentials recoverable up to the O(h^2) Poisson discretization error
     assert np.max(np.abs(data.potentials - f)) < 5e-3
@@ -380,7 +380,7 @@ def test_reconstruction_residual_decays_at_second_order():
     residuals = []
     for n in (32, 64, 128):
         B = cell_flux(one_cell(field, 2, n, tol=1e-12))
-        residuals.append(flux_correctors(B, tol=1e-10).residuals["max_reconstruction_l2"])
+        residuals.append(flux_correctors(B).residuals["max_reconstruction_l2"])
     assert residuals[0] / residuals[1] >= 3.5
     assert residuals[1] / residuals[2] >= 3.5
 

@@ -45,7 +45,7 @@ def test_bvp_broadcasts_constants():
     grid = Grid.box(0.0, 1.0, 16)
     bvp = BVP.on(grid, rhs=1.0, boundary=0.25)
     assert np.all(bvp.rhs.values == 1.0)
-    assert np.all(bvp.boundary.values == 0.25)
+    assert bvp.boundary.shape == () and bvp.boundary == 0.25
 
 
 def test_resolution_floor_is_eps_over_eight():
@@ -236,11 +236,12 @@ def test_box_solve_peak_memory_fits_the_config_guard(spec, d, n, scales):
     assert _traced_arrays_per_node(spec, d, n, scales) <= ARRAYS_PER_NODE
 
 
-def test_box_solve_peaks_at_12_arrays_per_node():
+def test_box_solve_peaks_at_11_arrays_per_node():
     # tighter than the config guard: neither the boundary lift nor the
-    # assembled right-hand side may live through PCG beside pcg's own copy
+    # assembled right-hand side may live through PCG beside pcg's own copy,
+    # and pcg updates x and r through A p, with no work array of its own
     spec = "expr(2+sin(2*pi*y1)*sin(2*pi*y2))"
-    assert _traced_arrays_per_node(spec, 2, 256, (1 / 16,)) <= 12
+    assert _traced_arrays_per_node(spec, 2, 256, (1 / 16,)) <= 11
 
 
 def test_bvp_on_numbers_traces_no_node_array():
@@ -253,8 +254,28 @@ def test_bvp_on_numbers_traces_no_node_array():
     finally:
         tracemalloc.stop()
     assert peak < 257**2 * 8
-    for data, value in ((bvp.rhs, 1.0), (bvp.boundary, 0.0)):
-        assert data.values.strides == (0, 0) and data.values[0, 0] == value
+    assert bvp.rhs.values.strides == (0, 0) and bvp.rhs.values[0, 0] == 1.0
+    assert bvp.boundary.shape == () and bvp.boundary == 0.0
+
+
+def test_bvp_on_tabulates_boundary_data_on_the_ring_only():
+    grid = Grid.box((0.0, 0.0), (1.0, 1.0), 256)
+
+    def data(x):
+        return np.sin(np.pi * x[..., 0]) + x[..., 1]
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bvp = BVP.on(grid, 1.0, data)
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    # the boolean mask is an eighth of a node array; the ring is 1,024 values
+    assert peak < 257**2 * 8
+    assert kept < 257**2
+    ring = data(grid.nodes())[grid.boundary_mask()]
+    assert bvp.boundary.shape == ring.shape and np.array_equal(bvp.boundary, ring)
 
 
 def _traced_arrays_per_node(spec, d, n, scales):

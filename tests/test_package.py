@@ -235,8 +235,8 @@ def test_no_module_draws_random_numbers_or_calls_an_eigensolver():
     assert found == []
 
 
-def test_one_least_squares_fit_and_two_pcg_callers():
-    # every excess column comes from the one ball fit, and the flux
+def test_no_lstsq_call_and_two_pcg_callers():
+    # the ball fits solve their normal equations by hand, and the flux
     # potentials take the exact torus inverse, so pcg serves only the 2D
     # cell correctors and the 2D box solves
     root = Path(__file__).resolve().parent.parent / "src" / "reiterate"
@@ -250,6 +250,37 @@ def test_one_least_squares_fit_and_two_pcg_callers():
                 if name in found:
                     found[name].append((path.name, [f.name for f in scopes
                                                     if f.lineno <= node.lineno <= f.end_lineno]))
-    assert found == {"lstsq": [("probes.py", ["_ball_fit"])],
+    assert found == {"lstsq": [],
                      "pcg": [("cell.py", ["solve_corrector"]),
                              ("grid.py", ["solve_box_dirichlet"])]}
+
+
+BLAS_NAMES = {"polyfit", "dot", "matmul", "inner", "vdot", "tensordot"}
+
+
+def test_no_module_calls_blas_or_lapack():
+    # numpy.linalg, polyfit (lstsq inside) and the matrix products go to
+    # BLAS or LAPACK, whose first call maps the library's buffers and whose
+    # digits may follow its thread pool; einsum stays off BLAS unless asked
+    # to optimize
+    root = Path(__file__).resolve().parent.parent / "src" / "reiterate"
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [_dotted(node) or node.attr]
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+                names = ["@"] if isinstance(node.op, ast.MatMult) else []
+            elif isinstance(node, ast.Call) and (_dotted(node.func) or "").endswith("einsum"):
+                names = [f"einsum(optimize={ast.unparse(k.value)})"
+                         for k in node.keywords if k.arg == "optimize"]
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names
+                      if re.match(r"(np|numpy)\.linalg\b|@|einsum", name)
+                      or name.split(".")[-1] in BLAS_NAMES]
+    assert found == []

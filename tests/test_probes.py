@@ -6,6 +6,7 @@ from reiterate.cascade import homogenize_all
 from reiterate.coeff import CoefficientSpec, ScaleLadder, builtin_family
 from reiterate.dirichlet import BVP, solve_multiscale
 from reiterate.grid import Grid, GridFunction, solve_box_dirichlet
+from test_ball_window import CASES, GRIDS, _centers, _fields, _radii
 
 LAM1 = builtin_family(CoefficientSpec.parse("laminate1d(2+sin(2*pi*y1))"), 1)
 PROD2 = builtin_family(
@@ -223,6 +224,86 @@ def test_corrected_competitors_explain_corrected_affine():
 
 
 # ---------------------------------------------------------------------------
+# closed-form fits against LAPACK
+
+
+def lstsq_ball_fit(u, center, r, oscillation=None):
+    """_ball_fit's (v0, g, |xi|) from np.linalg.lstsq on the full node scan."""
+    delta = u.grid.nodes() - np.asarray(center, dtype=float)
+    mask = np.sqrt(np.sum(delta**2, axis=-1)) <= r + 1e-12
+    vals = u.values[mask]
+    basis = delta[mask]
+    if oscillation is not None:
+        basis = basis + oscillation[mask]
+    design = np.concatenate([np.ones((vals.size, 1)), basis], axis=1)
+    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
+    g = basis @ coef[1:]
+    return vals - vals.mean(), g - g.mean(), float(np.linalg.norm(coef[1:]))
+
+
+def assert_fits_agree(got, want):
+    for a, b in zip(got[:2], want[:2]):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    assert got[2] == pytest.approx(want[2], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("grid_name,center_name", CASES)
+def test_ball_fit_matches_lstsq_on_the_window_cases(grid_name, center_name):
+    grid = GRIDS[grid_name]
+    center = _centers(grid)[center_name]
+    u = _fields(grid)["scalar"]
+    ripple = 0.01 * np.sin(40 * grid.nodes())
+    fitted = 0
+    for r in _radii(grid):
+        for oscillation in (None, ripple):
+            try:
+                got = probes._ball_fit(u, center, r, oscillation)
+            except ValueError as exc:
+                assert "holds only" in str(exc)
+                continue
+            assert_fits_agree(got, lstsq_ball_fit(u, center, r, oscillation))
+            fitted += 1
+    assert fitted >= 4
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("d", [1, 2])
+def test_ball_fit_matches_lstsq_on_random_designs(d, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid.box((0.0,) * d, (1.0,) * d, 64 if d == 1 else 24)
+    u = GridFunction(grid, rng.standard_normal(grid.node_shape))
+    # random columns on top of the offsets: a well-conditioned random design
+    oscillation = 0.1 * rng.standard_normal(grid.node_shape + (d,))
+    center = tuple(rng.uniform(0.3, 0.7, d))
+    for r in (0.1, 0.3):
+        assert_fits_agree(probes._ball_fit(u, center, r, oscillation),
+                          lstsq_ball_fit(u, center, r, oscillation))
+
+
+def test_ball_fit_rejects_a_collinear_basis():
+    grid = Grid.box((0.0, 0.0), (1.0, 1.0), 32)
+    x = grid.nodes()
+    u = GridFunction(grid, x[..., 0] + x[..., 1] ** 2)
+    # the second column becomes x1 - 1/2 too: a singular centred Gram
+    oscillation = np.stack([np.zeros(grid.node_shape), x[..., 0] - x[..., 1]], axis=-1)
+    with pytest.raises(ValueError, match=r"radius 0.25 at \(0.5, 0.5\).*collinear"):
+        probes._ball_fit(u, (0.5, 0.5), 0.25, oscillation)
+    with pytest.raises(ValueError, match="collinear"):
+        probes.penalized_affine_excess(u, (0.5, 0.5), 0.25, vartheta=0.5,
+                                       oscillation=oscillation)
+
+
+def test_slope_matches_polyfit():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 5, 17):
+        xs = np.log(rng.uniform(0.01, 1.0, n))
+        ys = 1.7 * xs + 0.3 * rng.standard_normal(n)
+        assert probes._slope(xs, ys) == pytest.approx(np.polyfit(xs, ys, 1)[0],
+                                                      rel=1e-12, abs=0.0)
+    assert probes._slope(np.full(3, 0.1), np.arange(3.0)) == 0.0
+
+
+# ---------------------------------------------------------------------------
 # excess properties on an oscillating solve
 
 
@@ -284,7 +365,7 @@ def test_certificate_forcing_scales_with_the_radius():
     exact = -np.sum((grid.nodes() - c) ** 2, axis=-1) / 4.0
     forcing = GridFunction.constant(grid, 1.0)
     u = solve_box_dirichlet(GridFunction.constant(grid, np.eye(2)), forcing,
-                            GridFunction(grid, exact))
+                            exact[grid.boundary_mask()])
     assert np.max(np.abs(u.values - exact)) <= 1e-12
     for top in (1 / 4, 1 / 8):
         rep = probes.lipschitz_certificate(u, c, top, forcing=forcing)
