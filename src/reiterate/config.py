@@ -35,10 +35,11 @@ from .probes import T_CANDIDATES
 
 MEMORY_LIMIT_BYTES = 8 << 30
 # node-sized float arrays budgeted per grid: the peak of one box solve
-# (tracemalloc, 12.1 arrays on a rotated laminate at 256^2, about 10 on a
-# diagonal field) rounded up, plus the solution and rhs the CLI keeps
-# beside it (boundary data lives on the boundary nodes only), and spares;
-# kept at 18 as the peak fell, so the grids it accepts stay the same
+# (tracemalloc: 10.1 arrays on a rotated laminate and 9.1 on a diagonal
+# field at 256^2, 5.1 on a 1D laminate of 65,536 cells; coefficients are
+# tabulated in slabs) rounded up, plus the solution and rhs the CLI
+# keeps beside it (boundary data lives on the boundary nodes only), and
+# spares; kept at 18 as the peak fell, so the grids it accepts stay the same
 ARRAYS_PER_NODE = 18
 _DYADIC = re.compile(r"^2\^(-?\d+)$")
 _FRACTION = re.compile(r"^(-?\d+(?:\.\d+)?)\s*/\s*(\d+(?:\.\d+)?)$")

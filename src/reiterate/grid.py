@@ -54,6 +54,9 @@ _SHAPE_CODES = {0: (), 1: ("d",), 2: ("d", "d")}
 # preconditioner stays near 256 KB at any grid size, which also runs
 # faster than one transform of every row at once
 _DST_BLOCK_NODES = 1 << 14
+# nodes per slab of GridFunction.from_callable: a 2D matrix field's
+# evaluation holds about 20 slab arrays, near half a node array at 257^2
+_TABULATE_BLOCK_NODES = 1 << 11
 
 
 class Grid(NamedTuple("Grid", [("shape", tuple), ("periodic", bool),
@@ -174,14 +177,34 @@ class GridFunction(NamedTuple("GridFunction", [("grid", Grid), ("values", np.nda
 
     @classmethod
     def from_callable(cls, grid: Grid, fn, meta=None) -> "GridFunction":
-        """fn at the node points, shape (nodes, d), or fn itself when it is a
-        constant (a number or a tensor), which builds no node coordinates.
-        A constant or a 0-d value stays one value broadcast to every node."""
-        vals = np.asarray(fn(grid.nodes().reshape(-1, grid.d)) if callable(fn) else fn,
-                          dtype=float)
-        if callable(fn) and vals.ndim:
-            return cls(grid, vals.reshape(grid.node_shape + vals.shape[1:]), meta=meta)
-        return cls(grid, np.broadcast_to(vals, grid.node_shape + vals.shape), meta=meta)
+        """fn at the node points, or fn itself when it is a constant (a
+        number or a tensor), which builds no node coordinates.
+
+        A callable must be pointwise: row i of its value depends on row i
+        of its (m, d) argument of points alone.  It is called on slabs of
+        whole node rows along axis 0, at most _TABULATE_BLOCK_NODES nodes
+        each (one row if a row is longer), whose points are the rows of
+        nodes() built from axis_coords; each slab's values are written into
+        one array made for the whole grid, so no node array of points is
+        built and the callable's scratch is bounded by the slab.  A
+        constant, or a 0-d value of the callable on the first slab, stays
+        one value broadcast to every node.
+        """
+        if not callable(fn):
+            vals = np.asarray(fn, dtype=float)
+            return cls(grid, np.broadcast_to(vals, grid.node_shape + vals.shape), meta=meta)
+        first, *rest = (grid.axis_coords(a) for a in range(grid.d))
+        width = int(np.prod(grid.node_shape[1:]))
+        block = max(1, _TABULATE_BLOCK_NODES // width)
+        for start in range(0, len(first), block):
+            pts = np.stack(np.meshgrid(first[start:start + block], *rest, indexing="ij"), -1)
+            vals = np.asarray(fn(pts.reshape(-1, grid.d)), dtype=float)
+            if not vals.ndim:
+                return cls(grid, np.broadcast_to(vals, grid.node_shape), meta=meta)
+            if not start:
+                out = np.empty((len(first) * width,) + vals.shape[1:])
+            out[start * width:start * width + len(vals)] = vals
+        return cls(grid, out.reshape(grid.node_shape + out.shape[1:]), meta=meta)
 
     @classmethod
     def constant(cls, grid: Grid, value) -> "GridFunction":
@@ -482,8 +505,10 @@ def pcg(apply_op, b, precondition, tol=1e-10, maxiter=100_000, project=None,
     ``apply_op`` must return a new array, which pcg overwrites: it holds
     alpha A p and then alpha p while r and x are updated in place, and the
     previous z and A p are dropped before the next ones are made, so the
-    loop holds three node arrays besides those of ``apply_op`` and
-    ``precondition``.
+    loop holds three node arrays besides the one that ``apply_op`` or
+    ``precondition`` returns.  On a 2D box neither keeps node-sized
+    scratch: kernels.matvec_box_2d sums one block of rows at a time and
+    line_inverse works in its output.
 
     With ``stacked`` the leading axis of ``b`` indexes independent systems
     that ``apply_op``, ``precondition`` and ``project`` treat sample by
@@ -626,7 +651,9 @@ def _dst1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     Entry k is sum_j x_j sin(pi j k / (m + 1)) for j, k = 1..m; applying it
     twice multiplies by (m + 1) / 2.  The rows are transformed in blocks of
     at most _DST_BLOCK_NODES extension nodes, which bounds the FFT scratch;
-    each row's transform does not depend on the block it sits in.
+    each row's transform does not depend on the block it sits in.  ``out``
+    may be ``x`` itself: each block is read into the extension before its
+    rows are written.
     """
     rows, m = x.shape
     if out is None:
@@ -646,7 +673,8 @@ def _dst1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _box_lines(fl, fa, shape, spacing):
     """The line_inverse of a box whose lines run along axis 0 and whose
     faces fl (normal to axis 0) and fa (normal to axis 1) are averaged
-    along axis 1."""
+    along axis 1.  Its precondition(r, out) writes the interior of out, a
+    node array of zeros (a new one by default), and returns it."""
     (n1, n2), (h1, h2) = shape, spacing
     ax = fl[:, 1:-1].mean(axis=1) / h1 ** 2
     ay = fa[1:-1].mean(axis=1) / h2 ** 2
@@ -656,10 +684,11 @@ def _box_lines(fl, fa, shape, spacing):
     # the forward and inverse transforms are the same DST-I up to 2 / n2
     rpivot = np.divide(2.0 / n2, pivot, out=pivot)
 
-    def precondition(r: np.ndarray) -> np.ndarray:
-        z = _sweep_tridiagonal(mult, rpivot, _dst1(r[1:-1, 1:-1]))
-        out = np.zeros((n1 + 1, n2 + 1))
-        _dst1(z, out=out[1:-1, 1:-1])
+    def precondition(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.zeros((n1 + 1, n2 + 1))
+        z = _dst1(r[1:-1, 1:-1], out=out[1:-1, 1:-1])
+        _dst1(_sweep_tridiagonal(mult, rpivot, z), out=z)
         return out
 
     return precondition
@@ -682,6 +711,11 @@ def line_inverse(stencil: FluxStencil):
     ignores mixed terms, so it inverts the box operator exactly when no
     face varies along the averaged axis: a constant diagonal tensor, or a
     diagonal field of one coordinate alone.
+
+    Each application makes one node array, its output, and runs both
+    transforms and the sweep in the output's interior; averaging along x1
+    it writes the transposed interior of a C-contiguous output, so no
+    transposed copy is made.
     """
     g = stencil.grid
     if g.periodic or g.d != 2:
@@ -690,7 +724,13 @@ def line_inverse(stencil: FluxStencil):
     if not _averages_along_x1(fx[:, 1:-1], fy[1:-1]):
         return _box_lines(fx, fy, g.shape, g.spacing)
     solve = _box_lines(fy.T, fx.T, g.shape[::-1], g.spacing[::-1])
-    return lambda r: np.ascontiguousarray(solve(r.T).T)
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        out = np.zeros(r.shape)
+        solve(r.T, out=out.T)
+        return out
+
+    return precondition
 
 
 def _periodic_running_sum(steps: np.ndarray) -> np.ndarray:
@@ -853,12 +893,31 @@ def solve_box_dirichlet(a: GridFunction, rhs: GridFunction, boundary_values,
 
 def _interior_rhs(stencil: FluxStencil, rhs: GridFunction, mask: np.ndarray,
                   edge: np.ndarray) -> np.ndarray:
-    """rhs - A lift inside the box and 0 on its faces, where the lift (freed
-    on return) is 0 inside and edge on the faces."""
-    lift = np.zeros(mask.shape)
-    lift[mask] = edge
-    b = stencil.apply(lift)
-    np.subtract(rhs.values, b, out=b, where=~mask)
+    """rhs - A lift inside the box and 0 on its faces, where the lift is 0
+    inside and edge on the faces.
+
+    In 2D the lift is made and freed on return.  In 1D A lift is -0.0 at
+    every interior node but the two next to the ends, and rhs - (-0.0) is
+    rhs + 0.0, so b starts as rhs + 0.0 and no node-sized lift is made:
+    the kernel applies the lift on the box of the first two and the last
+    two nodes, where a face between two zeros joins the halves and adds
+    +0.0 as every face inside does.  On a 2-cell box the nodes next to
+    the ends are one node, which sees both ends.
+    """
+    if stencil.d == 1:
+        n = mask.shape[0] - 1
+        keep = sorted({0, 1, n - 1, n})
+        lift = np.zeros(len(keep))
+        lift[[0, -1]] = edge
+        faces = np.where(np.diff(keep) == 1, stencil.faces[0][keep[:-1]], 1.0)
+        b = rhs.values + 0.0
+        b[keep[1:-1]] = rhs.values[keep[1:-1]] - kernels.matvec_box_1d(
+            faces, lift, stencil.grid.spacing[0])[1:-1]
+    else:
+        lift = np.zeros(mask.shape)
+        lift[mask] = edge
+        b = stencil.apply(lift)
+        np.subtract(rhs.values, b, out=b, where=~mask)
     b[mask] = 0.0
     if not np.isfinite(b).all():
         raise ValueError("right-hand side or boundary values are not finite at every node")
@@ -871,17 +930,33 @@ def _tridiagonal_box_solve(faces: np.ndarray, b: np.ndarray, h: float):
     The face flux F = faces diff(v) / h drops by h b_i across interior node
     i, so F = c - h cumsum(b) and v = cumsum(h F / faces), with c chosen so
     that v vanishes at the right end.  perfbench/tracer.py binds this name.
+
+    Works in three scratch arrays, flux, step and v (returned): every
+    product, quotient and running sum is formed in place in one of them
+    from the operands of the plain formulas, in their order (x / -h is
+    -x / h exactly), so the bits are theirs.  The residual and b are
+    squared in place for their norms, so b is overwritten.
     """
-    flux = np.concatenate(([0.0], -h * np.cumsum(b[1:-1])))
+    flux = np.zeros(faces.shape)
+    np.cumsum(b[1:-1], out=flux[1:])
+    flux[1:] *= -h
     step = h / faces
-    # plain numpy reductions, not BLAS: the digits must not depend on its pool
-    flux -= np.sum(step * flux) / np.sum(step)
     v = np.zeros_like(b)
-    v[1:-1] = np.cumsum(step[:-1] * flux[:-1])
-    # the recorded residual comes from one application of the interior operator
-    resid = -np.diff(faces * np.diff(v) / h) / h - b[1:-1]
-    norm_b = float(np.sqrt(np.sum(b[1:-1] ** 2))) or 1.0
-    info = {"iterations": 0, "residuals": [float(np.sqrt(np.sum(resid ** 2))) / norm_b],
+    # plain numpy reductions, not BLAS: the digits must not depend on its pool
+    flux -= np.sum(np.multiply(step, flux, out=v[1:])) / np.sum(step)
+    np.cumsum(np.multiply(step[:-1], flux[:-1], out=v[1:-1]), out=v[1:-1])
+    v[-1] = 0.0
+    # the recorded residual comes from one application of the interior
+    # operator, -diff(faces diff(v) / h) / h - b, in flux and then step
+    np.multiply(faces, np.subtract(v[1:], v[:-1], out=flux), out=flux)
+    flux /= h
+    resid = np.subtract(flux[1:], flux[:-1], out=step[:-1])
+    resid /= -h
+    resid -= b[1:-1]
+    resid *= resid
+    b *= b
+    norm_r, norm_b = float(np.sqrt(np.sum(resid))), float(np.sqrt(np.sum(b[1:-1]))) or 1.0
+    info = {"iterations": 0, "residuals": [norm_r / norm_b],
             "tol": 0.0, "preconditioner": "closed-form"}
     return v, info
 

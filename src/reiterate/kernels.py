@@ -52,6 +52,10 @@ def matvec_periodic_2d(fx, fy, axy, u, h1, h2):
 # box topology (Dirichlet): output is zero on the boundary ring; neighbor
 # reads include boundary values so the caller can lift inhomogeneous data.
 
+# nodes per block of interior rows in matvec_box_2d: its flux scratch stays
+# near 128 KB at any grid size, about a quarter of a node array at 257^2
+_BLOCK_NODES = 1 << 14
+
 
 def matvec_box_1d(fa, u, h):
     out = np.zeros_like(u)
@@ -78,22 +82,28 @@ def _subtract_difference(interior, step, flux, hi, lo, h):
 
 
 def matvec_box_2d(fx, fy, axy, u, h1, h2):
-    # the interior is summed in place in out, term by term in the order of
-    # -(dx flux_x) / h1 - (dy flux_y) / h2 - (mixed terms); each flux is
-    # dropped before the next is made, and products commute exactly, so the
-    # bits are those of the plain expression
+    # the interior is summed in place in out, one block of rows at a time,
+    # term by term in the order of -(dx flux_x) / h1 - (dy flux_y) / h2 -
+    # (mixed terms); each flux covers the block and the rows next to it and
+    # is dropped before the next is made, and products commute exactly, so
+    # every node's bits are those of the plain expression
+    n1, n2 = u.shape
     out = np.zeros_like(u)
-    interior = out[1:-1, 1:-1]
-    flux = _box_flux(u, fx, 0, 1, h1)
-    np.negative(np.subtract(flux[1:, 1:-1], flux[:-1, 1:-1], out=interior), out=interior)
-    interior /= h1
-    del flux
-    step = np.empty_like(interior)
-    _subtract_difference(interior, step, _box_flux(u, fy, 1, 1, h2),
-                         np.s_[1:-1, 1:], np.s_[1:-1, :-1], h2)
-    if axy is not None and axy.size:
-        _subtract_difference(interior, step, _box_flux(u, axy[:, 1:-1], 1, 2, 2.0 * h2),
-                             np.s_[2:, :], np.s_[:-2, :], 2.0 * h1)
-        _subtract_difference(interior, step, _box_flux(u, axy[1:-1, :], 0, 2, 2.0 * h1),
-                             np.s_[:, 2:], np.s_[:, :-2], 2.0 * h2)
+    block = max(1, _BLOCK_NODES // n2)
+    step = np.empty((min(block, n1 - 2), n2 - 2))
+    for lo in range(1, n1 - 1, block):
+        hi = min(lo + block, n1 - 1)
+        interior, buf = out[lo:hi, 1:-1], step[:hi - lo]
+        near = u[lo - 1:hi + 1]  # the block's rows and one more on each side
+        flux = _box_flux(near[:, 1:-1], fx[lo - 1:hi, 1:-1], 0, 1, h1)
+        np.negative(np.subtract(flux[1:], flux[:-1], out=interior), out=interior)
+        interior /= h1
+        _subtract_difference(interior, buf, _box_flux(u[lo:hi], fy[lo:hi], 1, 1, h2),
+                             np.s_[:, 1:], np.s_[:, :-1], h2)
+        if axy is not None and axy.size:
+            _subtract_difference(interior, buf,
+                                 _box_flux(near, axy[lo - 1:hi + 1, 1:-1], 1, 2, 2.0 * h2),
+                                 np.s_[2:, :], np.s_[:-2, :], 2.0 * h1)
+            _subtract_difference(interior, buf, _box_flux(near, axy[lo:hi], 0, 2, 2.0 * h1),
+                                 np.s_[:, 2:], np.s_[:, :-2], 2.0 * h2)
     return out

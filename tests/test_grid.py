@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reiterate.grid as grid_module
+from reiterate import kernels
+from reiterate.cascade import homogenize_all
 from reiterate.cell import CellStack, solve_corrector
-from reiterate.coeff import ScaleLadder, builtin_family
+from reiterate.coeff import ScaleLadder, builtin_family, evaluate_multiscale
 from reiterate.dirichlet import (BVP, multiscale_coefficient, solve_homogenized,
                                  solve_multiscale)
 from reiterate.errors import ResolutionError, SolverFailure
@@ -78,16 +80,16 @@ def _bits(values):
     return np.ascontiguousarray(values).tobytes()
 
 
+def _refuse_nodes(self):
+    raise AssertionError("tabulation must not build the node array")
+
+
 @pytest.mark.parametrize("value", [1.0, -0.0, 3, np.float64(0.1),
                                    np.array([[2.0, 0.1], [0.1, 1.0 / 3.0]])],
                          ids=["one", "minus-zero", "int", "float64", "tensor"])
 def test_from_callable_keeps_a_constant_one_broadcast_value(monkeypatch, value):
     g = Grid.box((0.0, 0.0), (1.0, 2.0), (6, 9))
-
-    def refuse(self):
-        raise AssertionError("a constant must not build node coordinates")
-
-    monkeypatch.setattr(Grid, "nodes", refuse)
+    monkeypatch.setattr(Grid, "nodes", _refuse_nodes)
     f = GridFunction.from_callable(g, value)
     assert f.values.strides[:2] == (0, 0) and not f.values.flags.writeable
     assert _bits(f.values) == _bits(GridFunction.constant(g, value).values)
@@ -117,6 +119,87 @@ def test_from_callable_tabulates_node_values(d):
     f = GridFunction.from_callable(g, fn)
     assert f.values.flags.c_contiguous
     assert _bits(f.values) == _bits(fn(g.nodes().reshape(-1, d)).reshape(g.node_shape))
+
+
+# grids of several slabs with a shorter last one: 4,100 nodes in 1D, rows
+# of 62 nodes in 2D; the patched block makes 5 and 4 slabs
+_SLAB_GRIDS = {1: Grid.box(0.0, 1.3, 4099), 2: Grid.box((0.0, -0.5), (1.3, 1.0), 61)}
+_SLAB_BLOCKS = (grid_module._TABULATE_BLOCK_NODES, 1000)
+
+
+def _assert_slabs_match_whole_grid(grid, fn, monkeypatch):
+    whole = np.asarray(fn(grid.nodes().reshape(-1, grid.d)))
+    whole = whole.reshape(grid.node_shape + whole.shape[1:])
+    for block in _SLAB_BLOCKS:
+        with monkeypatch.context() as patch:
+            patch.setattr(Grid, "nodes", _refuse_nodes)
+            patch.setattr(grid_module, "_TABULATE_BLOCK_NODES", block)
+            f = GridFunction.from_callable(grid, fn)
+        assert f.values.shape == whole.shape and f.values.flags.c_contiguous
+        assert _bits(f.values) == _bits(whole), block
+
+
+_ROTATED = ("matrix2d((6+sin(2*pi*(y1+y2)))/2, (sin(2*pi*(y1+y2))-2)/2, "
+            "(6+sin(2*pi*(y1+y2)))/2)")
+
+
+@pytest.mark.parametrize("spec, d, scales", [
+    ("constant(2.5)", 1, (1 / 8,)),
+    ("constant(2, 0.3, 1.5)", 2, (1 / 8,)),
+    ("laminate1d(2+sin(2*pi*y1), 2+sin(2*pi*y2))", 1, (1 / 4, 1 / 64)),
+    ("laminate1d(2+sin(2*pi*y1))", 2, (1 / 8,)),
+    ("checkerboard2d(1, 4, 8)", 2, (1 / 8,)),
+    ("slow_modulated(laminate1d(2+sin(2*pi*y1)), amplitude=0.5, k1=2)", 1, (1 / 16,)),
+    ("slow_modulated(checkerboard2d(1, 4, 8), amplitude=0.5, k1=1, k2=2)", 2, (1 / 8,)),
+    ("expr((2+x1*x2)*(2+sin(2*pi*y1)*cos(2*pi*y2)))", 2, (1 / 8,)),
+    (_ROTATED, 2, (1 / 8,)),
+], ids=["constant-1d", "constant-2d", "laminate-1d", "laminate-2d", "checkerboard",
+        "slow-1d", "slow-2d", "expr", "matrix2d"])
+def test_slab_tabulation_of_every_family_matches_the_whole_grid_bitwise(
+        spec, d, scales, monkeypatch):
+    field, ladder = builtin_family(spec, d), ScaleLadder(scales)
+    _assert_slabs_match_whole_grid(
+        _SLAB_GRIDS[d], lambda x: evaluate_multiscale(field, ladder, x), monkeypatch)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_slab_tabulation_of_a_varying_rhs_matches_the_whole_grid_bitwise(d, monkeypatch):
+    def rhs(x):
+        return 1.0 + x[..., 0] * np.cos(3.0 * x[..., -1]) - np.exp(-x[..., 0] ** 2)
+
+    grid = _SLAB_GRIDS[d]
+    whole = rhs(grid.nodes())
+    assert _bits(BVP.on(grid, rhs=rhs).rhs.values) == _bits(whole)
+    _assert_slabs_match_whole_grid(grid, rhs, monkeypatch)
+
+
+def test_slab_tabulation_of_slow_tables_matches_the_whole_grid_bitwise(monkeypatch):
+    # the homogenized x-table of a slow field, and its retained correctors:
+    # both interpolate tables, pointwise in x
+    field = builtin_family("slow_modulated(checkerboard2d(1, 4, 8), amplitude=0.5, k1=1)", 2)
+    ladder = ScaleLadder((1 / 8,))
+    result = homogenize_all(field, ladder, resolution=8, tol=1e-11, x_resolution=8,
+                            retain_correctors=True)
+    slow, table = result.effective_field, result.corrector_table
+    assert slow.n_scales == 0 and table.level == 1
+    _assert_slabs_match_whole_grid(_SLAB_GRIDS[2], lambda x: slow(x, []), monkeypatch)
+    _assert_slabs_match_whole_grid(_SLAB_GRIDS[2], lambda x: table.sample(x, ladder),
+                                   monkeypatch)
+
+
+def test_from_callable_broadcasts_a_0d_value_found_on_the_first_slab():
+    g = _SLAB_GRIDS[2]
+    seen = []
+
+    def fn(x):
+        seen.append(x.shape)
+        return np.float64(2.5)
+
+    f = GridFunction.from_callable(g, fn)
+    rows = grid_module._TABULATE_BLOCK_NODES // g.node_shape[1]
+    assert rows < g.node_shape[0] and seen == [(rows * g.node_shape[1], 2)]
+    assert f.values.strides == (0, 0) and not f.values.flags.writeable
+    assert _bits(f.values) == _bits(GridFunction.constant(g, 2.5).values)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +467,64 @@ def test_1d_closed_form_residual_stays_small_on_fine_grids():
     assert u.meta["residuals"][-1] <= 1e-10
 
 
+# the 1D path written with a lift through the box kernel and the closed form
+# in fresh arrays: the bitwise oracle of the in-place forms
+
+
+def _lift_interior_rhs(faces, rhs, edge, h):
+    ends = np.zeros(rhs.shape, dtype=bool)
+    ends[[0, -1]] = True
+    lift = np.zeros(rhs.shape)
+    lift[ends] = edge
+    b = kernels.matvec_box_1d(faces, lift, h)
+    np.subtract(rhs, b, out=b, where=~ends)
+    b[ends] = 0.0
+    return b
+
+
+def _fresh_closed_form(faces, b, h):
+    flux = np.concatenate(([0.0], -h * np.cumsum(b[1:-1])))
+    step = h / faces
+    flux -= np.sum(step * flux) / np.sum(step)
+    v = np.zeros_like(b)
+    v[1:-1] = np.cumsum(step[:-1] * flux[:-1])
+    resid = -np.diff(faces * np.diff(v) / h) / h - b[1:-1]
+    norm_b = float(np.sqrt(np.sum(b[1:-1] ** 2))) or 1.0
+    return v, float(np.sqrt(np.sum(resid ** 2))) / norm_b
+
+
+@pytest.mark.parametrize("edge", [np.array([0.7, -1.3]), np.array([-2.5, 0.0625]),
+                                  np.float64(0.25), np.array([-0.0, 0.0]),
+                                  np.array([0.0, -0.0])],
+                         ids=["unequal", "unequal-swapped", "one-value", "zeros", "zeros-swapped"])
+@pytest.mark.parametrize("n", [2, 3, 5, 65536])
+@pytest.mark.parametrize("coefficient", ["field", "broadcast"])
+def test_1d_path_matches_the_lift_formulas_bitwise(n, edge, coefficient):
+    # a 2-cell box has one interior node, which takes both end terms
+    g = Grid.box(0.0, 1.3, n)
+    rng = np.random.default_rng(n)
+    if coefficient == "field":
+        a = GridFunction(g, (0.5 + rng.random(g.node_shape))[:, None, None])
+    else:
+        a = GridFunction.from_callable(g, np.array([[1.9]]))
+    h = g.spacing[0]
+    faces = FluxStencil(a).faces[0]
+    for rhs in (rng.standard_normal(g.node_shape), np.full(g.node_shape, -0.0)):
+        rhs[[1, -2]] = -0.0
+        rhs[3::4] = -0.0
+        b = grid_module._interior_rhs(FluxStencil(a), GridFunction(g, rhs),
+                                      g.boundary_mask(), edge)
+        expected = _lift_interior_rhs(faces, rhs, edge, h)
+        assert _bits(b) == _bits(expected)
+        v, info = grid_module._tridiagonal_box_solve(faces, b, h)
+        v_expected, residual = _fresh_closed_form(faces, expected, h)
+        assert _bits(v) == _bits(v_expected) and info["residuals"] == [residual]
+        u = solve_box_dirichlet(a, GridFunction(g, rhs), edge)
+        v_expected += 0.0
+        v_expected[[0, -1]] = edge
+        assert _bits(u.values) == _bits(v_expected)
+
+
 # ---------------------------------------------------------------------------
 # box preconditioner
 
@@ -458,6 +599,63 @@ def test_line_inverse_is_symmetric_and_positive_on_a_field_varying_along_x2():
     scale = np.sqrt(np.sum(pr * pr) * np.sum(s * s))
     assert abs(np.sum(pr * s) - np.sum(r * ps)) <= 1e-12 * scale
     assert np.sum(pr * r) > 0 and np.sum(ps * s) > 0
+
+
+# line_inverse as written with fresh arrays: the first transform into a new
+# array, and the x1-averaging branch copying its transposed result out
+
+
+def _fresh_box_lines(fl, fa, shape, spacing):
+    (n1, n2), (h1, h2) = shape, spacing
+    ax = fl[:, 1:-1].mean(axis=1) / h1 ** 2
+    ay = fa[1:-1].mean(axis=1) / h2 ** 2
+    wave = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n2) / n2)
+    mult, pivot = grid_module._factor_tridiagonal(
+        (ax[:-1] + ax[1:])[:, None] + np.outer(ay, wave), -ax[1:-1, None])
+    rpivot = np.divide(2.0 / n2, pivot, out=pivot)
+
+    def precondition(r):
+        z = grid_module._sweep_tridiagonal(mult, rpivot, grid_module._dst1(r[1:-1, 1:-1]))
+        out = np.zeros((n1 + 1, n2 + 1))
+        grid_module._dst1(z, out=out[1:-1, 1:-1])
+        return out
+
+    return precondition
+
+
+def _fresh_line_inverse(stencil):
+    (fx, fy), g = stencil.faces, stencil.grid
+    if not grid_module._averages_along_x1(fx[:, 1:-1], fy[1:-1]):
+        return _fresh_box_lines(fx, fy, g.shape, g.spacing)
+    solve = _fresh_box_lines(fy.T, fx.T, g.shape[::-1], g.spacing[::-1])
+    return lambda r: np.ascontiguousarray(solve(r.T).T)
+
+
+@pytest.mark.parametrize("spec, shape, along_x1", [
+    ("expr(2+sin(2*pi*y2))", (40, 64), True),
+    (_ROTATED, (24, 17), True),
+    ("expr(2+sin(2*pi*y1)*sin(2*pi*y2))", (24, 17), True),
+    ("expr(2+sin(2*pi*y1))", (40, 64), False),
+    (_ROTATED, (40, 64), False),
+    ("expr(2+sin(2*pi*y2))", (2, 2), None),
+    ("expr(2+sin(2*pi*y1))", (2, 3), None),
+], ids=["x2-laminate", "rotated-x1", "generic-x1", "x1-laminate", "rotated-x2",
+        "one-node", "one-row"])
+def test_line_inverse_works_in_its_output_bitwise(spec, shape, along_x1):
+    # on a 1.5-high box the faces of these fields vary less along x1 or x2
+    g = Grid.box((0.0, 0.0), (1.0, 1.5), shape)
+    stencil = FluxStencil(multiscale_coefficient(builtin_family(spec, 2),
+                                                 ScaleLadder((1 / 4,)), g))
+    fx, fy = stencil.faces
+    if along_x1 is not None:
+        assert grid_module._averages_along_x1(fx[:, 1:-1], fy[1:-1]) == along_x1
+    precondition, expected = line_inverse(stencil), _fresh_line_inverse(stencil)
+    rng = np.random.default_rng(shape[0])
+    for _ in range(2):
+        r = rng.standard_normal(g.node_shape)
+        r[::3] = -0.0
+        z = precondition(r)
+        assert z.flags.c_contiguous and _bits(z) == _bits(expected(r))
 
 
 def test_constant_tensor_homogenized_solve_takes_two_iterations_at_most():

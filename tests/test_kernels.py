@@ -178,3 +178,62 @@ def test_stacked_periodic_2d_matches_roll_bitwise(mixed):
         ref = periodic_2d_reference(fx[s], fy[s], None if axy is None else axy[s], u[s],
                                     1.0 / n1, 1.0 / n2)
         np.testing.assert_allclose(out[s], ref, rtol=1e-12, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the 2D box kernel sums its interior one block of rows at a time; the
+# whole-array form it replaced is the bitwise reference
+
+
+def _box_flux_whole(u, coef, axis, width, h):
+    hi, lo = (slice(width, None), slice(None)), (slice(None, -width), slice(None))
+    if axis:
+        hi, lo = hi[::-1], lo[::-1]
+    flux = np.subtract(u[hi], u[lo])
+    flux *= coef
+    flux /= h
+    return flux
+
+
+def _subtract_difference_whole(interior, step, flux, hi, lo, h):
+    interior -= np.divide(np.subtract(flux[hi], flux[lo], out=step), h, out=step)
+
+
+def matvec_box_2d_whole(fx, fy, axy, u, h1, h2):
+    out = np.zeros_like(u)
+    interior = out[1:-1, 1:-1]
+    flux = _box_flux_whole(u, fx, 0, 1, h1)
+    np.negative(np.subtract(flux[1:, 1:-1], flux[:-1, 1:-1], out=interior), out=interior)
+    interior /= h1
+    step = np.empty_like(interior)
+    _subtract_difference_whole(interior, step, _box_flux_whole(u, fy, 1, 1, h2),
+                               np.s_[1:-1, 1:], np.s_[1:-1, :-1], h2)
+    if axy is not None and axy.size:
+        mx = _box_flux_whole(u, axy[:, 1:-1], 1, 2, 2.0 * h2)
+        _subtract_difference_whole(interior, step, mx, np.s_[2:, :], np.s_[:-2, :], 2.0 * h1)
+        my = _box_flux_whole(u, axy[1:-1, :], 0, 2, 2.0 * h1)
+        _subtract_difference_whole(interior, step, my, np.s_[:, 2:], np.s_[:, :-2], 2.0 * h2)
+    return out
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["diagonal", "mixed"])
+@pytest.mark.parametrize("shape", [(3, 3), (4, 7), (257, 257), (65, 300), (300, 20)])
+def test_blocked_box_2d_matches_the_whole_array_form_bitwise(shape, mixed, monkeypatch):
+    n1, n2 = shape
+    rng = np.random.default_rng(n1 * n2)
+    fx, fy = 0.5 + rng.random((n1 - 1, n2)), 0.5 + rng.random((n1, n2 - 1))
+    axy = 0.2 * rng.standard_normal((n1, n2)) if mixed else None
+    u = rng.standard_normal((n1, n2))
+    u[::3, ::2] = -0.0
+    h1, h2 = 1.0 / (n1 - 1), 1.3 / (n2 - 1)
+    whole = matvec_box_2d_whole(fx, fy, axy, u, h1, h2).tobytes()
+    # the default block, and blocks of one row and of three rows that leave a
+    # shorter last block
+    for block in (kernels._BLOCK_NODES, n2, 3 * n2 + 1):
+        monkeypatch.setattr(kernels, "_BLOCK_NODES", block)
+        assert kernels.matvec_box_2d(fx, fy, axy, u, h1, h2).tobytes() == whole, block
+    # one tensor broadcast to every node reaches the kernel as broadcast faces
+    fx, fy = (np.broadcast_to(1.9, f.shape) for f in (fx, fy))
+    axy = None if axy is None else np.broadcast_to(0.4, axy.shape)
+    assert (kernels.matvec_box_2d(fx, fy, axy, u, h1, h2).tobytes()
+            == matvec_box_2d_whole(fx, fy, axy, u, h1, h2).tobytes())
