@@ -42,7 +42,8 @@ _EXPORTS = {
 # library submodules reachable as attributes; ``cli`` is left out because
 # importing it sets the process's thread variables
 _SUBMODULES = ("cache", "cascade", "cell", "coeff", "config", "dirichlet",
-               "errors", "expr", "grid", "kernels", "probes", "smoothing")
+               "errors", "expr", "grid", "kernels", "probes", "smoothing",
+               "stencil")
 
 __all__ = [*_EXPORTS, "__version__"]
 

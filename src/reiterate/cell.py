@@ -9,7 +9,7 @@ flux matrix B = A(I + grad chi) - A_eff is assembled from the same face
 fluxes whose average defines the tensor, so mean(B) vanishes to machine
 precision.  Flux correctors phi_kij = d_k f_ij - d_i f_kj come from
 potentials with Delta f_ij = b_ij, all d^2 of them from one application
-of the exact inverse of the torus Laplacian (grid.torus_line_inverse of
+of the exact inverse of the torus Laplacian (stencil.torus_line_inverse of
 the identity); their skew symmetry in (k, i) is exact by construction,
 while the reconstruction sum_k d_k phi_kij = b_ij holds up to a stencil
 commutator of order h^2 for smooth fields.
@@ -23,7 +23,7 @@ correctors to tensors.  In d=1 the discrete corrector has a closed form
 and chi is its centered running sum); in d=2 every sample of the stack
 runs the same conjugate gradient with its own convergence test,
 preconditioned by the exact inverse of its operator with the faces
-averaged along one axis (grid.torus_line_inverse), so a laminate takes
+averaged along one axis (stencil.torus_line_inverse), so a laminate takes
 one iteration and other fields a count that does not grow with the cell
 resolution.
 """
@@ -36,16 +36,8 @@ import numpy as np
 
 from .coeff import spectrum
 from .errors import CompatibilityError, SolverFailure
-from .grid import (
-    FluxStencil,
-    Grid,
-    GridFunction,
-    _axis_derivative,
-    _periodic_running_sum,
-    mean,
-    pcg,
-    torus_line_inverse,
-)
+from .grid import Grid, GridFunction, _axis_derivative, mean
+from .stencil import FluxStencil, _periodic_running_sum, pcg, torus_line_inverse
 
 DEFAULT_RESOLUTION = {1: 256, 2: 128}
 # largest |mean| of a flux matrix that flux_correctors accepts as mean-free

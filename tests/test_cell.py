@@ -25,7 +25,8 @@ from reiterate.cache import load_correctors, save_slab
 from reiterate.cascade import tabulate_cells
 from reiterate.coeff import builtin_family, spectrum
 from reiterate.errors import CompatibilityError, SolverFailure
-from reiterate.grid import FluxStencil, Grid, GridFunction, _axis_derivative, mean, pcg
+from reiterate.grid import Grid, GridFunction, _axis_derivative, mean
+from reiterate.stencil import FluxStencil, pcg
 
 SQRT3 = np.sqrt(3.0)
 

@@ -368,12 +368,12 @@ cell.resolution = 8
 
 
 def test_stagnating_sample_inside_a_slab_exits_3(tmp_path, capsys, monkeypatch):
-    from reiterate import cell, grid
+    from reiterate import cell, stencil
 
     counts = []
 
     def recording_pcg(*args, **kwargs):
-        x, info = grid.pcg(*args, **kwargs)
+        x, info = stencil.pcg(*args, **kwargs)
         counts.extend(info["sample_iterations"])
         return x, info
 
@@ -386,7 +386,7 @@ def test_stagnating_sample_inside_a_slab_exits_3(tmp_path, capsys, monkeypatch):
 
     # a cap between the two lets most samples of the slab converge
     cap = (easy + hard) // 2
-    monkeypatch.setattr(cell, "pcg", lambda *a, **k: grid.pcg(*a, **k, maxiter=cap))
+    monkeypatch.setattr(cell, "pcg", lambda *a, **k: stencil.pcg(*a, **k, maxiter=cap))
     cfg, out = setup(tmp_path, GRADED)
     code, _, err = run(["cascade", "--config", cfg], capsys)
     assert code == 3

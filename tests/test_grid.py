@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reiterate.grid as grid_module
+import reiterate.stencil as stencil_module
 from reiterate import kernels
 from reiterate.cascade import homogenize_all
 from reiterate.cell import CellStack, solve_corrector
@@ -22,21 +23,18 @@ from reiterate.dirichlet import (BVP, multiscale_coefficient, solve_homogenized,
                                  solve_multiscale)
 from reiterate.errors import ResolutionError, SolverFailure
 from reiterate.grid import (
-    FluxStencil,
     Grid,
     GridFunction,
     ball_average,
     divergence,
     gradient,
     l2_norm,
-    line_inverse,
     load_gridfunction,
     mean,
-    pcg,
     save_gridfunction,
     solve_box_dirichlet,
-    torus_line_inverse,
 )
+from reiterate.stencil import FluxStencil, line_inverse, pcg, torus_line_inverse
 
 
 def torus_scalar(n, fn, d=1):
@@ -70,6 +68,14 @@ def test_box_grid_stores_both_boundary_layers():
 def test_rejects_unsupported_dimension():
     with pytest.raises(ValueError):
         Grid(shape=(8, 8, 8), periodic=True, lo=(0,) * 3, hi=(1,) * 3)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, np.nan), (0.0, np.inf), (-np.inf, 0.0),
+                                    ((0.0, np.nan), (1.0, 1.0))])
+def test_rejects_non_finite_corners(lo, hi):
+    # a NaN corner passes the order test, and an infinite one gives inf spacing
+    with pytest.raises(ValueError, match="corners must be finite"):
+        Grid.box(lo, hi, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +338,6 @@ def test_periodic_solver_records_residual_history():
 
 
 def test_discrete_operator_is_self_adjoint():
-    from reiterate.grid import FluxStencil
-
     rng = np.random.default_rng(7)
     g = Grid.torus(2, 24)
     nodes = g.nodes()
@@ -516,7 +520,7 @@ def test_1d_path_matches_the_lift_formulas_bitwise(n, edge, coefficient):
                                       g.boundary_mask(), edge)
         expected = _lift_interior_rhs(faces, rhs, edge, h)
         assert _bits(b) == _bits(expected)
-        v, info = grid_module._tridiagonal_box_solve(faces, b, h)
+        v, info = stencil_module._tridiagonal_box_solve(faces, b, h)
         v_expected, residual = _fresh_closed_form(faces, expected, h)
         assert _bits(v) == _bits(v_expected) and info["residuals"] == [residual]
         u = solve_box_dirichlet(a, GridFunction(g, rhs), edge)
@@ -610,14 +614,14 @@ def _fresh_box_lines(fl, fa, shape, spacing):
     ax = fl[:, 1:-1].mean(axis=1) / h1 ** 2
     ay = fa[1:-1].mean(axis=1) / h2 ** 2
     wave = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n2) / n2)
-    mult, pivot = grid_module._factor_tridiagonal(
+    mult, pivot = stencil_module._factor_tridiagonal(
         (ax[:-1] + ax[1:])[:, None] + np.outer(ay, wave), -ax[1:-1, None])
     rpivot = np.divide(2.0 / n2, pivot, out=pivot)
 
     def precondition(r):
-        z = grid_module._sweep_tridiagonal(mult, rpivot, grid_module._dst1(r[1:-1, 1:-1]))
+        z = stencil_module._sweep_tridiagonal(mult, rpivot, stencil_module._dst1(r[1:-1, 1:-1]))
         out = np.zeros((n1 + 1, n2 + 1))
-        grid_module._dst1(z, out=out[1:-1, 1:-1])
+        stencil_module._dst1(z, out=out[1:-1, 1:-1])
         return out
 
     return precondition
@@ -625,7 +629,7 @@ def _fresh_box_lines(fl, fa, shape, spacing):
 
 def _fresh_line_inverse(stencil):
     (fx, fy), g = stencil.faces, stencil.grid
-    if not grid_module._averages_along_x1(fx[:, 1:-1], fy[1:-1]):
+    if not stencil_module._averages_along_x1(fx[:, 1:-1], fy[1:-1]):
         return _fresh_box_lines(fx, fy, g.shape, g.spacing)
     solve = _fresh_box_lines(fy.T, fx.T, g.shape[::-1], g.spacing[::-1])
     return lambda r: np.ascontiguousarray(solve(r.T).T)
@@ -648,7 +652,7 @@ def test_line_inverse_works_in_its_output_bitwise(spec, shape, along_x1):
                                                  ScaleLadder((1 / 4,)), g))
     fx, fy = stencil.faces
     if along_x1 is not None:
-        assert grid_module._averages_along_x1(fx[:, 1:-1], fy[1:-1]) == along_x1
+        assert stencil_module._averages_along_x1(fx[:, 1:-1], fy[1:-1]) == along_x1
     precondition, expected = line_inverse(stencil), _fresh_line_inverse(stencil)
     rng = np.random.default_rng(shape[0])
     for _ in range(2):
@@ -920,6 +924,17 @@ def test_load_rejects_corrupt_header(tmp_path):
         load_gridfunction(p)
 
 
+def test_load_rejects_an_unknown_topology_byte(tmp_path):
+    p = tmp_path / "topo.bin"
+    save_gridfunction(GridFunction(Grid.box(0.0, 1.0, 4), np.arange(5.0)), p)
+    data = bytearray(p.read_bytes())
+    assert data[8] == 1  # byte 8 holds the topology: 0 torus, 1 box
+    data[8] = 7
+    p.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="corrupt header"):
+        load_gridfunction(p)
+
+
 def test_load_rejects_truncated_payload(tmp_path):
     g = Grid.torus(1, 16)
     f = GridFunction(g, np.arange(16.0))
@@ -971,17 +986,17 @@ def test_gridfunction_aliases_the_callers_array_without_freezing_it():
 
 @pytest.mark.parametrize("m", [1, 15, 127])
 def test_blocked_dst1_equals_one_block_bitwise(m, monkeypatch):
-    block = max(1, grid_module._DST_BLOCK_NODES // (2 * m + 2))
+    block = max(1, stencil_module._DST_BLOCK_NODES // (2 * m + 2))
     rng = np.random.default_rng(m)
     for rows in sorted({1, max(block - 1, 1), block, 2 * block + 1}):
         x = rng.standard_normal((rows, m))
-        blocked = grid_module._dst1(x)
+        blocked = stencil_module._dst1(x)
         with monkeypatch.context() as patch:
-            patch.setattr(grid_module, "_DST_BLOCK_NODES", rows * (2 * m + 2))
-            whole = grid_module._dst1(x)
+            patch.setattr(stencil_module, "_DST_BLOCK_NODES", rows * (2 * m + 2))
+            whole = stencil_module._dst1(x)
         assert np.array_equal(blocked, whole)
         ring = np.zeros((rows + 2, m + 2))
-        assert grid_module._dst1(x, out=ring[1:-1, 1:-1]).base is ring
+        assert stencil_module._dst1(x, out=ring[1:-1, 1:-1]).base is ring
         assert np.array_equal(ring[1:-1, 1:-1], blocked) and not ring[[0, -1]].any()
     j = np.arange(1, m + 1)
     reference = np.einsum("rj,jk->rk", x, np.sin(np.pi * np.outer(j, j) / (m + 1)))

@@ -1,9 +1,11 @@
 import ast
 import importlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,18 @@ def test_public_name_is_its_module_object(name):
 def test_version_and_dir_list_every_public_name():
     assert reiterate.__version__ == "0.1.0"
     assert set(reiterate.__all__) <= set(dir(reiterate))
+
+
+def test_every_library_module_is_a_lazy_submodule():
+    # cli is left out: importing it sets the process's thread variables
+    root = Path(__file__).resolve().parent.parent / "src" / "reiterate"
+    modules = {p.stem for p in root.glob("*.py")} - {"__init__", "cli"}
+    # a fresh process: an imported submodule is in dir() whether listed or not
+    script = "import json, reiterate\nprint(json.dumps(dir(reiterate)))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert modules <= set(json.loads(proc.stdout))
+    assert all(getattr(reiterate, m).__name__ == f"reiterate.{m}" for m in modules)
 
 
 def test_unknown_attribute_raises():
@@ -111,6 +125,51 @@ def test_benchmark_tracer_books_a_collapsed_level_as_one_cell_solve():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert [float(v) for v in proc.stdout.split()] == [1, 1089]
+
+
+def test_benchmark_tracer_books_box_solves_across_the_stencil_module():
+    # the solvers live in stencil, but the tracer's grid spans name them on
+    # grid, whose solve_box_dirichlet calls them through its own bindings
+    root = Path(__file__).resolve().parent.parent
+    script = ("import sys\n"
+              f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+              "import tracer\n"
+              "t = tracer.Tracer()\n"
+              "t.install()\n"
+              "import numpy as np\n"
+              "from reiterate.grid import Grid, GridFunction, solve_box_dirichlet\n"
+              "for d in (2, 1):\n"
+              "    g = Grid.box((0.0,) * d, (1.0,) * d, 8)\n"
+              "    a = GridFunction.from_callable(\n"
+              "        g, lambda x: (2 + np.sin(x.sum(axis=1)))[:, None, None] * np.eye(d))\n"
+              "    solve_box_dirichlet(a, GridFunction.constant(g, 1.0), 0.0)\n"
+              "    report = t.report()\n"
+              "    print(report['grid.pcg_solves'], report['grid.direct_solves'])\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert [[float(v) for v in line.split()] for line in proc.stdout.splitlines()] == [
+        [1, 0], [1, 1]]
+
+
+# CPython's parser grows its token array in steps (4,096, 8,192 tokens),
+# and compile() of a module past a step peaks higher.  Every CLI op
+# compiles src/reiterate when no bytecode can be written
+# (PYTHONDONTWRITEBYTECODE=1), so the largest module's compile peak sets
+# part of the op's peak RSS: 8,315 tokens peaked at 3.3 MB
+TOKEN_CAP = 6000
+
+
+def test_every_module_stays_under_the_token_cap():
+    root = Path(__file__).resolve().parent.parent / "src" / "reiterate"
+    counts = {}
+    for path in sorted(root.glob("*.py")):
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline)
+        counts[path.name] = sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokens)
+    over = {name: n for name, n in counts.items() if n >= TOKEN_CAP}
+    assert over == {}, (
+        f"modules of {TOKEN_CAP} tokens or more: {over}.  Compiling a module "
+        "that large raises the peak RSS of every CLI op run without bytecode; "
+        "split it")
 
 
 RECORDS = {
